@@ -24,6 +24,7 @@ from .gin import (
     degree_complexity,
     gin,
     random_change,
+    saturate_irrelevant,
     witness_check,
 )
 from .groebner import (
@@ -40,7 +41,6 @@ from .groebner import (
     is_groebner_basis,
     normal_form,
     s_polynomial,
-    saturate_irrelevant,
 )
 from .pei import (
     MODE_EQUAL,

@@ -1,5 +1,7 @@
 """Generic initial ideals via seeded coordinate changes, and degree complexity.
 
+Saturation lives here too: it needs one general coordinate change.
+
 "Generic" is realized operationally: independent uniform invertible matrices
 over F_p, accepted once enough consecutive trials produce the same initial
 ideal.  Two agreements over p ~ 3*10^4 make a coincidental non-generic match
@@ -12,12 +14,15 @@ from dataclasses import dataclass
 from .errors import ConfigurationError, NonBorelGinError, UnstableGinError
 from .field import DEFAULT_PRIME
 from .groebner import GroebnerBasis, MonomialIdeal, buchberger
-from .poly import Ideal, MonomialOrder, apply_linear_change
+from .poly import GREVLEX, Ideal, MonomialOrder, Polynomial, apply_linear_change
 from .rng import SplitMix64
 
 DEFAULT_SEED_BASE = 12345
 DEFAULT_MIN_AGREE = 2
 DEFAULT_TRIAL_BUDGET = 6
+
+# coordinate change behind saturate_irrelevant; fixed so a saturation replays
+_SATURATION_SEED = 0x5A7
 
 
 def invert_matrix_mod(matrix, p):
@@ -78,6 +83,32 @@ def random_change(seed, nvars, p=DEFAULT_PRIME):
         inverse = invert_matrix_mod(matrix, p)
         if inverse is not None:
             return CoordinateChange(matrix, inverse, seed, p)
+
+
+def saturate_irrelevant(ideal):
+    """Saturation I : m^inf by the irrelevant maximal ideal m of I's own ring.
+
+    Bayer-Stillman: once the last variable x_last is general for I, the
+    saturation is I : x_last^inf, and under grevlex a basis of that is the
+    reduced basis of I with each element divided by the largest power of
+    x_last dividing it.  One seeded random change supplies the general
+    coordinates; its inverse maps the result back.  For any linear form
+    l, I : l^inf contains I^sat, so a non-general draw (probability about
+    deg/p) can only make the result too large.
+    """
+    if ideal.is_zero:
+        return ideal
+    change = random_change(_SATURATION_SEED, ideal.nvars, ideal.p)
+    gb = buchberger(change.apply_ideal(ideal), GREVLEX)
+    gens = []
+    for g in gb.elements:
+        exps = g.exps.copy()
+        exps[:, -1] -= exps[:, -1].min()
+        # dividing every term by one monomial keeps the term order
+        divided = Polynomial(exps, g.coeffs, g.nvars, g.p, g.order,
+                             _presorted=True)
+        gens.append(change.apply_inverse(divided))
+    return Ideal(gens, ideal.nvars, ideal.p)
 
 
 @dataclass(frozen=True)

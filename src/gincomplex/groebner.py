@@ -1,4 +1,4 @@
-"""Buchberger engine, monomial-ideal queries, Hilbert functions, colon/saturation.
+"""Buchberger engine, monomial-ideal queries, Hilbert functions, colon/intersection.
 
 The engine keeps the classical shape: normal pair selection (lowest lcm
 degree first, ties broken by the order on the lcm, then by pair index) and
@@ -6,16 +6,11 @@ the two Buchberger criteria, installed Gebauer-Moeller style at pair-update
 time.  Determinism matters more than raw speed here, so both the selection
 rule and the reducer order are fixed.
 
-Two interchangeable reduction backends sit below the shared skeleton:
-
-* a dense per-degree backend for homogeneous input under a graded order --
-  every reduction is one forward scan over a degree slice, with the inner
-  multiply-accumulate in a compiled kernel;
-* a sparse dict backend for everything else, in particular the
-  inhomogeneous auxiliary-variable path behind ideal quotients.
-
-The reduced basis is unique per (ideal, order), so the backends can never
-disagree on the final answer.
+Every ideal is homogeneous and both orders are graded, so there is one
+reduction path: each reduction is a forward scan over one dense degree
+slice, with the inner multiply-accumulate in a compiled kernel.
+Intersections and colon ideals reuse that engine: a graded-lex basis in two
+extra variables eliminates one of them (see ``intersect``).
 """
 
 import numpy as np
@@ -23,7 +18,6 @@ import numpy as np
 from . import _kernels
 from .errors import GincomplexError, RingMismatchError, ZeroPolynomialError
 from .poly import (
-    ELIM_FIRST,
     GLEX,
     GREVLEX,
     Ideal,
@@ -353,22 +347,6 @@ class _DenseBackend:
         return self._reduce_vec(degree, vec, reducers, stamp)
 
 
-class _SparseBackend:
-    """Order-agnostic dict reduction; the only path that sees inhomogeneous input."""
-
-    def __init__(self, nvars, p, order):
-        self.nvars = nvars
-        self.p = p
-        self.order = order
-
-    def reduce(self, f, reducers, stamp=None):
-        r = normal_form(f, reducers, self.order)
-        return None if r.is_zero else r
-
-    def spoly_reduce(self, fi, fj, lcm, reducers, stamp=None):
-        return self.reduce(s_polynomial(fi, fj), reducers)
-
-
 # ---------------------------------------------------------------------------
 # Buchberger
 # ---------------------------------------------------------------------------
@@ -414,8 +392,8 @@ def _select_pair(pairs):
     return best
 
 
-def buchberger(source, order, allow_inhomogeneous=False):
-    """Reduced Groebner basis of the given generators under the given order.
+def buchberger(source, order):
+    """Reduced Groebner basis of homogeneous generators under a graded order.
 
     Deterministic for a fixed input sequence; the reduced result is unique
     per (ideal, order) regardless of generator presentation.
@@ -434,13 +412,11 @@ def buchberger(source, order, allow_inhomogeneous=False):
     for g in gens:
         if g.nvars != nvars or g.p != p:
             raise RingMismatchError("generators live in different rings")
-        if not allow_inhomogeneous and not g.is_homogeneous:
-            raise GincomplexError("inhomogeneous generator; this path "
+        if not g.is_homogeneous:
+            raise GincomplexError("inhomogeneous generator; Buchberger "
                                   "requires homogeneous input")
     gens = [g.with_order(order) for g in gens]
-    dense = order.graded and all(g.is_homogeneous for g in gens)
-    backend = (_DenseBackend(nvars, p, order) if dense
-               else _SparseBackend(nvars, p, order))
+    backend = _DenseBackend(nvars, p, order)
 
     basis = []
     leads = []
@@ -493,9 +469,7 @@ def buchberger(source, order, allow_inhomogeneous=False):
 def is_groebner_basis(gb):
     """Buchberger criterion self-check: every S-polynomial reduces to zero."""
     elems = list(gb.elements)
-    dense = gb.order.graded and all(g.is_homogeneous for g in elems)
-    backend = (_DenseBackend(gb.nvars, gb.p, gb.order) if dense
-               else _SparseBackend(gb.nvars, gb.p, gb.order))
+    backend = _DenseBackend(gb.nvars, gb.p, gb.order)
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             lcm = monomial_lcm(elems[i].leading_monomial(),
@@ -553,45 +527,43 @@ def hilbert_function_macaulay(source, m):
 
 
 # ---------------------------------------------------------------------------
-# quotients, intersections, saturation
+# intersections and colon ideals
 # ---------------------------------------------------------------------------
 
-def _lift_aux(f):
-    """Re-embed with a fresh auxiliary variable in front, elimination order."""
-    exps = np.hstack([np.zeros((f.num_terms, 1), dtype=np.int64), f.exps])
+def _lift(f, nvars):
+    """f in R = F[x0..x(n-1)] as an element of R[t, s] = F[t, x0..x(n-1), s]."""
     return Polynomial.from_terms(
-        zip(map(tuple, exps.tolist()), f.coeffs.tolist()),
-        f.nvars + 1, f.p, ELIM_FIRST)
-
-
-def _eliminate_aux(gb_elements, nvars, p):
-    polys = []
-    for e in gb_elements:
-        if e.num_terms and int(e.exps[:, 0].max()) > 0:
-            continue
-        f = e.drop_variable(0).with_order(GLEX)
-        for comp in f.homogeneous_components():
-            polys.append(comp)
-    return polys
+        (((0,) + e + (0,), c) for e, c in f.terms()), nvars + 2, f.p, GLEX)
 
 
 def intersect(I, J):
-    """I cap J through one auxiliary variable and a block order."""
+    """I cap J of homogeneous ideals, by eliminating t from a graded-lex basis.
+
+    K = t*I + (s - t)*J in R[t, s] is homogeneous, and setting s = 1 gives
+    the classical t*I + (1 - t)*J, whose t-free part is I cap J.  With t the
+    first variable, a homogeneous element whose graded-lex leading monomial
+    is free of t is free of t altogether, so the t-free elements of the
+    reduced basis generate K cap R[s].  K is also homogeneous in (t, s)
+    alone, so each of those elements is s^k * h with h in R, and the h
+    generate I cap J.
+    """
     if I.nvars != J.nvars or I.p != J.p:
         raise RingMismatchError("ideals live in different rings")
     if I.is_zero or J.is_zero:
         return Ideal([], I.nvars, I.p)
     p, nvars = I.p, I.nvars
-    t = Polynomial.monomial(unit_exponent(nvars + 1, 0), nvars + 1, p,
-                            ELIM_FIRST)
-    one_minus_t = Polynomial.from_terms(
-        [((0,) * (nvars + 1), 1), (unit_exponent(nvars + 1, 0), -1)],
-        nvars + 1, p, ELIM_FIRST)
-    gens = [t * _lift_aux(g) for g in I.generators]
-    gens += [one_minus_t * _lift_aux(h) for h in J.generators]
-    gb = buchberger(gens, ELIM_FIRST, allow_inhomogeneous=True)
-    polys = _eliminate_aux(gb.elements, nvars, p)
-    return Ideal(polys, nvars, p)
+    t = unit_exponent(nvars + 2, 0)
+    s = unit_exponent(nvars + 2, nvars + 1)
+    gens = [_lift(f, nvars).mul_term(1, t) for f in I.generators]
+    for g in J.generators:
+        lifted = _lift(g, nvars)
+        gens.append(lifted.mul_term(1, s) - lifted.mul_term(1, t))
+    return Ideal([
+        Polynomial.from_terms(
+            zip(map(tuple, e.exps[:, 1:-1].tolist()), e.coeffs.tolist()),
+            nvars, p, GLEX)
+        for e in buchberger(gens, GLEX).elements if not e.exps[:, 0].any()
+    ], nvars, p)
 
 
 def ideal_quotient(I, f):
@@ -619,25 +591,3 @@ def ideals_equal(I, J):
     gb_j = buchberger(J, GREVLEX)
     return (all(gb_j.normal_form(g).is_zero for g in I.generators)
             and all(gb_i.normal_form(h).is_zero for h in J.generators))
-
-
-def saturate_irrelevant(I):
-    """Saturation by the irrelevant maximal ideal of I's own ring.
-
-    One step colons by every variable and intersects; steps repeat until the
-    chain stabilizes.
-    """
-    if I.is_zero:
-        return I
-    nvars, p = I.nvars, I.p
-    variables = [Polynomial.monomial(unit_exponent(nvars, i), nvars, p, GLEX)
-                 for i in range(nvars)]
-    cur = I
-    while True:
-        step = ideal_quotient(cur, variables[0])
-        for v in variables[1:]:
-            step = intersect(step, ideal_quotient(cur, v))
-        if ideals_equal(step, cur):
-            return cur
-        # restart from the reduced basis to keep generators small
-        cur = Ideal(buchberger(step, GREVLEX).elements, nvars, p)

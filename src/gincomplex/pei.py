@@ -16,13 +16,9 @@ from .gin import (
     DEFAULT_SEED_BASE,
     DEFAULT_TRIAL_BUDGET,
     gin,
-)
-from .groebner import (
-    MonomialIdeal,
-    hilbert_function_macaulay,
-    ideals_equal,
     saturate_irrelevant,
 )
+from .groebner import MonomialIdeal, hilbert_function_macaulay, ideals_equal
 from .poly import GLEX, Ideal, Polynomial
 
 MODE_EQUAL = "equal"
@@ -198,8 +194,12 @@ def k1_saturation_check(ideal, seed_base=DEFAULT_SEED_BASE,
                         gin_result=None):
     """True when the first stratum is already saturated.
 
-    Saturation runs the colon-by-every-variable loop; equality is mutual
-    membership, so the check does not depend on generator presentation.
+    Saturation is Bayer-Stillman's I : l^inf for one seeded general linear
+    form l; equality is mutual membership, so the check does not depend on
+    generator presentation.  The error is one-sided: I : l^inf contains
+    I^sat, which contains I, for every l, so True is a proof.  Only a
+    saturated K_1 can be misreported as unsaturated, with probability about
+    deg/p over the draw of l.
     """
     result = gin_result
     if result is None:

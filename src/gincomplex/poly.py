@@ -17,6 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
+    ConfigurationError,
     GincomplexError,
     RingMismatchError,
     ZeroPolynomialError,
@@ -27,6 +28,7 @@ LT, EQ, GT = -1, 0, 1
 # base for packed per-degree keys; caps every exponent a table can hold
 _KEY_BASE = 256
 DEGREE_CAP = _KEY_BASE - 1
+_KEY_MAX = int(np.iinfo(np.int64).max)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +73,6 @@ class MonomialOrder:
     """
 
     name = "?"
-    graded = True
 
     def key(self, e):
         raise NotImplementedError
@@ -83,6 +84,14 @@ class MonomialOrder:
         return self.name
 
 
+def _check_key_range(nvars, degree):
+    """Packed keys of degree-``degree`` monomials reach degree * 256^(nvars-1)."""
+    if degree * _KEY_BASE ** (nvars - 1) > _KEY_MAX:
+        raise ConfigurationError(
+            f"{nvars} variables at degree {degree} overflow the int64 "
+            f"packed monomial keys")
+
+
 class _GradedLex(MonomialOrder):
     name = "glex"
 
@@ -90,6 +99,7 @@ class _GradedLex(MonomialOrder):
         return (sum(e),) + tuple(e)
 
     def index_weights(self, nvars):
+        _check_key_range(nvars, 1)
         return np.array(
             [-(_KEY_BASE ** (nvars - 1 - j)) for j in range(nvars)],
             dtype=np.int64,
@@ -103,30 +113,12 @@ class _GradedRevLex(MonomialOrder):
         return (sum(e),) + tuple(-v for v in reversed(e))
 
     def index_weights(self, nvars):
+        _check_key_range(nvars, 1)
         return np.array([_KEY_BASE ** j for j in range(nvars)], dtype=np.int64)
-
-
-class _EliminateFirst(MonomialOrder):
-    """Block order: variable 0 dominates, graded-revlex inside the rest.
-
-    Used only for the auxiliary-variable quotient/intersection trick; it is
-    not graded, so the dense per-degree machinery never sees it.
-    """
-
-    name = "elim0"
-    graded = False
-
-    def key(self, e):
-        rest = e[1:]
-        return (e[0], sum(rest)) + tuple(-v for v in reversed(rest))
-
-    def index_weights(self, nvars):
-        raise GincomplexError("elimination order has no dense index weights")
 
 
 GLEX = _GradedLex()
 GREVLEX = _GradedRevLex()
-ELIM_FIRST = _EliminateFirst()
 
 ORDERS = {"glex": GLEX, "grevlex": GREVLEX}
 
@@ -200,6 +192,7 @@ def table_for(nvars, degree, order):
     key = (nvars, degree, order.name)
     tab = _TABLE_CACHE.get(key)
     if tab is None:
+        _check_key_range(nvars, degree)
         tab = MonomialTable(nvars, degree, order)
         _TABLE_CACHE[key] = tab
         _TABLE_LRU.append(key)
@@ -406,15 +399,6 @@ class Polynomial:
             return self
         return Polynomial.from_terms(self.terms(), self.nvars, self.p, order)
 
-    def drop_variable(self, index=0):
-        """Image in the ring without variable ``index`` (its exponents must be 0)."""
-        if self.num_terms and self.exps[:, index].any():
-            raise GincomplexError(f"variable x{index} still occurs")
-        exps = np.delete(self.exps, index, axis=1)
-        return Polynomial.from_terms(
-            zip(map(tuple, exps.tolist()), self.coeffs.tolist()),
-            self.nvars - 1, self.p, self.order)
-
     def homogeneous_components(self):
         """Split into homogeneous parts, highest degree first."""
         if self.is_zero:
@@ -451,14 +435,14 @@ class Polynomial:
 class Ideal:
     """A finite generating set with its ring data.
 
-    Generators must be nonzero and, unless flagged otherwise, homogeneous;
-    the inhomogeneous escape hatch exists only for the internal
-    auxiliary-variable elimination path.
+    Generators must be nonzero and homogeneous: every ideal the package
+    handles is graded, which is what lets the Buchberger engine work one
+    degree slice at a time.
     """
 
     __slots__ = ("generators", "nvars", "p")
 
-    def __init__(self, generators, nvars=None, p=None, allow_inhomogeneous=False):
+    def __init__(self, generators, nvars=None, p=None):
         gens = tuple(generators)
         if gens:
             nvars = gens[0].nvars if nvars is None else nvars
@@ -470,7 +454,7 @@ class Ideal:
                 raise RingMismatchError("generators live in different rings")
             if g.is_zero:
                 raise ZeroPolynomialError("zero generator")
-            if not allow_inhomogeneous and not g.is_homogeneous:
+            if not g.is_homogeneous:
                 raise GincomplexError(
                     "inhomogeneous generator in a homogeneous ideal")
         self.generators = gens
@@ -691,7 +675,7 @@ def apply_linear_change(f, change):
 
     ``change`` is an invertible matrix (anything with rows of ints, or an
     object carrying a ``matrix`` attribute).  Degree and homogeneity are
-    preserved; a singular matrix is rejected.
+    preserved; a singular matrix is rejected, also for the zero polynomial.
     """
     matrix = getattr(change, "matrix", change)
     matrix = [list(row) for row in matrix]
@@ -699,14 +683,8 @@ def apply_linear_change(f, change):
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise RingMismatchError(
             f"change of coordinates must be {n}x{n} for {n} variables")
-    if plu_mod(matrix, f.p) is None:
-        raise GincomplexError("singular coordinate change")
-    if f.is_zero:
-        return f
-    if not f.order.graded:
-        return _apply_change_terms(f, matrix)
     ops = _substitution_ops(matrix, f.p)
-    if not ops:
+    if f.is_zero or not ops:
         return f
     parts = []
     for component in f.homogeneous_components():

@@ -4,6 +4,7 @@ import pytest
 
 from gincomplex.corpus import golden_monomial_ideal, scroll
 from gincomplex.errors import GincomplexError, ZeroPolynomialError
+from gincomplex.gin import saturate_irrelevant
 from gincomplex.groebner import (
     GroebnerBasis,
     MonomialIdeal,
@@ -12,12 +13,19 @@ from gincomplex.groebner import (
     hilbert_function_monomial,
     ideal_quotient,
     ideals_equal,
+    intersect,
     is_groebner_basis,
     normal_form,
     s_polynomial,
-    saturate_irrelevant,
 )
-from gincomplex.poly import GLEX, GREVLEX, Ideal, Polynomial, table_for
+from gincomplex.poly import (
+    GLEX,
+    GREVLEX,
+    Ideal,
+    Polynomial,
+    monomial_lcm,
+    table_for,
+)
 from gincomplex.rng import SplitMix64
 
 P = 32003
@@ -282,11 +290,90 @@ def test_colon_contains_original():
         assert gb.normal_form(g).is_zero
 
 
+def _random_monomial_ideal(rng, nvars):
+    return [_random_exponent(rng, nvars, 1 + rng.below(4))
+            for _ in range(1 + rng.below(4))]
+
+
+def _initial_ideal(ideal):
+    return buchberger(ideal, GREVLEX).initial_ideal()
+
+
+def test_intersect_monomial_oracle():
+    # for monomial ideals, I cap J is generated by the pairwise lcms
+    rng = SplitMix64(4242)
+    for _ in range(50):
+        nvars = 3 + rng.below(2)
+        a = _random_monomial_ideal(rng, nvars)
+        b = _random_monomial_ideal(rng, nvars)
+        got = intersect(Ideal([mono(e) for e in a], nvars, P),
+                        Ideal([mono(e) for e in b], nvars, P))
+        want = MonomialIdeal([monomial_lcm(u, v) for u in a for v in b],
+                             nvars)
+        assert _initial_ideal(got) == want
+
+
+def test_intersect_between_product_and_factors():
+    # I*J lies in I cap J, which lies in both I and J
+    rng = SplitMix64(99)
+    for _ in range(10):
+        a = _random_small_ideal(rng, nvars=3, ngens=2, maxdeg=2)
+        b = _random_small_ideal(rng, nvars=3, ngens=2, maxdeg=2)
+        both = buchberger(intersect(Ideal(a, 3, P), Ideal(b, 3, P)), GREVLEX)
+        for factor in (a, b):
+            gb = buchberger(factor, GREVLEX)
+            assert all(gb.contains(h) for h in both)
+        assert all(both.contains(f * g) for f in a for g in b)
+
+
+def test_colon_monomial_oracle():
+    # (I : x^a) is generated by g / gcd(g, x^a) over the generators g of I
+    rng = SplitMix64(1729)
+    for _ in range(50):
+        nvars = 3 + rng.below(2)
+        gens = _random_monomial_ideal(rng, nvars)
+        a = _random_exponent(rng, nvars, 1 + rng.below(3))
+        got = ideal_quotient(Ideal([mono(e) for e in gens], nvars, P),
+                             mono(a))
+        want = MonomialIdeal(
+            [tuple(max(x - y, 0) for x, y in zip(g, a)) for g in gens],
+            nvars)
+        assert _initial_ideal(got) == want
+
+
+def _times_maximal_power(ideal, k):
+    n = ideal.nvars
+    shifts = [tuple(int(v) for v in e) for e in table_for(n, k, GLEX).exps]
+    return Ideal([g.mul_term(1, u) for g in ideal.generators for u in shifts],
+                 n, ideal.p)
+
+
+def _twisted_cubic():
+    return Ideal([poly(t, nvars=4) for t in (
+        [((1, 0, 1, 0), 1), ((0, 2, 0, 0), -1)],
+        [((0, 1, 0, 1), 1), ((0, 0, 2, 0), -1)],
+        [((1, 0, 0, 1), 1), ((0, 1, 1, 0), -1)],
+    )], 4, P)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("build", [scroll, _twisted_cubic],
+                         ids=["scroll", "twisted_cubic"])
+def test_saturation_recovers_saturated_ideal(build, k):
+    saturated = build()
+    assert ideals_equal(saturated, saturate_irrelevant(saturated))
+    padded = _times_maximal_power(saturated, k)
+    assert not ideals_equal(padded, saturated)
+    assert ideals_equal(saturate_irrelevant(padded), saturated)
+
+
 def test_saturate_variable_times_maximal_ideal():
     gens = [mono(e, p=P) for e in
             [(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)]]
-    sat = saturate_irrelevant(Ideal(gens, 4, P))
+    ideal = Ideal(gens, 4, P)
+    sat = saturate_irrelevant(ideal)
     assert ideals_equal(sat, Ideal([mono((1, 0, 0, 0))], 4, P))
+    assert not ideals_equal(sat, ideal)
 
 
 def test_saturation_idempotent():

@@ -166,5 +166,5 @@ def test_remark_strict_k1_is_itself_saturated():
     # even though it is not the true first stratum
     gb = buchberger(remark_counterexample(), GLEX)
     strict = partial_elimination(gb, 1, MODE_EQUAL, generic=True)
-    from gincomplex.groebner import saturate_irrelevant
+    from gincomplex.gin import saturate_irrelevant
     assert ideals_equal(saturate_irrelevant(strict.ideal), strict.ideal)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gincomplex.errors import (
+    ConfigurationError,
     GincomplexError,
     RingMismatchError,
     ZeroPolynomialError,
@@ -152,6 +153,19 @@ def _random_homogeneous(rng, nvars, degree, p=P):
         nvars, p, GLEX)
 
 
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_packed_key_overflow_is_a_configuration_error(order):
+    # 9 variables overflow int64 at any degree
+    with pytest.raises(ConfigurationError):
+        order.index_weights(9)
+    with pytest.raises(ConfigurationError):
+        table_for(9, 2, order)
+    # 8 variables fit up to degree 127; at 130, x0^130 would wrap around
+    assert len(table_for(8, 2, order)) == 36
+    with pytest.raises(ConfigurationError):
+        table_for(8, 130, order)
+
+
 def test_order_mismatch_arithmetic_rejected():
     f = poly([((1, 0, 0, 0, 0), 1)])
     g = poly([((0, 1, 0, 0, 0), 1)], order=GREVLEX)
@@ -204,10 +218,10 @@ def test_linear_substitution_row():
 
 
 def test_singular_change_rejected():
-    f = poly([((1, 0, 0, 0, 0), 1)])
     mat = np.zeros((5, 5), dtype=np.int64)
-    with pytest.raises(GincomplexError):
-        apply_linear_change(f, mat)
+    for f in (poly([((1, 0, 0, 0, 0), 1)]), Polynomial.zero(5, P)):
+        with pytest.raises(GincomplexError, match="singular"):
+            apply_linear_change(f, mat)
 
 
 def test_change_roundtrip_and_reference_agreement():
