@@ -46,7 +46,7 @@ from .pei import (
     partial_elimination,
     recombine_m,
 )
-from .poly import GLEX, GREVLEX, ORDERS, Ideal, Polynomial
+from .poly import DEGREE_CAP, GLEX, GREVLEX, ORDERS, Ideal, Polynomial
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -219,7 +219,11 @@ class _LineParser:
         tok = self._peek()
         if tok is not None and tok[0] == "^":
             self._next()
-            exp = self._expect("INT")[1]
+            _, exp, _, col = self._expect("INT")
+            if exp > DEGREE_CAP:
+                raise ParseError(
+                    f"exponent {exp} exceeds the degree cap {DEGREE_CAP}",
+                    self.lineno, col)
             out = Polynomial.constant(1, self.nvars, self.p)
             for _ in range(exp):
                 out = out * base
@@ -290,6 +294,9 @@ def parse_ideal_file(text, prime=None):
         poly = _LineParser(tokens, lineno, nvars, p).parse()
         if poly.is_zero:
             raise ParseError("polynomial is zero", lineno)
+        if poly.degree > DEGREE_CAP:
+            raise ParseError(f"polynomial degree {poly.degree} exceeds the "
+                             f"degree cap {DEGREE_CAP}", lineno)
         if not poly.is_homogeneous:
             raise ParseError("polynomial is not homogeneous", lineno)
         polys.append(poly)
@@ -352,6 +359,15 @@ def load_config_file(path):
     return values
 
 
+def _as_int(text, source):
+    """int(text), or a ConfigurationError naming the key or flag it came from."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigurationError(
+            f"{source}: expected an integer, got {text!r}") from None
+
+
 def resolve_config(args, file_prime=None):
     """Precedence: CLI flag > ideal-file header > config file > env > default."""
     settings = {}
@@ -363,16 +379,16 @@ def resolve_config(args, file_prime=None):
         if flag is not None:
             return flag
         if key in settings:
-            return int(settings[key])
+            return _as_int(settings[key], f"{args.config}: setting {key!r}")
         return default
 
     prime = getattr(args, "prime", None)
     if prime is None and file_prime is not None:
         prime = file_prime
-    if prime is None and "prime" in settings:
-        prime = int(settings["prime"])
+    if prime is None:
+        prime = pick_int(None, "prime", None)
     if prime is None and env_prime:
-        prime = int(env_prime)
+        prime = _as_int(env_prime, PRIME_ENV_VAR)
     if prime is None:
         prime = DEFAULT_PRIME
 
@@ -593,7 +609,7 @@ def _parse_surface(args):
     parts = args.surface.split(",")
     if len(parts) != 3:
         raise ConfigurationError("--surface wants 'd,gH,pa'")
-    d, g_h, p_a = (int(v) for v in parts)
+    d, g_h, p_a = (_as_int(v, "--surface") for v in parts)
     return geometry.SurfaceInvariants(d, g_h, p_a,
                                       chi=getattr(args, "chi", None))
 

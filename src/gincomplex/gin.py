@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from .errors import ConfigurationError, NonBorelGinError, UnstableGinError
 from .field import DEFAULT_PRIME
 from .groebner import GroebnerBasis, MonomialIdeal, buchberger
-from .poly import GREVLEX, Ideal, MonomialOrder, Polynomial, apply_linear_change
+from .poly import (
+    GREVLEX,
+    Ideal,
+    MonomialOrder,
+    Polynomial,
+    apply_linear_change,
+    factor_change,
+)
 from .rng import SplitMix64
 
 DEFAULT_SEED_BASE = 12345
@@ -25,49 +32,36 @@ DEFAULT_TRIAL_BUDGET = 6
 _SATURATION_SEED = 0x5A7
 
 
-def invert_matrix_mod(matrix, p):
-    """Inverse of a square matrix mod p, or None when singular."""
-    n = len(matrix)
-    aug = [[int(matrix[i][j]) % p for j in range(n)]
-           + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], p - 2, p)
-        aug[col] = [(v * inv) % p for v in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if f:
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 @dataclass(frozen=True)
 class CoordinateChange:
-    """Invertible substitution matrix with its seed and cached inverse."""
+    """Invertible substitution matrix with its seed and one factorization.
+
+    ``ops`` multiply to ``matrix`` and ``inverse_ops`` to ``inverse`` (see
+    ``poly.factor_change``); both directions substitute with stored steps.
+    """
 
     matrix: tuple
     inverse: tuple
     seed: int
     p: int
+    ops: tuple
+    inverse_ops: tuple
 
     @property
     def nvars(self):
         return len(self.matrix)
 
+    @property
+    def inverted(self):
+        """The inverse change, with the factorization swapped round."""
+        return CoordinateChange(self.inverse, self.matrix, self.seed, self.p,
+                                self.inverse_ops, self.ops)
+
     def apply(self, f):
-        return apply_linear_change(f, self.matrix)
+        return apply_linear_change(f, self)
 
     def apply_inverse(self, f):
-        return apply_linear_change(f, self.inverse)
+        return apply_linear_change(f, self.inverted)
 
     def apply_ideal(self, ideal):
         return Ideal([self.apply(g) for g in ideal.generators],
@@ -75,14 +69,19 @@ class CoordinateChange:
 
 
 def random_change(seed, nvars, p=DEFAULT_PRIME):
-    """Deterministic-from-seed uniform invertible matrix over F_p."""
+    """Deterministic-from-seed uniform invertible matrix over F_p.
+
+    Each draw is factored once; a singular draw is drawn again.
+    """
     rng = SplitMix64(seed)
     while True:
         matrix = tuple(tuple(rng.below(p) for _ in range(nvars))
                        for _ in range(nvars))
-        inverse = invert_matrix_mod(matrix, p)
-        if inverse is not None:
-            return CoordinateChange(matrix, inverse, seed, p)
+        factored = factor_change(matrix, p)
+        if factored is not None:
+            ops, inverse_ops, inverse = factored
+            return CoordinateChange(matrix, inverse, seed, p, ops,
+                                    inverse_ops)
 
 
 def saturate_irrelevant(ideal):

@@ -9,9 +9,12 @@ reach the few dozens).  A polynomial stores its terms strictly descending in
 the order it is tagged with; switching orders is an explicit resort, never an
 implicit conversion, so graded-lex and graded-revlex pipelines cannot share
 sorted state by accident.
-"""
 
-from math import comb
+A linear change of coordinates is factored once, by the package's one
+Gaussian elimination mod p, into permutation, transvection and scaling steps;
+the inverse's steps follow in closed form.  Substitution applies the steps to
+each homogeneous component on its dense degree table.
+"""
 
 import numpy as np
 
@@ -180,13 +183,9 @@ _TABLE_LRU = []
 _TABLE_ROW_BUDGET = 4_000_000
 
 
-def table_size(nvars, degree):
-    return comb(degree + nvars - 1, nvars - 1)
-
-
 def table_for(nvars, degree, order):
     if degree > DEGREE_CAP:
-        raise GincomplexError(
+        raise ConfigurationError(
             f"degree {degree} exceeds the packed-key cap {DEGREE_CAP}"
         )
     key = (nvars, degree, order.name)
@@ -491,98 +490,102 @@ def _binomial_table(maxdeg, p):
     return tab
 
 
-def plu_mod(matrix, p):
-    """PLU factorization mod p; returns (perm, lower, upper) or None if singular.
+def _inverse_perm(tau):
+    """tau^{-1} as a tuple: position tau[i] holds i."""
+    return tuple(sorted(range(len(tau)), key=tau.__getitem__))
 
-    ``perm`` satisfies A[perm[i]] = (L @ U)[i] mod p.
+
+def _substitution_ops(matrix, p):
+    """Factor a square matrix mod p into substitution steps; None if singular.
+
+    Row-pivoted elimination writes A = P^T L D U1 as steps ("perm", tau),
+    ("trans", i, j, c) and ("scale", i, c) -- the matrices with rows e_tau(i),
+    I + c E_ij and I + (c-1) E_ii -- whose product in list order is A.  That
+    identity is asserted because substitution correctness hinges on it.
     """
     n = len(matrix)
-    m = [[int(x) % p for x in row] for row in matrix]
+    target = tuple(tuple(int(x) % p for x in row) for row in matrix)
+    m = [list(row) for row in target]
     perm = list(range(n))
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] % p != 0:
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
             return None
-        if piv != col:
-            m[piv], m[col] = m[col], m[piv]
-            perm[piv], perm[col] = perm[col], perm[piv]
+        m[piv], m[col] = m[col], m[piv]
+        perm[piv], perm[col] = perm[col], perm[piv]
         inv = pow(m[col][col], p - 2, p)
         for r in range(col + 1, n):
             f = (m[r][col] * inv) % p
             m[r][col] = f
             for cc in range(col + 1, n):
                 m[r][cc] = (m[r][cc] - f * m[col][cc]) % p
-    lower = [[m[i][j] if j < i else (1 if i == j else 0) for j in range(n)]
-             for i in range(n)]
-    upper = [[m[i][j] if j >= i else 0 for j in range(n)] for i in range(n)]
-    return perm, lower, upper
-
-
-def _substitution_ops(matrix, p):
-    """Factor an invertible matrix into permutation/transvection/scaling steps.
-
-    The returned op matrices multiply (in list order) back to the input; the
-    product identity is asserted because substitution correctness hinges on it.
-    """
-    n = len(matrix)
-    fact = plu_mod(matrix, p)
-    if fact is None:
-        raise GincomplexError("singular coordinate change")
-    perm, lower, upper = fact
+    # m now holds the unit lower factor below the diagonal and U from it up
     ops = []
-    # A = P^T L D U1: P^T sends row i to basis vector at perm^{-1}(i)
-    inv_perm = [0] * n
-    for i, pi in enumerate(perm):
-        inv_perm[pi] = i
-    if inv_perm != list(range(n)):
-        ops.append(("perm", tuple(inv_perm)))
+    # P^T sends row i to basis vector at perm^{-1}(i)
+    if perm != list(range(n)):
+        ops.append(("perm", _inverse_perm(perm)))
     for j in range(n):
         for i in range(j + 1, n):
-            c = lower[i][j]
-            if c:
-                ops.append(("trans", i, j, c))
-    diag = [upper[i][i] for i in range(n)]
+            if m[i][j]:
+                ops.append(("trans", i, j, m[i][j]))
     for i in range(n):
-        if diag[i] != 1:
-            ops.append(("scale", i, diag[i]))
-    dinv = [pow(diag[i], p - 2, p) for i in range(n)]
+        if m[i][i] != 1:
+            ops.append(("scale", i, m[i][i]))
     # unit upper part factors column by column, right to left
     for j in range(n - 1, -1, -1):
         for i in range(j):
-            c = (upper[i][j] * dinv[i]) % p
+            c = (m[i][j] * pow(m[i][i], p - 2, p)) % p
             if c:
                 ops.append(("trans", i, j, c))
-    _assert_ops_product(ops, matrix, n, p)
-    return ops
-
-
-def _op_matrix(op, n):
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if op[0] == "perm":
-        tau = op[1]
-        m = [[1 if j == tau[i] else 0 for j in range(n)] for i in range(n)]
-    elif op[0] == "trans":
-        _, i, j, c = op
-        m[i][j] = c
-    elif op[0] == "scale":
-        _, i, c = op
-        m[i][i] = c
-    return m
-
-
-def _assert_ops_product(ops, matrix, n, p):
-    prod = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for op in ops:
-        om = _op_matrix(op, n)
-        prod = [[sum(prod[i][k] * om[k][j] for k in range(n)) % p
-                 for j in range(n)] for i in range(n)]
-    target = [[int(matrix[i][j]) % p for j in range(n)] for i in range(n)]
-    if prod != target:
+    if _ops_product(ops, n, p) != target:
         raise GincomplexError("internal: substitution factorization mismatch")
+    return tuple(ops)
+
+
+def factor_change(matrix, p):
+    """Factor a square matrix mod p for substitution in both directions.
+
+    Returns (steps, inverse steps, inverse matrix), or None when the matrix
+    is singular.  The inverse's steps are the forward steps reversed, each
+    one inverted; their product is the inverse matrix.
+    """
+    ops = _substitution_ops(matrix, p)
+    if ops is None:
+        return None
+    inverse_ops = []
+    for op in reversed(ops):
+        if op[0] == "perm":
+            inverse_ops.append(("perm", _inverse_perm(op[1])))
+        elif op[0] == "trans":
+            _, i, j, c = op
+            inverse_ops.append(("trans", i, j, (-c) % p))
+        else:
+            _, i, c = op
+            inverse_ops.append(("scale", i, pow(c, p - 2, p)))
+    inverse_ops = tuple(inverse_ops)
+    return ops, inverse_ops, _ops_product(inverse_ops, len(matrix), p)
+
+
+def _ops_product(ops, n, p):
+    """Product of substitution steps mod p, as a tuple of rows.
+
+    Each step updates columns of the running product: column j += c * column
+    i, column i *= c, or column k moves to tau(k).
+    """
+    cols = [[int(r == k) for r in range(n)] for k in range(n)]
+    for op in ops:
+        if op[0] == "perm":
+            moved = [None] * n
+            for k, t in enumerate(op[1]):
+                moved[t] = cols[k]
+            cols = moved
+        elif op[0] == "trans":
+            _, i, j, c = op
+            cols[j] = [(a + c * b) % p for a, b in zip(cols[j], cols[i])]
+        else:
+            _, i, c = op
+            cols[i] = [(a * c) % p for a in cols[i]]
+    return tuple(zip(*cols))
 
 
 def _apply_ops_dense(component, ops, p):
@@ -605,17 +608,15 @@ def _apply_ops_dense(component, ops, p):
             nvec = np.zeros_like(vec)
             nvec[npos] = vec
             vec = nvec
-        elif op[0] == "scale":
-            _, i, c = op
-            cpow = np.ones(degree + 1, dtype=np.int64)
-            for k in range(1, degree + 1):
-                cpow[k] = (cpow[k - 1] * c) % p
-            vec = (vec * cpow[tab.exps[:, i]]) % p
+            continue
+        c = op[-1]
+        cpow = np.ones(degree + 1, dtype=np.int64)
+        for k in range(1, degree + 1):
+            cpow[k] = (cpow[k - 1] * c) % p
+        if op[0] == "scale":
+            vec = (vec * cpow[tab.exps[:, op[1]]]) % p
         else:
-            _, i, j, c = op
-            cpow = np.ones(degree + 1, dtype=np.int64)
-            for k in range(1, degree + 1):
-                cpow[k] = (cpow[k - 1] * c) % p
+            _, i, j, _ = op
             binom_c = (binom * cpow[np.newaxis, :]) % p
             out = np.zeros_like(vec)
             _kernels.transvect(vec, out,
@@ -667,32 +668,31 @@ def _apply_change_terms(f, matrix):
     return Polynomial.from_terms(acc.items(), n, p, f.order)
 
 
-_DENSE_SUBST_LIMIT = 2_000_000
-
-
 def apply_linear_change(f, change):
     """Substitute x_i <- sum_j m[i][j] * x_j and expand.
 
-    ``change`` is an invertible matrix (anything with rows of ints, or an
-    object carrying a ``matrix`` attribute).  Degree and homogeneity are
-    preserved; a singular matrix is rejected, also for the zero polynomial.
+    ``change`` is either a factored change -- an object with ``matrix``,
+    ``ops`` and ``p`` attributes, such as ``gin.CoordinateChange`` -- whose
+    stored steps are applied without any elimination, or a raw matrix (rows
+    of ints), which is factored on this call.  Each homogeneous component is
+    moved on its dense degree table.  Degree and homogeneity are preserved; a
+    singular raw matrix is rejected, also for the zero polynomial.
     """
     matrix = getattr(change, "matrix", change)
-    matrix = [list(row) for row in matrix]
     n = f.nvars
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise RingMismatchError(
             f"change of coordinates must be {n}x{n} for {n} variables")
-    ops = _substitution_ops(matrix, f.p)
+    ops = getattr(change, "ops", None)
+    if ops is None:
+        ops = _substitution_ops(matrix, f.p)
+        if ops is None:
+            raise GincomplexError("singular coordinate change")
+    elif change.p != f.p:
+        raise RingMismatchError(
+            f"change of coordinates mod {change.p} applied mod {f.p}")
     if f.is_zero or not ops:
         return f
-    parts = []
-    for component in f.homogeneous_components():
-        if table_size(n, component.degree) <= _DENSE_SUBST_LIMIT:
-            parts.append(_apply_ops_dense(component, ops, f.p))
-        else:
-            parts.append(_apply_change_terms(component, matrix))
-    result = parts[0]
-    for extra in parts[1:]:
-        result = result + extra
-    return result
+    parts = [_apply_ops_dense(component, ops, f.p)
+             for component in f.homogeneous_components()]
+    return sum(parts[1:], parts[0])

@@ -177,6 +177,25 @@ def test_config_file_and_cli_precedence(tmp_path, capsys):
     assert out["prime"] == 32003
 
 
+def test_malformed_config_integer_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = abc\n")
+    path = tmp_path / "q.ideal"
+    path.write_text("ring 3\nx0^2 + x1*x2\n")
+    assert main(["gin", str(path), "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'seed'" in err
+
+
+def test_malformed_env_prime_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "q.ideal"
+    path.write_text("ring 3\nx0^2 + x1*x2\n")
+    monkeypatch.setenv("GINCOMPLEX_PRIME", "abc")
+    assert main(["gin", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "GINCOMPLEX_PRIME" in err
+
+
 # -- subcommands -------------------------------------------------------------------
 
 def test_cmd_gin_scroll_json(scroll_file, capsys):
@@ -270,6 +289,12 @@ def test_cmd_predict_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_cmd_predict_malformed_surface_is_a_usage_error(capsys):
+    assert main(["predict", "--surface", "a,b,c"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--surface" in err
+
+
 def test_cmd_tables(capsys):
     assert main(["tables", "--format", "json"]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
@@ -320,6 +345,26 @@ def test_parse_error_exit_code(tmp_path, capsys):
     path.write_text("ring 3\nx0 + x1^2\n")
     assert main(["gin", str(path)]) == EXIT_USAGE
     assert "not homogeneous" in capsys.readouterr().err
+
+
+def test_parse_exponent_above_degree_cap(tmp_path, capsys):
+    # rejected at the exponent's column, before any expansion
+    with pytest.raises(ParseError, match="line 2, column 4: exponent"):
+        parse_ideal_file("ring 2\nx0^99999999 - x1\n")
+    with pytest.raises(ParseError, match="line 2: polynomial degree 400"):
+        parse_ideal_file("ring 5\nx0^200*x1^200\n")
+    path = tmp_path / "big.ideal"
+    path.write_text("ring 2\nx0^256\n")
+    assert main(["gin", str(path)]) == EXIT_USAGE
+    assert "column 4" in capsys.readouterr().err
+
+
+def test_basis_degree_above_cap_is_a_usage_error(tmp_path, capsys):
+    # the inputs fit the cap, but the glex basis needs degree 256 and up
+    path = tmp_path / "ci.ideal"
+    path.write_text("ring 2\nx0^200\nx1^200\n")
+    assert main(["gin", str(path)]) == EXIT_USAGE
+    assert "cap 255" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(capsys):

@@ -38,6 +38,24 @@ def test_random_change_shape_and_inverse():
     inv = np.array(ch.inverse, dtype=np.int64)
     assert mat.shape == (5, 5)
     assert ((mat @ inv) % P == np.eye(5, dtype=np.int64)).all()
+    # small primes draw singular matrices often, so the redraw loop runs
+    redrawn = 0
+    for p in (3, 5, 7):
+        for nvars in range(1, 6):
+            for seed in range(12):
+                ch = random_change(seed, nvars, p)
+                mat = np.array(ch.matrix, dtype=np.int64)
+                inv = np.array(ch.inverse, dtype=np.int64)
+                assert ((mat @ inv) % p == np.eye(nvars, dtype=np.int64)).all()
+                rng = SplitMix64(seed)
+                first = tuple(tuple(rng.below(p) for _ in range(nvars))
+                              for _ in range(nvars))
+                if round(np.linalg.det(np.array(first, dtype=float))) % p:
+                    assert ch.matrix == first
+                else:
+                    assert ch.matrix != first
+                    redrawn += 1
+    assert redrawn
 
 
 # -- gins -------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from gincomplex.errors import (
 )
 from gincomplex.gin import random_change
 from gincomplex.poly import (
+    DEGREE_CAP,
     EQ,
     GLEX,
     GREVLEX,
@@ -235,6 +236,34 @@ def test_change_roundtrip_and_reference_agreement():
         assert moved == _apply_change_terms(f, change.matrix)
         assert apply_linear_change(moved, change.inverse) == f
         assert moved.degree == f.degree and moved.is_homogeneous
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factored_change_agrees_with_matrix_and_reference(p):
+    # at small primes many draws are singular and get redrawn
+    rng = SplitMix64(p)
+    for nvars in range(1, 6):
+        for trial in range(6):
+            change = random_change(40 * nvars + trial, nvars, p)
+            f = _random_homogeneous(rng, nvars, 1 + trial % 4, p)
+            moved = change.apply(f)
+            assert moved == apply_linear_change(f, change.matrix)
+            assert moved == _apply_change_terms(f, change.matrix)
+            assert change.apply_inverse(moved) == f
+
+
+def test_factored_change_prime_mismatch_rejected():
+    with pytest.raises(RingMismatchError):
+        random_change(1, 5, 7).apply(poly([((1, 0, 0, 0, 0), 1)]))
+
+
+def test_degree_above_cap_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="cap"):
+        table_for(5, DEGREE_CAP + 1, GLEX)
+    # no substitution fallback above the cap (it used to recurse away)
+    f = Polynomial.from_terms([((3000, 0), 1), ((0, 3000), -1)], 2, P)
+    with pytest.raises(ConfigurationError, match="cap"):
+        random_change(1, 2, P).apply(f)
 
 
 # -- ideals ----------------------------------------------------------------------
