@@ -30,14 +30,11 @@ from .gin import (
 from .groebner import (
     GroebnerBasis,
     MonomialIdeal,
-    borel_regularity,
     buchberger,
     hilbert_function_macaulay,
-    hilbert_function_monomial,
     ideal_quotient,
     ideals_equal,
     intersect,
-    is_borel_fixed,
     is_groebner_basis,
     normal_form,
     s_polynomial,
@@ -73,10 +70,9 @@ __all__ = [
     "DEFAULT_PRIME", "FieldElement", "PrimeField",
     "CoordinateChange", "GinResult", "degree_complexity", "gin",
     "random_change", "witness_check",
-    "GroebnerBasis", "MonomialIdeal", "borel_regularity", "buchberger",
-    "hilbert_function_macaulay", "hilbert_function_monomial",
-    "ideal_quotient", "ideals_equal", "intersect", "is_borel_fixed",
-    "is_groebner_basis", "normal_form", "s_polynomial",
+    "GroebnerBasis", "MonomialIdeal", "buchberger",
+    "hilbert_function_macaulay", "ideal_quotient", "ideals_equal",
+    "intersect", "is_groebner_basis", "normal_form", "s_polynomial",
     "saturate_irrelevant",
     "MODE_EQUAL", "MODE_UPTO", "PartialEliminationData",
     "hilbert_identity_check", "k1_saturation_check", "partial_elimination",

@@ -1,13 +1,7 @@
 """Hot numeric kernels: dense reduction, linear substitution, matrix rank mod p.
 
-Each kernel ships in two interchangeable implementations:
-
-* a numba ``@njit`` version (default when numba imports cleanly), and
-* a pure-numpy version, selected by setting ``GINCOMPLEX_NO_NUMBA=1`` in the
-  environment or used automatically when numba is unavailable.
-
-Both operate on the same packed arrays, so results are bit-identical; the
-benchmark in ``benchmarks/bench_kernels.py`` compares their throughput.
+One numpy implementation of each kernel.  ``tests/test_kernels.py`` keeps a
+scalar loop for each as the reference the kernels must match exactly.
 
 Conventions shared by all kernels:
 
@@ -17,84 +11,29 @@ Conventions shared by all kernels:
 * ``table_keys`` is the matching int64 key array, strictly ascending, and
   keys are linear in exponents, so the key of a monomial product is the sum
   of the factor keys;
-* coefficients stay in [0, p) with p < 2**31.5, so products fit in int64.
+* coefficients stay in [0, p) with p*p < 2**63 (``field.check_int64_prime``),
+  so products fit in int64.
 """
-
-import os
 
 import numpy as np
 
-_FLAG = os.environ.get("GINCOMPLEX_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _FLAG not in ("", "0", "false", "no")
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+# read by the benchmark harness, which records which path ran
+USING_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # dense normal form
 # ---------------------------------------------------------------------------
 
-def _reduce_dense_impl(vec, table_exps, table_keys,
-                       lead_exps, lead_keys,
-                       tail_keys, tail_coeffs, tail_bounds, p):
+def reduce_dense(vec, table_exps, table_keys,
+                 lead_exps, lead_keys,
+                 tail_keys, tail_coeffs, tail_bounds, p):
     """Full normal form of a degree slice against packed monic reducers.
 
     One forward scan: positions earlier than the cursor are final, every
     elimination only touches strictly later positions because keys ascend as
     monomials descend.
     """
-    npos = vec.shape[0]
-    nvar = table_exps.shape[1]
-    nred = lead_exps.shape[0]
-    for idx in range(npos):
-        c = vec[idx]
-        if c == 0:
-            continue
-        red = -1
-        for j in range(nred):
-            ok = True
-            for v in range(nvar):
-                if lead_exps[j, v] > table_exps[idx, v]:
-                    ok = False
-                    break
-            if ok:
-                red = j
-                break
-        if red < 0:
-            continue
-        vec[idx] = 0
-        shift = table_keys[idx] - lead_keys[red]
-        for t in range(tail_bounds[red], tail_bounds[red + 1]):
-            tk = tail_keys[t] + shift
-            lo = 0
-            hi = npos
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                if table_keys[mid] < tk:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            vec[lo] = (vec[lo] - c * tail_coeffs[t]) % p
-
-
-_reduce_dense_njit = njit(cache=True)(_reduce_dense_impl) if HAVE_NUMBA else None
-
-
-def _reduce_dense_numpy(vec, table_exps, table_keys,
-                        lead_exps, lead_keys,
-                        tail_keys, tail_coeffs, tail_bounds, p):
     npos = vec.shape[0]
     nred = lead_exps.shape[0]
     idx = 0
@@ -123,45 +62,20 @@ def _reduce_dense_numpy(vec, table_exps, table_keys,
 
 
 # ---------------------------------------------------------------------------
-# linear substitution building blocks
+# linear substitution building block
 # ---------------------------------------------------------------------------
 
-def _transvect_impl(vec, out, exp_col, table_keys, wdelta, binom_c, p):
+def transvect(vec, out, exp_col, table_keys, wdelta, binom_c, p):
     """Accumulate the substitution x_i <- x_i + c*x_j into ``out``.
 
     ``exp_col`` is the x_i exponent per table row, ``wdelta`` the key weight
     difference w_j - w_i, ``binom_c[e, k] = C(e, k) * c**k mod p``.
     """
-    npos = vec.shape[0]
-    for idx in range(npos):
-        v = vec[idx]
-        if v == 0:
-            continue
-        e = exp_col[idx]
-        out[idx] = (out[idx] + v) % p
-        key = table_keys[idx]
-        for k in range(1, e + 1):
-            tk = key + k * wdelta
-            lo = 0
-            hi = npos
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                if table_keys[mid] < tk:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            out[lo] = (out[lo] + v * binom_c[e, k]) % p
-
-
-_transvect_njit = njit(cache=True)(_transvect_impl) if HAVE_NUMBA else None
-
-
-def _transvect_numpy(vec, out, exp_col, table_keys, wdelta, binom_c, p):
     nz = np.nonzero(vec)[0]
     if nz.size == 0:
         return
     out[nz] = (out[nz] + vec[nz]) % p
-    maxe = int(exp_col[nz].max()) if nz.size else 0
+    maxe = int(exp_col[nz].max())
     for k in range(1, maxe + 1):
         sel = nz[exp_col[nz] >= k]
         if sel.size == 0:
@@ -176,52 +90,8 @@ def _transvect_numpy(vec, out, exp_col, table_keys, wdelta, binom_c, p):
 # rank over F_p
 # ---------------------------------------------------------------------------
 
-def _rank_mod_impl(mat, p):
+def rank_mod(mat, p):
     """Row-echelon rank of an int64 matrix mod p (destroys ``mat``)."""
-    nrows, ncols = mat.shape
-    rank = 0
-    for col in range(ncols):
-        pivot = -1
-        for r in range(rank, nrows):
-            if mat[r, col] % p != 0:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        if pivot != rank:
-            for cc in range(ncols):
-                tmp = mat[rank, cc]
-                mat[rank, cc] = mat[pivot, cc]
-                mat[pivot, cc] = tmp
-        # normalize pivot row via Fermat inverse
-        inv = 1
-        base = mat[rank, col] % p
-        e = p - 2
-        while e > 0:
-            if e & 1:
-                inv = (inv * base) % p
-            base = (base * base) % p
-            e >>= 1
-        for cc in range(col, ncols):
-            mat[rank, cc] = (mat[rank, cc] * inv) % p
-        for r in range(nrows):
-            if r == rank:
-                continue
-            f = mat[r, col] % p
-            if f == 0:
-                continue
-            for cc in range(col, ncols):
-                mat[r, cc] = (mat[r, cc] - f * mat[rank, cc]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-_rank_mod_njit = njit(cache=True)(_rank_mod_impl) if HAVE_NUMBA else None
-
-
-def _rank_mod_numpy(mat, p):
     nrows, ncols = mat.shape
     np.mod(mat, p, out=mat)
     rank = 0
@@ -245,24 +115,8 @@ def _rank_mod_numpy(mat, p):
     return rank
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    reduce_dense = _reduce_dense_njit
-    transvect = _transvect_njit
-    rank_mod = _rank_mod_njit
-else:
-    reduce_dense = _reduce_dense_numpy
-    transvect = _transvect_numpy
-    rank_mod = _rank_mod_numpy
-
-USING_NUMBA = HAVE_NUMBA
-
-
 def warmup():
-    """Force kernel compilation on tiny inputs so timed runs stay honest."""
+    """Run each kernel once on tiny inputs, so a timed run pays no first call."""
     vec = np.array([1, 0, 1], dtype=np.int64)
     exps = np.array([[2, 0], [1, 1], [0, 2]], dtype=np.int64)
     keys = np.array([-2, -1, 0], dtype=np.int64)

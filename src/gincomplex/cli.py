@@ -682,16 +682,14 @@ def cmd_predict(args):
     else:
         inv = _parse_surface(args)
     pred = geometry.surface_complexity_on_quadric(inv)
+    closed = None
     if args.ci is not None and args.ci >= 3:
         closed = geometry.ci_complexity(args.ci)
-        if closed != pred.M:
-            raise InvariantError(
-                f"closed form {closed} disagrees with case table {pred.M}")
-    if args.acm is not None and args.acm >= 4:
+    elif args.acm is not None and args.acm >= 4:
         closed = geometry.acm_complexity(args.acm)
-        if closed != pred.M:
-            raise InvariantError(
-                f"closed form {closed} disagrees with case table {pred.M}")
+    if closed is not None and closed != pred.M:
+        raise InvariantError(
+            f"closed form {closed} disagrees with case table {pred.M}")
     obj = _prediction_dict(pred)
     text = (f"M = {pred.M}"
             + (f" ({pred.exceptional_case}, exceptional)"
@@ -934,11 +932,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigurationError, InvariantError, ExceptionalCaseError,
-            FileNotFoundError) as exc:
+    except (ParseError, ConfigurationError, InvariantError,
+            ExceptionalCaseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except UnstableGinError as exc:

@@ -13,6 +13,20 @@ from .errors import ConfigurationError, RingMismatchError
 
 DEFAULT_PRIME = 32003
 
+# the dense kernels multiply two residues in int64
+_INT64_MAX = 2**63 - 1
+
+
+def check_int64_prime(p):
+    """Reject a modulus whose residue products overflow int64.
+
+    The largest prime that passes is 3037000493.
+    """
+    if p * p > _INT64_MAX:
+        raise ConfigurationError(
+            f"modulus {p} is too large: p*p must fit in int64, so the "
+            f"largest usable prime is 3037000493")
+
 
 def is_prime(n):
     if n < 2:

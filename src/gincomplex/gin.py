@@ -139,6 +139,8 @@ def gin(ideal, order, seed_base=DEFAULT_SEED_BASE,
         raise ConfigurationError("min_agree must be at least 1")
     if trial_budget < min_agree:
         raise ConfigurationError("trial budget smaller than min_agree")
+    # sorted once: each moved generator keeps this order into buchberger
+    ideal = ideal.with_order(order)
     trials = []
     streak = 0
     prev = None

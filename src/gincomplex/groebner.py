@@ -8,7 +8,7 @@ rule and the reducer order are fixed.
 
 Every ideal is homogeneous and both orders are graded, so there is one
 reduction path: each reduction is a forward scan over one dense degree
-slice, with the inner multiply-accumulate in a compiled kernel.
+slice, with the inner multiply-accumulate in a numpy kernel.
 Intersections and colon ideals reuse that engine: a graded-lex basis in two
 extra variables eliminates one of them (see ``intersect``).
 """
@@ -116,18 +116,6 @@ class MonomialIdeal:
 
     def __repr__(self):
         return f"MonomialIdeal<{len(self.gens)} gens, {self.nvars} vars>"
-
-
-def is_borel_fixed(mono_ideal):
-    return mono_ideal.is_borel_fixed()
-
-
-def borel_regularity(mono_ideal):
-    return mono_ideal.regularity()
-
-
-def hilbert_function_monomial(mono_ideal, m):
-    return mono_ideal.hilbert_function(m)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .errors import (
     RingMismatchError,
     ZeroPolynomialError,
 )
+from .field import check_int64_prime
 
 LT, EQ, GT = -1, 0, 1
 
@@ -233,6 +234,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls, nvars, p, order=GLEX):
+        check_int64_prime(p)
         return cls(np.zeros((0, nvars), dtype=np.int64),
                    np.zeros(0, dtype=np.int64), nvars, p, order,
                    _presorted=True)
@@ -242,7 +244,9 @@ class Polynomial:
         """Build from (exponent sequence, coefficient) pairs.
 
         Coefficients reduce mod p, duplicate monomials merge, zeros drop.
+        A modulus whose residue products overflow int64 is rejected.
         """
+        check_int64_prime(p)
         acc = {}
         for e, c in terms:
             e = tuple(int(v) for v in e)

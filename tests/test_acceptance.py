@@ -2,8 +2,8 @@
 
 Symbolic results are exact, so tolerances are set equality of monomial
 ideals and integer equality of complexities; the only numeric tolerances are
-the wall-clock budgets, which assume warm kernels (the session fixture
-compiles them first).
+the wall-clock budgets, which assume warm kernels (the session fixture runs
+each kernel once first).
 """
 
 import time

@@ -367,6 +367,11 @@ def test_basis_degree_above_cap_is_a_usage_error(tmp_path, capsys):
     assert "cap 255" in capsys.readouterr().err
 
 
+def test_prime_above_int64_bound_is_a_usage_error(scroll_file, capsys):
+    assert main(["gin", scroll_file, "--prime", "4294967311"]) == EXIT_USAGE
+    assert "3037000493" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["gin", "/nonexistent/nowhere.ideal"]) == EXIT_USAGE
 

@@ -13,7 +13,7 @@ from gincomplex.corpus import (
     remark_counterexample,
     scroll,
 )
-from gincomplex.errors import GincomplexError
+from gincomplex.errors import ConfigurationError, GincomplexError
 from gincomplex.groebner import hilbert_function_macaulay
 
 
@@ -115,3 +115,10 @@ def test_export_round_trip():
         assert parsed.nvars == built.nvars
         assert [g.terms() for g in parsed.generators] == \
             [g.terms() for g in built.generators]
+
+
+def test_prime_above_int64_bound_is_rejected():
+    # p*p must fit in int64: 3037000493 is the largest prime that passes
+    assert build("ci22", p=3037000493).p == 3037000493
+    with pytest.raises(ConfigurationError, match="3037000493"):
+        build("ci22", p=4294967311)

@@ -177,6 +177,22 @@ def test_unstable_gin_error(monkeypatch, store):
     assert len(err.value.trials) == 4
 
 
+def test_gin_sorts_its_input_once(monkeypatch, store):
+    # the glex-built ideal is sorted into grevlex before any trial, so
+    # buchberger never re-sorts a moved generator
+    seen = []
+    real = gin_mod.buchberger
+
+    def spy(moved, trial_order):
+        seen.extend(g.order for g in moved.generators)
+        return real(moved, trial_order)
+
+    monkeypatch.setattr(gin_mod, "buchberger", spy)
+    result = gin(store.ideal("scroll"), GREVLEX)
+    assert seen and all(o is GREVLEX for o in seen)
+    assert result.gin == store.gin("scroll", "grevlex").gin
+
+
 # -- witness monomials ---------------------------------------------------------------
 
 def test_scroll_grevlex_gin_pinned(store):
@@ -186,12 +202,14 @@ def test_scroll_grevlex_gin_pinned(store):
 
 
 def test_golden_gins_reproduce_at_second_prime():
-    # genericity is not an accident of p = 32003
+    # genericity is not an accident of p = 32003; 3037000493 is the largest
+    # prime whose residue products fit the kernels' int64
     from gincomplex.corpus import entry, golden_monomial_ideal
-    for name in ("scroll", "ci22", "ci23"):
-        ideal = entry(name).build(p=32009)
-        result = gin(ideal, GLEX)
-        assert result.gin == golden_monomial_ideal(name)
+    for p in (32009, 3037000493):
+        for name in ("scroll", "ci22", "ci23"):
+            ideal = entry(name).build(p=p)
+            result = gin(ideal, GLEX)
+            assert result.gin == golden_monomial_ideal(name)
 
 
 def test_witness_on_golden_lists():

@@ -10,7 +10,6 @@ from gincomplex.groebner import (
     MonomialIdeal,
     buchberger,
     hilbert_function_macaulay,
-    hilbert_function_monomial,
     ideal_quotient,
     ideals_equal,
     intersect,

@@ -167,6 +167,18 @@ def test_packed_key_overflow_is_a_configuration_error(order):
         table_for(8, 130, order)
 
 
+def test_prime_above_int64_bound_is_a_configuration_error():
+    # residue products must fit in int64: p*p <= 2**63 - 1
+    big = 3037000493
+    assert Polynomial.zero(5, big).is_zero
+    assert Polynomial.from_terms([((1, 0), big - 1)], 2, big).num_terms == 1
+    for p in (3037000507, 4294967311):
+        with pytest.raises(ConfigurationError):
+            Polynomial.zero(5, p)
+        with pytest.raises(ConfigurationError):
+            Polynomial.from_terms([((1, 0), 1)], 2, p)
+
+
 def test_order_mismatch_arithmetic_rejected():
     f = poly([((1, 0, 0, 0, 0), 1)])
     g = poly([((0, 1, 0, 0, 0), 1)], order=GREVLEX)
