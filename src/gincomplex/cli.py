@@ -205,6 +205,12 @@ class _LineParser:
             rhs = self._term()
             acc = acc - rhs if tok[0] == "-" else acc + rhs
 
+    def _check_degree(self, degree, col):
+        """Reject a product above the degree cap before expanding it."""
+        if degree > DEGREE_CAP:
+            raise ParseError(f"polynomial degree {degree} exceeds the degree "
+                             f"cap {DEGREE_CAP}", self.lineno, col)
+
     def _term(self):
         acc = self._factor()
         while True:
@@ -212,7 +218,10 @@ class _LineParser:
             if tok is None or tok[0] != "*":
                 return acc
             self._next()
-            acc = acc * self._factor()
+            rhs = self._factor()
+            self._check_degree(max(acc.degree, 0) + max(rhs.degree, 0),
+                               tok[3])
+            acc = acc * rhs
 
     def _factor(self):
         base = self._atom()
@@ -224,6 +233,7 @@ class _LineParser:
                 raise ParseError(
                     f"exponent {exp} exceeds the degree cap {DEGREE_CAP}",
                     self.lineno, col)
+            self._check_degree(max(base.degree, 0) * exp, col)
             out = Polynomial.constant(1, self.nvars, self.p)
             for _ in range(exp):
                 out = out * base
@@ -294,9 +304,6 @@ def parse_ideal_file(text, prime=None):
         poly = _LineParser(tokens, lineno, nvars, p).parse()
         if poly.is_zero:
             raise ParseError("polynomial is zero", lineno)
-        if poly.degree > DEGREE_CAP:
-            raise ParseError(f"polynomial degree {poly.degree} exceeds the "
-                             f"degree cap {DEGREE_CAP}", lineno)
         if not poly.is_homogeneous:
             raise ParseError("polynomial is not homogeneous", lineno)
         polys.append(poly)

@@ -53,7 +53,11 @@ class NonBorelGinError(GincomplexError):
 
 
 class InvariantError(GincomplexError, ValueError):
-    """Numeric surface invariants are inconsistent (e.g. negative node count)."""
+    """Numeric invariants are inconsistent.
+
+    Either surface invariants (e.g. a negative node count), or a stabilized
+    gin whose Hilbert function differs from the ideal's.
+    """
 
 
 class ExceptionalCaseError(GincomplexError, ValueError):

@@ -7,11 +7,28 @@ over F_p, accepted once enough consecutive trials produce the same initial
 ideal.  Two agreements over p ~ 3*10^4 make a coincidental non-generic match
 negligible; exhausting the trial budget is an error, never a silent
 best-effort answer.
+
+The Hilbert function of I depends on neither the coordinates nor the term
+order.  The first trial reads it off the reduced grevlex basis of its moved
+ideal -- the cheap basis in generic coordinates, and for a grevlex gin the
+trial's own result -- and every later basis computation uses it to drop
+S-pairs that must reduce to zero.  The stabilized gin is then certified
+against it: the two Hilbert functions must agree up to one past the largest
+generator degree.  The certificate checks the pruning against H, not H
+itself -- an H one too large where a new leading monomial is due would drop
+a productive pair and certify the result -- so H is always read off a basis
+computed without pruning.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
-from .errors import ConfigurationError, NonBorelGinError, UnstableGinError
+from .errors import (
+    ConfigurationError,
+    InvariantError,
+    NonBorelGinError,
+    UnstableGinError,
+)
 from .field import DEFAULT_PRIME
 from .groebner import GroebnerBasis, MonomialIdeal, buchberger
 from .poly import (
@@ -116,7 +133,9 @@ class GinResult:
 
     ``basis`` is the reduced graded-lex/grevlex basis of the last agreeing
     trial, i.e. the ideal in generic coordinates; the partial-elimination
-    pipeline extracts its strata directly from it.
+    pipeline extracts its strata directly from it.  ``hilbert_checked_to``
+    is the top degree up to which the gin's Hilbert function was checked
+    against the ideal's (one past the largest generator degree).
     """
 
     gin: MonomialIdeal
@@ -126,6 +145,12 @@ class GinResult:
     borel: bool
     prime: int
     basis: GroebnerBasis
+    hilbert_checked_to: int
+
+
+def hilbert_function_of(basis):
+    """d -> dim (R/I)_d, memoized, from a reduced Groebner basis of I."""
+    return cache(basis.initial_ideal().hilbert_function)
 
 
 def gin(ideal, order, seed_base=DEFAULT_SEED_BASE,
@@ -133,7 +158,9 @@ def gin(ideal, order, seed_base=DEFAULT_SEED_BASE,
     """Stabilized initial ideal of a random coordinate change of ``ideal``.
 
     Trials run with seeds seed_base, seed_base+1, ...; the result is accepted
-    once ``min_agree`` consecutive trials produce identical monomial ideals.
+    once ``min_agree`` consecutive trials produce identical monomial ideals,
+    and its Hilbert function must match the ideal's up to degree M + 1, M
+    the largest generator degree (``InvariantError`` otherwise).
     """
     if min_agree < 1:
         raise ConfigurationError("min_agree must be at least 1")
@@ -144,11 +171,18 @@ def gin(ideal, order, seed_base=DEFAULT_SEED_BASE,
     trials = []
     streak = 0
     prev = None
+    hilbert = None
     for k in range(trial_budget):
         seed = seed_base + k
         change = random_change(seed, ideal.nvars, ideal.p)
         moved = change.apply_ideal(ideal)
-        gb = buchberger(moved, order)
+        if hilbert is None:
+            gb = buchberger(moved, GREVLEX)
+            hilbert = hilbert_function_of(gb)
+            if order is not GREVLEX:
+                gb = buchberger(moved, order, hilbert=hilbert)
+        else:
+            gb = buchberger(moved, order, hilbert=hilbert)
         current = gb.initial_ideal()
         trials.append((seed, current))
         if prev is not None and current == prev:
@@ -157,6 +191,13 @@ def gin(ideal, order, seed_base=DEFAULT_SEED_BASE,
             streak = 1
         prev = current
         if streak >= min_agree:
+            top = current.max_generator_degree() + 1
+            for d in range(top + 1):
+                if current.hilbert_function(d) != hilbert(d):
+                    raise InvariantError(
+                        f"gin Hilbert function {current.hilbert_function(d)} "
+                        f"in degree {d} differs from the ideal's "
+                        f"{hilbert(d)} (order {order!r}, prime {ideal.p})")
             return GinResult(
                 gin=current,
                 order=order,
@@ -165,6 +206,7 @@ def gin(ideal, order, seed_base=DEFAULT_SEED_BASE,
                 borel=current.is_borel_fixed(),
                 prime=ideal.p,
                 basis=gb,
+                hilbert_checked_to=top,
             )
     raise UnstableGinError(
         f"no {min_agree} consecutive agreeing trials within budget "

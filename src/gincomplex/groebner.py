@@ -9,6 +9,17 @@ rule and the reducer order are fixed.
 Every ideal is homogeneous and both orders are graded, so there is one
 reduction path: each reduction is a forward scan over one dense degree
 slice, with the inner multiply-accumulate in a numpy kernel.
+
+Given the Hilbert function d -> dim (R/I)_d, which depends on neither the
+coordinates nor the term order, ``buchberger`` also applies Traverso's
+Hilbert-driven criterion (Traverso, *Hilbert functions and the Buchberger
+algorithm*, J. Symb. Comp. 22, 1996).  Pairs come in nondecreasing lcm
+degree and a fully reduced element of degree d only makes pairs of higher
+degree, so once the leading monomials span as many degree-d monomials as
+I_d has dimensions, every pair still waiting at degree d reduces to zero
+and is dropped unreduced.  The reductions that do run, and so the reduced
+basis, are exactly those of the run without the Hilbert function.
+
 Intersections and colon ideals reuse that engine: a graded-lex basis in two
 extra variables eliminates one of them (see ``intersect``).
 """
@@ -96,15 +107,7 @@ class MonomialIdeal:
         """dim over F of (R/this)_m, by enumerating standard monomials."""
         if m < 0:
             return 0
-        tab = table_for(self.nvars, m, GLEX)
-        if self.is_zero:
-            return len(tab)
-        mask = np.zeros(len(tab), dtype=bool)
-        for g in self.gens:
-            if sum(g) > m:
-                continue
-            mask |= np.all(tab.exps >= np.array(g, dtype=np.int64), axis=1)
-        return int(len(tab) - mask.sum())
+        return _standard_count(self.gens, self.nvars, m)
 
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):
@@ -118,19 +121,52 @@ class MonomialIdeal:
         return f"MonomialIdeal<{len(self.gens)} gens, {self.nvars} vars>"
 
 
+# bound on the (monomial, generator) cells one block of _standard_count holds
+_COUNT_CELLS = 1 << 20
+
+
+def _standard_count(gens, nvars, m):
+    """Degree-m monomials divisible by none of the exponent tuples ``gens``."""
+    tab = table_for(nvars, m, GLEX)
+    gens = np.array([g for g in gens if sum(g) <= m],
+                    dtype=np.int64).reshape(-1, nvars)
+    covered = np.zeros(len(tab), dtype=bool)
+    step = max(1, _COUNT_CELLS // len(tab))
+    for lo in range(0, len(gens), step):
+        block = gens[lo:lo + step]
+        divides = np.ones((len(tab), len(block)), dtype=bool)
+        for v in range(nvars):
+            divides &= tab.exps[:, v, None] >= block[None, :, v]
+        covered |= divides.any(axis=1)
+    return int(len(tab) - covered.sum())
+
+
 # ---------------------------------------------------------------------------
 # Groebner basis container
 # ---------------------------------------------------------------------------
 
 class GroebnerBasis:
-    __slots__ = ("elements", "order", "nvars", "p", "reduced")
+    """Basis elements plus the work counts of the run that produced them.
 
-    def __init__(self, elements, order, nvars, p, reduced=True):
+    ``pairs_reduced`` S-pairs went through a reduction and
+    ``reductions_to_zero`` of those gave nothing new; ``pairs_pruned`` were
+    dropped unreduced by the Hilbert-driven criterion.  All three repeat
+    exactly for a fixed input.
+    """
+
+    __slots__ = ("elements", "order", "nvars", "p", "reduced",
+                 "pairs_reduced", "reductions_to_zero", "pairs_pruned")
+
+    def __init__(self, elements, order, nvars, p, reduced=True,
+                 pairs_reduced=0, reductions_to_zero=0, pairs_pruned=0):
         self.elements = tuple(elements)
         self.order = order
         self.nvars = nvars
         self.p = p
         self.reduced = reduced
+        self.pairs_reduced = pairs_reduced
+        self.reductions_to_zero = reductions_to_zero
+        self.pairs_pruned = pairs_pruned
 
     def leading_monomials(self):
         return [g.leading_monomial() for g in self.elements]
@@ -380,11 +416,17 @@ def _select_pair(pairs):
     return best
 
 
-def buchberger(source, order):
+def buchberger(source, order, hilbert=None):
     """Reduced Groebner basis of homogeneous generators under a graded order.
 
     Deterministic for a fixed input sequence; the reduced result is unique
     per (ideal, order) regardless of generator presentation.
+
+    ``hilbert``, when given, is the Hilbert function d -> dim (R/I)_d of the
+    ideal; it prunes pairs (see the module docstring) without changing the
+    result.  A Hilbert function that the leading monomials contradict --
+    more of them in some degree than it allows, or fewer once every pair of
+    that degree is done -- raises ``GincomplexError``.
     """
     if isinstance(source, Ideal):
         gens = list(source.generators)
@@ -428,16 +470,52 @@ def buchberger(source, order):
         alive.append(len(basis) - 1)
         stamp += 1
 
+    def check_filled():
+        if missing > 0:
+            raise GincomplexError(
+                f"Hilbert function contradicted in degree {degree}: every "
+                f"pair is done, and {missing} of the leading monomials it "
+                f"predicts are still missing")
+
     for g in gens:
         r = backend.reduce(g, reducers(), stamp)
         if r is not None:
             insert(r)
+    # degree-d leading monomials still to be found, once degree d began
+    degree, missing = None, 0
+    n_reduced = n_zero = n_pruned = 0
     while pairs:
         i, j = _select_pair(pairs)
-        lcm, _, _ = pairs.pop((i, j))
+        lcm, deg, _ = pairs[(i, j)]
+        if hilbert is not None:
+            if deg != degree:
+                check_filled()
+                degree = deg
+                missing = (_standard_count([leads[k] for k in alive], nvars,
+                                           deg) - hilbert(deg))
+                if missing < 0:
+                    raise GincomplexError(
+                        f"Hilbert function contradicted: it predicts "
+                        f"{hilbert(deg)} standard monomials in degree {deg}, "
+                        f"but the leading monomials leave only "
+                        f"{hilbert(deg) + missing}")
+            if missing == 0:
+                done = [key for key, val in pairs.items() if val[1] == deg]
+                for key in done:
+                    del pairs[key]
+                n_pruned += len(done)
+                continue
+        del pairs[(i, j)]
+        n_reduced += 1
         r = backend.spoly_reduce(basis[i], basis[j], lcm, reducers(), stamp)
-        if r is not None:
+        if r is None:
+            n_zero += 1
+        else:
+            # fully reduced: a new degree-deg leading monomial
             insert(r)
+            missing -= 1
+    if hilbert is not None:
+        check_filled()
 
     # minimal basis, then one full interreduction pass (leads are final, so
     # a single pass in any order yields the reduced basis)
@@ -451,7 +529,9 @@ def buchberger(source, order):
     elements = sorted(final.values(),
                       key=lambda g: order.key(g.leading_monomial()),
                       reverse=True)
-    return GroebnerBasis(elements, order, nvars, p, reduced=True)
+    return GroebnerBasis(elements, order, nvars, p, reduced=True,
+                         pairs_reduced=n_reduced, reductions_to_zero=n_zero,
+                         pairs_pruned=n_pruned)
 
 
 def is_groebner_basis(gb):

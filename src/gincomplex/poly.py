@@ -84,6 +84,10 @@ class MonomialOrder:
     def index_weights(self, nvars):
         raise NotImplementedError
 
+    def descending(self, exps):
+        """Indices that sort exponent rows descending in this order."""
+        raise NotImplementedError
+
     def __repr__(self):
         return self.name
 
@@ -102,6 +106,10 @@ class _GradedLex(MonomialOrder):
     def key(self, e):
         return (sum(e),) + tuple(e)
 
+    def descending(self, exps):
+        # np.lexsort's last key is the primary one
+        return np.lexsort(np.vstack([exps[:, ::-1].T, exps.sum(axis=1)]))[::-1]
+
     def index_weights(self, nvars):
         _check_key_range(nvars, 1)
         return np.array(
@@ -115,6 +123,9 @@ class _GradedRevLex(MonomialOrder):
 
     def key(self, e):
         return (sum(e),) + tuple(-v for v in reversed(e))
+
+    def descending(self, exps):
+        return np.lexsort(np.vstack([-exps.T, exps.sum(axis=1)]))[::-1]
 
     def index_weights(self, nvars):
         _check_key_range(nvars, 1)
@@ -372,20 +383,26 @@ class Polynomial:
                                     (self.coeffs * coeff) % self.p)
 
     def __mul__(self, other):
+        """Product over all term pairs at once, sorted and merged in numpy.
+
+        Each coefficient product is reduced mod p before the sums, so with
+        p*p < 2**63 nothing overflows int64.
+        """
         self._same_ring(other)
         if self.is_zero or other.is_zero:
             return Polynomial.zero(self.nvars, self.p, self.order)
-        acc = {}
-        oexps = other.exps.tolist()
-        ocoef = other.coeffs.tolist()
-        for i in range(self.num_terms):
-            e1 = self.exps[i]
-            c1 = int(self.coeffs[i])
-            for e2, c2 in zip(oexps, ocoef):
-                key = tuple(int(a + b) for a, b in zip(e1, e2))
-                acc[key] = (acc.get(key, 0) + c1 * c2) % self.p
-        return Polynomial.from_terms(acc.items(), self.nvars, self.p,
-                                     self.order)
+        exps = (self.exps[:, None, :] + other.exps[None, :, :]).reshape(
+            -1, self.nvars)
+        coeffs = (self.coeffs[:, None] * other.coeffs[None, :]
+                  % self.p).ravel()
+        idx = self.order.descending(exps)
+        exps, coeffs = exps[idx], coeffs[idx]
+        first = np.ones(len(idx), dtype=bool)
+        first[1:] = (exps[1:] != exps[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        sums = np.add.reduceat(coeffs, starts) % self.p
+        keep = sums != 0
+        return self._sorted_trusted(exps[starts[keep]], sums[keep])
 
     def monic(self):
         if self.is_zero:

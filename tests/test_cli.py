@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -351,12 +352,37 @@ def test_parse_exponent_above_degree_cap(tmp_path, capsys):
     # rejected at the exponent's column, before any expansion
     with pytest.raises(ParseError, match="line 2, column 4: exponent"):
         parse_ideal_file("ring 2\nx0^99999999 - x1\n")
-    with pytest.raises(ParseError, match="line 2: polynomial degree 400"):
+    with pytest.raises(ParseError,
+                       match="line 2, column 7: polynomial degree 400"):
         parse_ideal_file("ring 5\nx0^200*x1^200\n")
     path = tmp_path / "big.ideal"
     path.write_text("ring 2\nx0^256\n")
     assert main(["gin", str(path)]) == EXIT_USAGE
     assert "column 4" in capsys.readouterr().err
+
+
+def test_parse_power_or_product_above_degree_cap_gives_its_column():
+    # the degree is known from the factors, so nothing is expanded first:
+    # a power is rejected at its exponent, a product at its '*'
+    with pytest.raises(ParseError,
+                       match="line 2, column 9: polynomial degree 256"):
+        parse_ideal_file("ring 5\n(x0*x1)^128\n")
+    with pytest.raises(ParseError,
+                       match="line 3, column 27: polynomial degree 256"):
+        parse_ideal_file("ring 5\nx0\nx0*(x1+x2)^100*(x1+x3)^100*x2^55\n")
+    # a zero base has no degree to grow
+    with pytest.raises(ParseError, match="line 2: polynomial is zero"):
+        parse_ideal_file("ring 2\n(x0-x0)^255*x1\n")
+
+
+def test_parse_large_power_expands_exactly():
+    (f,) = parse_ideal_file("ring 5\n(x0+x1+x2+x3+x4)^30\n").generators
+    assert f.num_terms == 46376
+    terms = dict(f.terms())
+    # multinomial 30! / (6!)^5 and 30! / (26! 4!) mod p
+    assert terms[(6, 6, 6, 6, 6)] == (math.factorial(30)
+                                      // math.factorial(6) ** 5) % P
+    assert terms[(26, 4, 0, 0, 0)] == math.comb(30, 4) % P
 
 
 def test_basis_degree_above_cap_is_a_usage_error(tmp_path, capsys):

@@ -5,7 +5,12 @@ import pytest
 
 gin_mod = importlib.import_module("gincomplex.gin")
 from gincomplex.corpus import golden_monomial_ideal, scroll
-from gincomplex.errors import ConfigurationError, UnstableGinError
+from gincomplex.errors import (
+    ConfigurationError,
+    GincomplexError,
+    InvariantError,
+    UnstableGinError,
+)
 from gincomplex.gin import (
     degree_complexity,
     gin,
@@ -160,7 +165,7 @@ def test_unstable_gin_error(monkeypatch, store):
 
     real = gin_mod.buchberger
 
-    def flipflop(moved, order):
+    def flipflop(moved, order, hilbert=None):
         gb = real(moved, order)
 
         class Wobble:
@@ -183,14 +188,76 @@ def test_gin_sorts_its_input_once(monkeypatch, store):
     seen = []
     real = gin_mod.buchberger
 
-    def spy(moved, trial_order):
+    def spy(moved, trial_order, hilbert=None):
         seen.extend(g.order for g in moved.generators)
-        return real(moved, trial_order)
+        return real(moved, trial_order, hilbert=hilbert)
 
     monkeypatch.setattr(gin_mod, "buchberger", spy)
     result = gin(store.ideal("scroll"), GREVLEX)
     assert seen and all(o is GREVLEX for o in seen)
     assert result.gin == store.gin("scroll", "grevlex").gin
+
+
+# -- Hilbert function: pruning and certificate ----------------------------------------
+
+def test_gin_certifies_hilbert_function_to_one_past_top_degree(store):
+    for name in ("scroll", "ci22", "castelnuovo", "ci23"):
+        for order_name in ("glex", "grevlex"):
+            result = store.gin(name, order_name)
+            assert result.hilbert_checked_to == \
+                result.gin.max_generator_degree() + 1
+
+
+def _pruning_hilbert(real, shift_at):
+    """A buchberger stand-in whose pruning sees H shifted by shift_at(d)."""
+    def run(moved, order, hilbert=None):
+        if hilbert is None:
+            return real(moved, order)
+        return real(moved, order, hilbert=lambda d: hilbert(d) + shift_at(d))
+    return run
+
+
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_gin_rejects_pruning_with_off_by_one_hilbert(monkeypatch, store,
+                                                     order, shift):
+    # a defect in the pruning looks like a wrong H inside buchberger only;
+    # at every degree the criterion consults, gin must fail, not return
+    ideal = store.ideal("ci23")
+    real = gin_mod.buchberger
+    consulted = set()
+
+    def record(d):
+        consulted.add(d)
+        return 0
+
+    monkeypatch.setattr(gin_mod, "buchberger", _pruning_hilbert(real, record))
+    assert gin(ideal, order).gin == store.gin("ci23", order.name).gin
+    assert consulted
+    for degree in sorted(consulted):
+        monkeypatch.setattr(gin_mod, "buchberger", _pruning_hilbert(
+            real, lambda d: shift * (d == degree)))
+        with pytest.raises(GincomplexError) as err:
+            gin(ideal, order)
+        assert (isinstance(err.value, InvariantError)
+                or "contradicted" in str(err.value))
+
+
+def test_gin_rejects_hilbert_function_below_truth(monkeypatch, store):
+    # the leading monomials always fill I_d, so an H that is one too small
+    # in any degree up to M + 1 cannot certify
+    ideal = store.ideal("ci22")
+    top = store.gin("ci22").gin.max_generator_degree() + 1
+    real = gin_mod.hilbert_function_of
+    for degree in range(top + 1):
+        def wrong(basis, degree=degree):
+            hilbert = real(basis)
+            return lambda d: hilbert(d) - (d == degree)
+        monkeypatch.setattr(gin_mod, "hilbert_function_of", wrong)
+        with pytest.raises(GincomplexError) as err:
+            gin(ideal, GLEX)
+        assert (isinstance(err.value, InvariantError)
+                or "contradicted" in str(err.value))
 
 
 # -- witness monomials ---------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from gincomplex.corpus import golden_monomial_ideal, scroll
 from gincomplex.errors import GincomplexError, ZeroPolynomialError
-from gincomplex.gin import saturate_irrelevant
+from gincomplex.gin import random_change, saturate_irrelevant
 from gincomplex.groebner import (
     GroebnerBasis,
     MonomialIdeal,
@@ -144,6 +144,77 @@ def test_buchberger_criterion_self_check():
     for _ in range(20):
         gb = buchberger(_random_small_ideal(rng), GREVLEX)
         assert is_groebner_basis(gb)
+
+
+# -- Hilbert-driven pair pruning -------------------------------------------------
+
+def _moved_with_hilbert(ideal):
+    """One random change of ``ideal`` and its Hilbert function, via grevlex."""
+    moved = random_change(2024, ideal.nvars, ideal.p).apply_ideal(ideal)
+    return moved, buchberger(moved, GREVLEX).initial_ideal().hilbert_function
+
+
+def _counts(gb):
+    return gb.pairs_reduced, gb.reductions_to_zero, gb.pairs_pruned
+
+
+@pytest.mark.parametrize("name",
+                         ["scroll", "ci22", "castelnuovo", "ci23", "acm4"])
+def test_hilbert_driven_basis_equals_plain_basis(store, name):
+    moved, hilbert = _moved_with_hilbert(store.ideal(name))
+    plain = buchberger(moved, GLEX)
+    driven = buchberger(moved, GLEX, hilbert=hilbert)
+    assert [g.terms() for g in driven] == [g.terms() for g in plain]
+    assert is_groebner_basis(driven)
+    # same pair queue: each pair is reduced or pruned, and only pairs that
+    # would reduce to zero are pruned
+    assert plain.pairs_pruned == 0
+    assert (driven.pairs_reduced + driven.pairs_pruned
+            == plain.pairs_reduced)
+    assert (driven.pairs_reduced - driven.reductions_to_zero
+            == plain.pairs_reduced - plain.reductions_to_zero)
+    if name == "acm4":
+        assert driven.pairs_pruned > 0
+        assert driven.reductions_to_zero < plain.reductions_to_zero
+
+
+def test_work_counters_are_deterministic(store):
+    moved, hilbert = _moved_with_hilbert(store.ideal("ci23"))
+    for kwargs in ({}, {"hilbert": hilbert}):
+        first = buchberger(moved, GLEX, **kwargs)
+        assert first.pairs_reduced > 0
+        assert _counts(first) == _counts(buchberger(moved, GLEX, **kwargs))
+
+
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_hilbert_function_below_truth_is_rejected(store, order):
+    # too few standard monomials in a degree the criterion consults: once
+    # every pair of that degree is done, leading monomials are missing
+    moved, hilbert = _moved_with_hilbert(store.ideal("ci23"))
+    consulted = set()
+
+    def recording(d):
+        consulted.add(d)
+        return hilbert(d)
+
+    buchberger(moved, order, hilbert=recording)
+    assert consulted
+    for degree in sorted(consulted):
+        with pytest.raises(GincomplexError, match="contradicted"):
+            buchberger(moved, order,
+                       hilbert=lambda d: hilbert(d) - (d == degree))
+
+
+def test_hilbert_function_above_count_is_rejected():
+    # the leads x0^2, x0*x1 leave 5 standard cubics in 3 variables, and
+    # their one pair has degree 3; claiming 6 makes the leads overshoot
+    # before that pair is reduced
+    gens = [mono((2, 0, 0)), mono((1, 1, 0))]
+    truth = MonomialIdeal([(2, 0, 0), (1, 1, 0)], 3).hilbert_function
+    assert truth(3) == 5
+    assert buchberger(gens, GLEX, hilbert=truth).pairs_pruned == 1
+    with pytest.raises(GincomplexError, match="contradicted"):
+        buchberger(gens, GLEX, hilbert=lambda d: truth(d) + (d == 3))
 
 
 def test_spolynomial_reduces_to_zero_in_basis():

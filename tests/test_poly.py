@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,53 @@ def test_mul_degree_additivity_random():
         f = _random_homogeneous(rng, 3, d1)
         g = _random_homogeneous(rng, 3, d2)
         assert (f * g).degree == d1 + d2
+
+
+@pytest.mark.parametrize("p", [7, 32003, 3037000493])
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_mul_matches_multinomial_coefficients(order, p):
+    # (c0*x0 + c1*x1 + c2*x2)^k by repeated products: the coefficient of
+    # x^a is k!/(a0! a1! a2!) * c^a mod p; coefficients near p make any
+    # unreduced product sum overflow int64 at the largest prime
+    k = 9
+    cs = (p - 1, p - 2, (p - 1) // 2)
+    base = Polynomial.from_terms(
+        [((1, 0, 0), cs[0]), ((0, 1, 0), cs[1]), ((0, 0, 1), cs[2])],
+        3, p, order)
+    power = Polynomial.constant(1, 3, p, order)
+    for _ in range(k):
+        power = power * base
+    expected = {}
+    for a in table_for(3, k, GLEX).exps.tolist():
+        coeff = math.factorial(k)
+        for ai, c in zip(a, cs):
+            coeff = coeff // math.factorial(ai) * pow(c, ai, p)
+        if coeff % p:
+            expected[tuple(a)] = coeff % p
+    assert dict(power.terms()) == expected
+    assert [e for e, _ in power.terms()] == sorted(
+        expected, key=order.key, reverse=True)
+
+
+@pytest.mark.parametrize("p", [7, 32003, 3037000493])
+def test_mul_matches_termwise_reference(p):
+    # inhomogeneous factors with repeated product monomials
+    rng = SplitMix64(p)
+    for order in (GLEX, GREVLEX):
+        for _ in range(20):
+            f, g = (Polynomial.from_terms(
+                [(tuple(rng.below(3) for _ in range(4)), rng.below(p))
+                 for _ in range(1 + rng.below(6))], 4, p, order)
+                for _ in range(2))
+            acc = {}
+            for e1, c1 in f.terms():
+                for e2, c2 in g.terms():
+                    key = tuple(a + b for a, b in zip(e1, e2))
+                    acc[key] = (acc.get(key, 0) + c1 * c2) % p
+            want = Polynomial.from_terms(acc.items(), 4, p, order)
+            got = f * g
+            assert got.terms() == want.terms()
+            assert got.order is order
 
 
 def _random_homogeneous(rng, nvars, degree, p=P):
