@@ -23,7 +23,9 @@ from .gin import (
     GinResult,
     degree_complexity,
     gin,
+    is_saturated,
     random_change,
+    reduced_grevlex,
     saturate_irrelevant,
     witness_check,
 )
@@ -69,7 +71,7 @@ __all__ = [
     "UnstableGinError", "ZeroPolynomialError",
     "DEFAULT_PRIME", "FieldElement", "PrimeField",
     "CoordinateChange", "GinResult", "degree_complexity", "gin",
-    "random_change", "witness_check",
+    "is_saturated", "random_change", "reduced_grevlex", "witness_check",
     "GroebnerBasis", "MonomialIdeal", "buchberger",
     "hilbert_function_macaulay", "ideal_quotient", "ideals_equal",
     "intersect", "is_groebner_basis", "normal_form", "s_polynomial",

@@ -1,6 +1,8 @@
 """Generic initial ideals via seeded coordinate changes, and degree complexity.
 
-Saturation lives here too: it needs one general coordinate change.
+Saturation lives here too: it needs one general coordinate change.  A
+saturation test reads the verdict off the initial ideal of one reduced grevlex
+basis, and ``reduced_grevlex`` shrinks a generating set before it is moved.
 
 "Generic" is realized operationally: independent uniform invertible matrices
 over F_p, accepted once enough consecutive trials produce the same initial
@@ -45,7 +47,8 @@ DEFAULT_SEED_BASE = 12345
 DEFAULT_MIN_AGREE = 2
 DEFAULT_TRIAL_BUDGET = 6
 
-# coordinate change behind saturate_irrelevant; fixed so a saturation replays
+# coordinate change behind saturate_irrelevant and is_saturated; fixed so a
+# saturation replays
 _SATURATION_SEED = 0x5A7
 
 
@@ -101,6 +104,26 @@ def random_change(seed, nvars, p=DEFAULT_PRIME):
                                     inverse_ops)
 
 
+def reduced_grevlex(ideal):
+    """The ideal generated by its reduced grevlex basis, in its own coordinates.
+
+    In generic coordinates that basis has the lowest degrees of any term
+    order (Bayer-Stillman), so later coordinate changes and Groebner runs
+    carry the fewest and smallest generators.
+    """
+    if ideal.is_zero:
+        return ideal
+    return Ideal(buchberger(ideal, GREVLEX).elements, ideal.nvars, ideal.p)
+
+
+def _saturation_basis(ideal):
+    """The seeded saturation change and the reduced grevlex basis it gives."""
+    change = random_change(_SATURATION_SEED, ideal.nvars, ideal.p)
+    # sorted once: each moved generator keeps this order into buchberger
+    moved = change.apply_ideal(ideal.with_order(GREVLEX))
+    return change, buchberger(moved, GREVLEX)
+
+
 def saturate_irrelevant(ideal):
     """Saturation I : m^inf by the irrelevant maximal ideal m of I's own ring.
 
@@ -114,8 +137,7 @@ def saturate_irrelevant(ideal):
     """
     if ideal.is_zero:
         return ideal
-    change = random_change(_SATURATION_SEED, ideal.nvars, ideal.p)
-    gb = buchberger(change.apply_ideal(ideal), GREVLEX)
+    change, gb = _saturation_basis(ideal)
     gens = []
     for g in gb.elements:
         exps = g.exps.copy()
@@ -125,6 +147,24 @@ def saturate_irrelevant(ideal):
                              _presorted=True)
         gens.append(change.apply_inverse(divided))
     return Ideal(gens, ideal.nvars, ideal.p)
+
+
+def is_saturated(ideal):
+    """True iff I = I : l^inf, l the general linear form of the saturation.
+
+    l is the form the seeded change of ``saturate_irrelevant`` sends to
+    x_last, so the verdict is exactly ``saturate_irrelevant(I) == I``.
+    Under grevlex in(J : x_last^inf) = in(J) : x_last^inf (Bayer-Stillman),
+    so the moved ideal J equals its colon iff no minimal generator of in(J)
+    involves x_last: one Groebner run, no map back, no membership test.
+    The error is one-sided as for ``saturate_irrelevant``: True is a proof
+    that I is saturated, and a saturated I reads False only for a
+    non-general draw.
+    """
+    if ideal.is_zero:
+        return True
+    _, gb = _saturation_basis(ideal)
+    return all(m[-1] == 0 for m in gb.initial_ideal().gens)
 
 
 @dataclass(frozen=True)

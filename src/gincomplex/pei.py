@@ -16,9 +16,13 @@ from .gin import (
     DEFAULT_SEED_BASE,
     DEFAULT_TRIAL_BUDGET,
     gin,
-    saturate_irrelevant,
+    is_saturated,
+    reduced_grevlex,
 )
-from .groebner import MonomialIdeal, hilbert_function_macaulay, ideals_equal
+from .groebner import MonomialIdeal, hilbert_function_macaulay
+# not called here; kept because perfbench/tracer.py patches both names here
+from .gin import saturate_irrelevant  # noqa: F401
+from .groebner import ideals_equal  # noqa: F401
 from .poly import GLEX, Ideal, Polynomial
 
 MODE_EQUAL = "equal"
@@ -110,7 +114,11 @@ def recombine_m(ideal, seed_base=DEFAULT_SEED_BASE,
 
     The ideal is moved to generic coordinates first (reusing ``gin_result``
     when the caller already stabilized one); each proper stratum then gets
-    its own gin in the smaller ring.  Must agree with the direct graded-lex
+    its own gin in the smaller ring.  That gin is taken of the stratum's
+    reduced grevlex basis, which in these generic coordinates has the
+    lowest degrees, rather than of the extracted generators: a gin depends
+    only on the ideal, so every result is the same, and ``Stratum.data``
+    keeps the extracted generators.  Must agree with the direct graded-lex
     degree complexity.
     """
     result = gin_result
@@ -130,7 +138,7 @@ def recombine_m(ideal, seed_base=DEFAULT_SEED_BASE,
             sub_gin = MonomialIdeal([], nsub)
             complexity = 0
         else:
-            sub = gin(data.ideal, GLEX,
+            sub = gin(reduced_grevlex(data.ideal), GLEX,
                       seed_base + _STRATUM_SEED_STEP * (i + 1),
                       min_agree, trial_budget)
             if not sub.borel:
@@ -163,7 +171,11 @@ def hilbert_identity_check(ideal, m_max, seed_base=DEFAULT_SEED_BASE,
 
     Both sides go through the Macaulay-matrix rank so neither can lean on
     the other's bookkeeping; values at negative shifts count as zero.
+    A negative ``m_max`` checks nothing and is a ``ConfigurationError``.
     """
+    if m_max < 0:
+        raise ConfigurationError(
+            f"Hilbert identity needs m_max >= 0, got {m_max}")
     result = gin_result
     if result is None:
         result = gin(ideal, GLEX, seed_base, min_agree, trial_budget)
@@ -194,19 +206,17 @@ def k1_saturation_check(ideal, seed_base=DEFAULT_SEED_BASE,
                         gin_result=None):
     """True when the first stratum is already saturated.
 
-    Saturation is Bayer-Stillman's I : l^inf for one seeded general linear
-    form l; equality is mutual membership, so the check does not depend on
-    generator presentation.  The error is one-sided: I : l^inf contains
-    I^sat, which contains I, for every l, so True is a proof.  Only a
-    saturated K_1 can be misreported as unsaturated, with probability about
-    deg/p over the draw of l.
+    ``is_saturated`` on K_1's reduced grevlex basis: one seeded general
+    linear form l, and K_1 is saturated iff K_1 = K_1 : l^inf, read off one
+    grevlex initial ideal (Bayer-Stillman).  The grevlex basis is taken
+    first, in the gin's generic coordinates, so the coordinate change moves
+    a few low-degree generators instead of the extracted ones.  The error is
+    one-sided: I : l^inf contains I^sat, which contains I, for every l, so
+    True is a proof.  Only a saturated K_1 can be misreported as
+    unsaturated, with probability about deg/p over the draw of l.
     """
     result = gin_result
     if result is None:
         result = gin(ideal, GLEX, seed_base, min_agree, trial_budget)
     data = partial_elimination(result.basis, 1, MODE_EQUAL, generic=True)
-    k1 = data.ideal
-    if k1.is_zero:
-        return True
-    saturated = saturate_irrelevant(k1)
-    return ideals_equal(saturated, k1)
+    return is_saturated(reduced_grevlex(data.ideal))

@@ -14,7 +14,9 @@ from gincomplex.errors import (
 from gincomplex.gin import (
     degree_complexity,
     gin,
+    is_saturated,
     random_change,
+    saturate_irrelevant,
     witness_check,
 )
 from gincomplex.groebner import MonomialIdeal, hilbert_function_macaulay
@@ -196,6 +198,24 @@ def test_gin_sorts_its_input_once(monkeypatch, store):
     result = gin(store.ideal("scroll"), GREVLEX)
     assert seen and all(o is GREVLEX for o in seen)
     assert result.gin == store.gin("scroll", "grevlex").gin
+
+
+@pytest.mark.parametrize("saturation", [saturate_irrelevant, is_saturated])
+def test_saturation_sorts_its_input_once(monkeypatch, store, saturation):
+    # the glex-built ideal is sorted into grevlex before the change, so
+    # buchberger never re-sorts a moved generator
+    seen = []
+    real = gin_mod.buchberger
+
+    def spy(moved, order, hilbert=None):
+        seen.extend(g.order for g in moved.generators)
+        return real(moved, order, hilbert=hilbert)
+
+    ideal = store.ideal("scroll")
+    assert all(g.order is GLEX for g in ideal.generators)
+    monkeypatch.setattr(gin_mod, "buchberger", spy)
+    saturation(ideal)
+    assert seen and all(o is GREVLEX for o in seen)
 
 
 # -- Hilbert function: pruning and certificate ----------------------------------------

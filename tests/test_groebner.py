@@ -2,9 +2,18 @@ import itertools
 
 import pytest
 
-from gincomplex.corpus import golden_monomial_ideal, scroll
+from gincomplex.corpus import (
+    golden_monomial_ideal,
+    remark_counterexample,
+    scroll,
+)
 from gincomplex.errors import GincomplexError, ZeroPolynomialError
-from gincomplex.gin import random_change, saturate_irrelevant
+from gincomplex.gin import (
+    is_saturated,
+    random_change,
+    reduced_grevlex,
+    saturate_irrelevant,
+)
 from gincomplex.groebner import (
     GroebnerBasis,
     MonomialIdeal,
@@ -17,6 +26,7 @@ from gincomplex.groebner import (
     normal_form,
     s_polynomial,
 )
+from gincomplex.pei import MODE_EQUAL, partial_elimination
 from gincomplex.poly import (
     GLEX,
     GREVLEX,
@@ -437,18 +447,66 @@ def test_saturation_recovers_saturated_ideal(build, k):
     assert ideals_equal(saturate_irrelevant(padded), saturated)
 
 
+def _variable_times_maximal_ideal():
+    return Ideal([mono(e, p=P) for e in
+                  [(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)]],
+                 4, P)
+
+
 def test_saturate_variable_times_maximal_ideal():
-    gens = [mono(e, p=P) for e in
-            [(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)]]
-    ideal = Ideal(gens, 4, P)
+    ideal = _variable_times_maximal_ideal()
     sat = saturate_irrelevant(ideal)
     assert ideals_equal(sat, Ideal([mono((1, 0, 0, 0))], 4, P))
     assert not ideals_equal(sat, ideal)
 
 
 def test_saturation_idempotent():
-    gens = [mono(e, p=P) for e in
-            [(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)]]
-    once = saturate_irrelevant(Ideal(gens, 4, P))
+    once = saturate_irrelevant(_variable_times_maximal_ideal())
     twice = saturate_irrelevant(once)
     assert ideals_equal(once, twice)
+
+
+def _k1(store, name):
+    gb = store.gin(name).basis
+    return partial_elimination(gb, 1, MODE_EQUAL, generic=True).ideal
+
+
+def _remark_strict_k1(store):
+    gb = buchberger(remark_counterexample(), GLEX)
+    return partial_elimination(gb, 1, MODE_EQUAL, generic=True).ideal
+
+
+def _unit(nvars):
+    return Ideal([Polynomial.constant(1, nvars, P)], nvars, P)
+
+
+_K1_ENTRIES = ("scroll", "ci22", "castelnuovo", "ci23", "acm4")
+# build(store) -> ideal, and whether the ideal is saturated
+_SATURATION_TABLE = (
+    [pytest.param(lambda store, name=name: _k1(store, name), True,
+                  id=f"{name}_k1")
+     for name in _K1_ENTRIES]
+    # K_1*m as the same ideal with K_1's few grevlex generators
+    + [pytest.param(lambda store, name=name: _times_maximal_power(
+           reduced_grevlex(_k1(store, name)), 1), False,
+                    id=f"{name}_k1_times_m")
+       for name in _K1_ENTRIES]
+    + [pytest.param(lambda store, build=build, k=k: _times_maximal_power(
+           build(), k), False, id=f"{build.__name__.strip('_')}_times_m{k}")
+       for build in (scroll, _twisted_cubic) for k in (1, 2)]
+    + [pytest.param(lambda store: _variable_times_maximal_ideal(), False,
+                    id="x0_times_m"),
+       pytest.param(_remark_strict_k1, True, id="remark_strict_k1")]
+    + [pytest.param(lambda store, n=n: _unit(n), True, id=f"unit_{n}_vars")
+       for n in (1, 2, 4)]
+)
+
+
+@pytest.mark.parametrize("build, saturated", _SATURATION_TABLE)
+def test_is_saturated_agrees_with_saturate_irrelevant(store, build,
+                                                      saturated):
+    # the initial-ideal verdict and the colon-then-compare verdict test the
+    # same equality I = I : l^inf for the same seeded l
+    ideal = build(store)
+    assert is_saturated(ideal) is saturated
+    assert ideals_equal(saturate_irrelevant(ideal), ideal) is saturated

@@ -1,7 +1,9 @@
 import pytest
 
+import gincomplex.pei
 from gincomplex.corpus import remark_counterexample
 from gincomplex.errors import ConfigurationError
+from gincomplex.gin import DEFAULT_SEED_BASE, gin
 from gincomplex.groebner import (
     MonomialIdeal,
     buchberger,
@@ -9,6 +11,7 @@ from gincomplex.groebner import (
     normal_form,
 )
 from gincomplex.pei import (
+    _STRATUM_SEED_STEP,
     MODE_EQUAL,
     MODE_UPTO,
     beta,
@@ -136,6 +139,45 @@ def test_hilbert_identity(store):
                                      gin_result=store.gin(name))
         assert res.ok, (name, res.failed_m, res.lhs, res.rhs)
         assert res.lhs[0] == 1 == res.rhs[0]
+
+
+def test_hilbert_identity_rejects_negative_m_max(store):
+    with pytest.raises(ConfigurationError, match="m_max"):
+        hilbert_identity_check(store.ideal("scroll"), -1,
+                               gin_result=store.gin("scroll"))
+
+
+def _proper(strata):
+    return [s for s in strata
+            if not (s.data.is_full_ring or s.data.ideal.is_zero)]
+
+
+@pytest.mark.parametrize("name", ["castelnuovo", "ci23"])
+def test_stratum_gin_equals_gin_of_extracted_generators(store, name):
+    # recombine_m hands each stratum's gin its reduced grevlex basis; the gin
+    # of the raw extracted generators, same seed, must be the same ideal
+    rec = recombine_m(store.ideal(name), gin_result=store.gin(name))
+    strata = _proper(rec.strata)
+    assert strata
+    for s in strata:
+        seed = DEFAULT_SEED_BASE + _STRATUM_SEED_STEP * (s.index + 1)
+        assert s.gin == gin(s.data.ideal, GLEX, seed).gin, s.index
+
+
+def test_stratum_gin_gets_low_degree_k1(store, monkeypatch):
+    # acm4's extracted K_1 reaches degree 19; its reduced grevlex basis, which
+    # the stratum gin receives, stops at degree 5
+    calls = {}
+
+    def spy(ideal, order, seed_base, *args):
+        calls[seed_base] = ideal
+        return gin(ideal, order, seed_base, *args)
+
+    monkeypatch.setattr(gincomplex.pei, "gin", spy)
+    rec = recombine_m(store.ideal("acm4"), gin_result=store.gin("acm4"))
+    k1 = calls[DEFAULT_SEED_BASE + 2 * _STRATUM_SEED_STEP]
+    assert max(g.degree for g in rec.strata[1].data.ideal.generators) == 19
+    assert max(g.degree for g in k1.generators) <= 5
 
 
 def test_k1_saturation_scroll(store):
