@@ -12,7 +12,14 @@ Conventions shared by all kernels:
   keys are linear in exponents, so the key of a monomial product is the sum
   of the factor keys;
 * coefficients stay in [0, p) with p*p < 2**63 (``field.check_int64_prime``),
-  so products fit in int64.
+  so products fit in int64;
+* reducers are packed monic: one lead row each, and their tails concatenated
+  in term order (so each tail's keys ascend), delimited by ``tail_bounds``.
+
+The reduction scan is driven by a boolean row mask of the slice: the rows
+some reducer lead divides.  The caller keeps that mask (the Buchberger
+backend holds one per degree and extends it as leads arrive), so the
+kernel's work is one step per elimination, not one per nonzero row.
 """
 
 import numpy as np
@@ -25,40 +32,50 @@ USING_NUMBA = False
 # dense normal form
 # ---------------------------------------------------------------------------
 
-def reduce_dense(vec, table_exps, table_keys,
+def reduce_dense(vec, table_exps, table_keys, reducible,
                  lead_exps, lead_keys,
                  tail_keys, tail_coeffs, tail_bounds, p):
     """Full normal form of a degree slice against packed monic reducers.
 
-    One forward scan: positions earlier than the cursor are final, every
-    elimination only touches strictly later positions because keys ascend as
-    monomials descend.
+    ``reducible`` marks the rows divisible by some reducer lead.  The scan
+    jumps from one nonzero marked row to the next and never visits a
+    standard monomial.  Every elimination touches only strictly later rows,
+    because keys ascend as monomials descend, so the rows still ahead sit in
+    one sorted queue, and an elimination queues the marked rows it turns
+    from zero to nonzero; a queued row that cancelled to zero is skipped.
+    A marked row that no lead divides is left alone, so a mask that marks
+    too much costs time, never correctness; one that misses a divisible row
+    leaves that row unreduced.
     """
-    npos = vec.shape[0]
-    nred = lead_exps.shape[0]
-    idx = 0
-    while idx < npos:
-        nz = np.nonzero(vec[idx:])[0]
-        if nz.size == 0:
-            return
-        idx += int(nz[0])
+    if lead_exps.shape[0] == 0:
+        return
+    ahead = np.flatnonzero(reducible & (vec != 0))
+    k = 0
+    while k < ahead.shape[0]:
+        idx = int(ahead[k])
+        k += 1
         c = int(vec[idx])
-        red = -1
-        if nred:
-            hits = np.nonzero(np.all(lead_exps <= table_exps[idx], axis=1))[0]
-            if hits.size:
-                red = int(hits[0])
-        if red < 0:
-            idx += 1
+        if c == 0:
+            continue
+        hits = np.all(lead_exps <= table_exps[idx], axis=1)
+        red = int(hits.argmax())
+        if not hits[red]:
             continue
         vec[idx] = 0
-        shift = int(table_keys[idx]) - int(lead_keys[red])
         lo, hi = int(tail_bounds[red]), int(tail_bounds[red + 1])
-        if hi > lo:
-            pos = np.searchsorted(table_keys, tail_keys[lo:hi] + shift)
-            contrib = (c * tail_coeffs[lo:hi]) % p
-            np.subtract.at(vec, pos, contrib)
-            np.mod(vec, p, out=vec)
+        if hi == lo:
+            continue
+        shift = int(table_keys[idx]) - int(lead_keys[red])
+        # one reducer's tail monomials are distinct and ascend in key, so
+        # their rows are distinct and ascend too
+        pos = np.searchsorted(table_keys, tail_keys[lo:hi] + shift)
+        before = vec[pos]
+        vec[pos] = (before - c * tail_coeffs[lo:hi]) % p
+        new = pos[(before == 0) & reducible[pos]]
+        if new.size:
+            ahead = ahead[k:]
+            k = 0
+            ahead = np.insert(ahead, np.searchsorted(ahead, new), new)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +142,9 @@ def warmup():
     tkeys = np.array([0], dtype=np.int64)
     tcoef = np.array([1], dtype=np.int64)
     bounds = np.array([0, 1], dtype=np.int64)
-    reduce_dense(vec.copy(), exps, keys, lead, lkey, tkeys, tcoef, bounds, 7)
+    reducible = np.array([True, True, False])
+    reduce_dense(vec.copy(), exps, keys, reducible, lead, lkey, tkeys, tcoef,
+                 bounds, 7)
     out = np.zeros(3, dtype=np.int64)
     binom = np.ones((3, 3), dtype=np.int64)
     transvect(vec.copy(), out, exps[:, 0].copy(), keys, 1, binom, 7)

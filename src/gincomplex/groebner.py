@@ -8,7 +8,18 @@ rule and the reducer order are fixed.
 
 Every ideal is homogeneous and both orders are graded, so there is one
 reduction path: each reduction is a forward scan over one dense degree
-slice, with the inner multiply-accumulate in a numpy kernel.
+slice, with the inner multiply-accumulate in a numpy kernel.  The scan
+visits only rows that some reducer lead divides; the backend keeps that
+mask per degree and extends it as leads arrive.
+
+Generators wait in a queue by degree and enter at their own degree, before
+that degree's pairs, so elements arrive in nondecreasing degree and each
+arrives fully reduced.  A new lead then divides no older lead, and it can
+occur only in the tails of the elements of its own degree; one same-slice
+subtraction clears it from each.  The basis is thus reduced after every
+insertion -- the reduced echelon form of each degree is kept as it grows
+(compare Faugere's F4, JPAA 139, 1999) -- and no interreduction runs at
+the end.
 
 Given the Hilbert function d -> dim (R/I)_d, which depends on neither the
 coordinates nor the term order, ``buchberger`` also applies Traverso's
@@ -16,9 +27,10 @@ Hilbert-driven criterion (Traverso, *Hilbert functions and the Buchberger
 algorithm*, J. Symb. Comp. 22, 1996).  Pairs come in nondecreasing lcm
 degree and a fully reduced element of degree d only makes pairs of higher
 degree, so once the leading monomials span as many degree-d monomials as
-I_d has dimensions, every pair still waiting at degree d reduces to zero
-and is dropped unreduced.  The reductions that do run, and so the reduced
-basis, are exactly those of the run without the Hilbert function.
+I_d has dimensions, every pair and generator still waiting at degree d
+reduces to zero and is dropped unreduced.  The reductions that do run, and
+so the reduced basis, are exactly those of the run without the Hilbert
+function.
 
 Intersections and colon ideals reuse that engine: a graded-lex basis in two
 extra variables eliminates one of them (see ``intersect``).
@@ -104,10 +116,11 @@ class MonomialIdeal:
         return self.max_generator_degree()
 
     def hilbert_function(self, m):
-        """dim over F of (R/this)_m, by enumerating standard monomials."""
+        """dim over F of (R/this)_m, by counting standard monomials."""
         if m < 0:
             return 0
-        return _standard_count(self.gens, self.nvars, m)
+        tab = table_for(self.nvars, m, GLEX)
+        return len(tab) - int(_covered_rows(tab, self.gens).sum())
 
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):
@@ -121,24 +134,31 @@ class MonomialIdeal:
         return f"MonomialIdeal<{len(self.gens)} gens, {self.nvars} vars>"
 
 
-# bound on the (monomial, generator) cells one block of _standard_count holds
-_COUNT_CELLS = 1 << 20
+# bound on the (monomial, generator) cells one block of _covered_rows holds
+_COVER_CELLS = 1 << 20
 
 
-def _standard_count(gens, nvars, m):
-    """Degree-m monomials divisible by none of the exponent tuples ``gens``."""
-    tab = table_for(nvars, m, GLEX)
-    gens = np.array([g for g in gens if sum(g) <= m],
-                    dtype=np.int64).reshape(-1, nvars)
-    covered = np.zeros(len(tab), dtype=bool)
-    step = max(1, _COUNT_CELLS // len(tab))
-    for lo in range(0, len(gens), step):
-        block = gens[lo:lo + step]
+def _covered_rows(tab, gens, covered=None):
+    """Mask of the rows of ``tab`` divisible by one of the exponents ``gens``.
+
+    ORs into ``covered`` when given and returns it.  A generator of the
+    table's own degree covers just its own row; lower ones are tested in
+    blocks of rows x generators, higher ones cover nothing.
+    """
+    if covered is None:
+        covered = np.zeros(len(tab), dtype=bool)
+    gens = np.array(gens, dtype=np.int64).reshape(-1, tab.nvars)
+    degs = gens.sum(axis=1)
+    covered[tab.positions(gens[degs == tab.degree] @ tab.weights)] = True
+    lower = gens[degs < tab.degree]
+    step = max(1, _COVER_CELLS // len(tab))
+    for lo in range(0, len(lower), step):
+        block = lower[lo:lo + step]
         divides = np.ones((len(tab), len(block)), dtype=bool)
-        for v in range(nvars):
+        for v in range(tab.nvars):
             divides &= tab.exps[:, v, None] >= block[None, :, v]
         covered |= divides.any(axis=1)
-    return int(len(tab) - covered.sum())
+    return covered
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +168,11 @@ def _standard_count(gens, nvars, m):
 class GroebnerBasis:
     """Basis elements plus the work counts of the run that produced them.
 
-    ``pairs_reduced`` S-pairs went through a reduction and
-    ``reductions_to_zero`` of those gave nothing new; ``pairs_pruned`` were
-    dropped unreduced by the Hilbert-driven criterion.  All three repeat
+    ``buchberger`` returns monic elements sorted by descending lead, no term
+    of one divisible by another's lead.  ``pairs_reduced`` S-pairs went
+    through a reduction and ``reductions_to_zero`` of those gave nothing
+    new; ``pairs_pruned`` were dropped unreduced by the Hilbert-driven
+    criterion.  The three count S-pairs only, not generators, and repeat
     exactly for a fixed input.
     """
 
@@ -291,72 +313,97 @@ def exact_divide(h, f):
 # ---------------------------------------------------------------------------
 
 class _DenseBackend:
-    """Homogeneous reduction on dense degree slices via the packed kernel."""
+    """Homogeneous reduction on dense degree slices via the packed kernel.
 
-    def __init__(self, nvars, p, order):
+    The backend holds the reducers: a list that only grows, whose members
+    may be replaced by others with the same leading monomial.  Per degree
+    it keeps the mask of table rows some reducer lead divides, and extends
+    it with each new lead instead of rebuilding it.
+    """
+
+    def __init__(self, nvars, p, order, reducers=()):
         self.nvars = nvars
         self.p = p
         self.order = order
         self.weights = order.index_weights(nvars)
+        self.reducers = list(reducers)
         self._pack = None
-        self._pack_stamp = None
+        # degree -> (mask of covered rows, number of reducer leads marked)
+        self._covered = {}
 
-    def _packed(self, reducers, stamp=None):
-        if stamp is not None and stamp == self._pack_stamp:
+    def add(self, h):
+        """Append the monic reducer h."""
+        self.reducers.append(h)
+        self._pack = None
+
+    def replace(self, i, g):
+        """Swap reducer i for g, which has the same leading monomial."""
+        self.reducers[i] = g
+        self._pack = None
+
+    def covered(self, degree):
+        """Rows of the degree table that some reducer lead divides."""
+        mask, marked = self._covered.get(degree, (None, 0))
+        if mask is None or marked < len(self.reducers):
+            tab = table_for(self.nvars, degree, self.order)
+            mask = _covered_rows(
+                tab, [r.exps[0] for r in self.reducers[marked:]], mask)
+            self._covered[degree] = (mask, len(self.reducers))
+        return mask
+
+    def _packed(self):
+        if self._pack is not None:
             return self._pack
         n = self.nvars
+        reducers = self.reducers
         if reducers:
             lead_exps = np.array([r.exps[0] for r in reducers], dtype=np.int64)
             lead_keys = lead_exps @ self.weights
-            tails_e = [r.exps[1:] for r in reducers]
-            tails_c = [r.coeffs[1:] for r in reducers]
             bounds = np.zeros(len(reducers) + 1, dtype=np.int64)
-            bounds[1:] = np.cumsum([t.shape[0] for t in tails_e])
-            tail_exps = (np.vstack(tails_e) if tails_e
-                         else np.zeros((0, n), dtype=np.int64))
-            tail_keys = tail_exps @ self.weights
-            tail_coeffs = (np.concatenate(tails_c) if tails_c
-                           else np.zeros(0, dtype=np.int64))
+            bounds[1:] = np.cumsum([r.num_terms - 1 for r in reducers])
+            tail_keys = np.concatenate(
+                [r.weighted_keys(self.weights)[1:] for r in reducers])
+            tail_coeffs = np.concatenate([r.coeffs[1:] for r in reducers])
         else:
             lead_exps = np.zeros((0, n), dtype=np.int64)
             lead_keys = np.zeros(0, dtype=np.int64)
             tail_keys = np.zeros(0, dtype=np.int64)
             tail_coeffs = np.zeros(0, dtype=np.int64)
             bounds = np.zeros(1, dtype=np.int64)
-        pack = (np.ascontiguousarray(lead_exps),
-                np.ascontiguousarray(lead_keys),
-                np.ascontiguousarray(tail_keys),
-                np.ascontiguousarray(tail_coeffs),
-                np.ascontiguousarray(bounds))
-        if stamp is not None:
-            self._pack = pack
-            self._pack_stamp = stamp
-        return pack
+        self._pack = (np.ascontiguousarray(lead_exps),
+                      np.ascontiguousarray(lead_keys),
+                      np.ascontiguousarray(tail_keys),
+                      np.ascontiguousarray(tail_coeffs),
+                      np.ascontiguousarray(bounds))
+        return self._pack
 
-    def _reduce_vec(self, degree, vec, reducers, stamp):
-        tab = table_for(self.nvars, degree, self.order)
-        lead_exps, lead_keys, tail_keys, tail_coeffs, bounds = self._packed(
-            reducers, stamp)
-        _kernels.reduce_dense(vec, tab.exps, tab.keys, lead_exps, lead_keys,
-                              tail_keys, tail_coeffs, bounds, self.p)
+    def _slice(self, f, tab):
+        vec = np.zeros(len(tab), dtype=np.int64)
+        vec[tab.positions(f.weighted_keys(self.weights))] = f.coeffs
+        return vec
+
+    def _poly(self, vec, tab):
         nz = np.nonzero(vec)[0]
         if nz.size == 0:
             return None
         return Polynomial(tab.exps[nz].copy(), vec[nz].copy(), self.nvars,
                           self.p, self.order, _presorted=True)
 
-    def reduce(self, f, reducers, stamp=None):
+    def _reduce_vec(self, degree, vec):
+        tab = table_for(self.nvars, degree, self.order)
+        _kernels.reduce_dense(vec, tab.exps, tab.keys, self.covered(degree),
+                              *self._packed(), self.p)
+        return self._poly(vec, tab)
+
+    def reduce(self, f):
+        """Full normal form of the homogeneous f, or None when it is zero."""
         if f.is_zero:
             return None
-        degree = f.degree
-        tab = table_for(self.nvars, degree, self.order)
-        vec = np.zeros(len(tab), dtype=np.int64)
-        pos = tab.positions(f.weighted_keys(self.weights))
-        np.add.at(vec, pos, f.coeffs)
-        np.mod(vec, self.p, out=vec)
-        return self._reduce_vec(degree, vec, reducers, stamp)
+        tab = table_for(self.nvars, f.degree, self.order)
+        return self._reduce_vec(f.degree, self._slice(f, tab))
 
-    def spoly_reduce(self, fi, fj, lcm, reducers, stamp=None):
+    def spoly_reduce(self, fi, fj, lcm):
+        """Full normal form of the monic S-polynomial of fi and fj at lcm."""
         degree = sum(lcm)
         tab = table_for(self.nvars, degree, self.order)
         lcm_key = int(np.array(lcm, dtype=np.int64) @ self.weights)
@@ -368,7 +415,23 @@ class _DenseBackend:
         np.add.at(vec, pos_i, fi.coeffs)
         np.subtract.at(vec, pos_j, fj.coeffs)
         np.mod(vec, self.p, out=vec)
-        return self._reduce_vec(degree, vec, reducers, stamp)
+        return self._reduce_vec(degree, vec)
+
+    def clear_lead(self, g, h):
+        """g - c*h, c the coefficient of lm(h) in g (h monic, same degree).
+
+        One subtraction on the shared degree slice; g itself when c is 0.
+        """
+        keys = g.weighted_keys(self.weights)
+        key = int(h.exps[0] @ self.weights)
+        at = int(np.searchsorted(keys, key))
+        if at == keys.shape[0] or keys[at] != key:
+            return g
+        tab = table_for(self.nvars, g.degree, self.order)
+        vec = self._slice(g, tab)
+        pos = tab.positions(h.weighted_keys(self.weights))
+        vec[pos] = (vec[pos] - int(g.coeffs[at]) * h.coeffs) % self.p
+        return self._poly(vec, tab)
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +483,18 @@ def buchberger(source, order, hilbert=None):
     """Reduced Groebner basis of homogeneous generators under a graded order.
 
     Deterministic for a fixed input sequence; the reduced result is unique
-    per (ideal, order) regardless of generator presentation.
+    per (ideal, order) regardless of generator presentation.  Generators
+    wait in a queue sorted by degree, stable in input order, and each is
+    reduced at its own degree, before that degree's pairs.  So elements
+    arrive in nondecreasing degree, and the basis is reduced after every
+    insertion (see the module docstring); there is no final interreduction.
 
     ``hilbert``, when given, is the Hilbert function d -> dim (R/I)_d of the
-    ideal; it prunes pairs (see the module docstring) without changing the
-    result.  A Hilbert function that the leading monomials contradict --
-    more of them in some degree than it allows, or fewer once every pair of
-    that degree is done -- raises ``GincomplexError``.
+    ideal; it prunes pairs and generators (see the module docstring) without
+    changing the result.  A Hilbert function that the leading monomials
+    contradict -- more of them in some degree than it allows, or fewer once
+    every pair and generator of that degree is done -- raises
+    ``GincomplexError``.
     """
     if isinstance(source, Ideal):
         gens = list(source.generators)
@@ -445,54 +513,51 @@ def buchberger(source, order, hilbert=None):
         if not g.is_homogeneous:
             raise GincomplexError("inhomogeneous generator; Buchberger "
                                   "requires homogeneous input")
-    gens = [g.with_order(order) for g in gens]
+    queue = sorted((g.with_order(order) for g in gens), key=lambda g: g.degree)
     backend = _DenseBackend(nvars, p, order)
-
-    basis = []
+    basis = backend.reducers
+    degrees = []
     leads = []
-    alive = []
     pairs = {}
-    stamp = 0
 
-    def reducers():
-        return [basis[i] for i in alive]
-
-    def insert(h):
-        nonlocal stamp
+    def insert(h, deg):
+        # h is fully reduced and no element has a higher degree, so lm(h)
+        # can only occur in the tails of the elements of its own degree
         h = h.monic()
-        lm = h.leading_monomial()
-        basis.append(h)
-        leads.append(lm)
+        k = len(basis) - 1
+        while k >= 0 and degrees[k] == deg:
+            backend.replace(k, backend.clear_lead(basis[k], h))
+            k -= 1
+        backend.add(h)
+        degrees.append(deg)
+        leads.append(h.leading_monomial())
         _gm_update(pairs, leads, order)
-        for i in list(alive):
-            if monomial_divides(lm, leads[i]):
-                alive.remove(i)
-        alive.append(len(basis) - 1)
-        stamp += 1
 
     def check_filled():
         if missing > 0:
             raise GincomplexError(
                 f"Hilbert function contradicted in degree {degree}: every "
-                f"pair is done, and {missing} of the leading monomials it "
-                f"predicts are still missing")
+                f"pair and generator is done, and {missing} of the leading "
+                f"monomials it predicts are still missing")
 
-    for g in gens:
-        r = backend.reduce(g, reducers(), stamp)
-        if r is not None:
-            insert(r)
     # degree-d leading monomials still to be found, once degree d began
     degree, missing = None, 0
     n_reduced = n_zero = n_pruned = 0
-    while pairs:
-        i, j = _select_pair(pairs)
-        lcm, deg, _ = pairs[(i, j)]
+    nxt = 0
+    while nxt < len(queue) or pairs:
+        pair = _select_pair(pairs) if pairs else None
+        if nxt < len(queue) and (
+                pair is None or queue[nxt].degree <= pairs[pair][1]):
+            deg = queue[nxt].degree
+            pair = None
+        else:
+            deg = pairs[pair][1]
         if hilbert is not None:
             if deg != degree:
                 check_filled()
                 degree = deg
-                missing = (_standard_count([leads[k] for k in alive], nvars,
-                                           deg) - hilbert(deg))
+                mask = backend.covered(deg)
+                missing = len(mask) - int(mask.sum()) - hilbert(deg)
                 if missing < 0:
                     raise GincomplexError(
                         f"Hilbert function contradicted: it predicts "
@@ -500,34 +565,33 @@ def buchberger(source, order, hilbert=None):
                         f"but the leading monomials leave only "
                         f"{hilbert(deg) + missing}")
             if missing == 0:
+                # every pair and generator of this degree reduces to zero;
+                # only the pairs count as pruned
                 done = [key for key, val in pairs.items() if val[1] == deg]
                 for key in done:
                     del pairs[key]
                 n_pruned += len(done)
+                while nxt < len(queue) and queue[nxt].degree == deg:
+                    nxt += 1
                 continue
-        del pairs[(i, j)]
-        n_reduced += 1
-        r = backend.spoly_reduce(basis[i], basis[j], lcm, reducers(), stamp)
-        if r is None:
-            n_zero += 1
+        if pair is None:
+            r = backend.reduce(queue[nxt])
+            nxt += 1
         else:
+            i, j = pair
+            lcm = pairs.pop(pair)[0]
+            n_reduced += 1
+            r = backend.spoly_reduce(basis[i], basis[j], lcm)
+            if r is None:
+                n_zero += 1
+        if r is not None:
             # fully reduced: a new degree-deg leading monomial
-            insert(r)
+            insert(r, deg)
             missing -= 1
     if hilbert is not None:
         check_filled()
 
-    # minimal basis, then one full interreduction pass (leads are final, so
-    # a single pass in any order yields the reduced basis)
-    kept = sorted(alive, key=lambda i: order.key(leads[i]))
-    final = {}
-    for i in kept:
-        others = [basis[j] if j not in final else final[j]
-                  for j in kept if j != i]
-        r = backend.reduce(basis[i], others)
-        final[i] = r.monic()
-    elements = sorted(final.values(),
-                      key=lambda g: order.key(g.leading_monomial()),
+    elements = sorted(basis, key=lambda g: order.key(g.leading_monomial()),
                       reverse=True)
     return GroebnerBasis(elements, order, nvars, p, reduced=True,
                          pairs_reduced=n_reduced, reductions_to_zero=n_zero,
@@ -537,13 +601,12 @@ def buchberger(source, order, hilbert=None):
 def is_groebner_basis(gb):
     """Buchberger criterion self-check: every S-polynomial reduces to zero."""
     elems = list(gb.elements)
-    backend = _DenseBackend(gb.nvars, gb.p, gb.order)
+    backend = _DenseBackend(gb.nvars, gb.p, gb.order, elems)
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             lcm = monomial_lcm(elems[i].leading_monomial(),
                                elems[j].leading_monomial())
-            r = backend.spoly_reduce(elems[i], elems[j], lcm, elems, stamp=1)
-            if r is not None:
+            if backend.spoly_reduce(elems[i], elems[j], lcm) is not None:
                 return False
     return True
 

@@ -32,6 +32,7 @@ from gincomplex.poly import (
     GREVLEX,
     Ideal,
     Polynomial,
+    monomial_divides,
     monomial_lcm,
     table_for,
 )
@@ -186,6 +187,48 @@ def test_hilbert_driven_basis_equals_plain_basis(store, name):
     if name == "acm4":
         assert driven.pairs_pruned > 0
         assert driven.reductions_to_zero < plain.reductions_to_zero
+
+
+def _assert_reduced(gb):
+    """Monic elements, and no term divisible by another element's lead.
+
+    Checked on exponent tuples with ``monomial_divides``, apart from the
+    kernel and the backend's masks.
+    """
+    leads = [g.leading_monomial() for g in gb]
+    for k, g in enumerate(gb):
+        assert g.leading_coeff() == 1
+        for e, _ in g.terms():
+            assert not any(monomial_divides(lead, e)
+                           for i, lead in enumerate(leads) if i != k)
+
+
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+@pytest.mark.parametrize("name",
+                         ["scroll", "ci22", "castelnuovo", "ci23", "acm4"])
+def test_basis_is_reduced(store, name, order):
+    moved, hilbert = _moved_with_hilbert(store.ideal(name))
+    for kwargs in ({}, {"hilbert": hilbert}):
+        _assert_reduced(buchberger(moved, order, **kwargs))
+
+
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_k1_basis_is_reduced_whatever_the_generator_order(store, order):
+    # acm4's first stratum: generators of degrees 3 to 19, here fed highest
+    # degree first; each still enters at its own degree
+    gens = sorted(_k1(store, "acm4").generators, key=lambda g: -g.degree)
+    assert len(gens) == 26
+    assert (gens[0].degree, gens[-1].degree) == (19, 3)
+    gb = buchberger(gens, order)
+    _assert_reduced(gb)
+    assert ([g.terms() for g in buchberger(gens[::-1], order)]
+            == [g.terms() for g in gb])
+
+
+def test_k1_grevlex_basis_reduces_few_pairs(store):
+    # reducing every generator up front, before any pair, took 31 S-pairs
+    # here, all to zero
+    assert buchberger(_k1(store, "acm4"), GREVLEX).pairs_reduced < 31
 
 
 def test_work_counters_are_deterministic(store):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gincomplex import _kernels
+from gincomplex.groebner import _covered_rows
 from gincomplex.poly import GLEX, GREVLEX, _binomial_table, table_for
 from gincomplex.rng import SplitMix64
 
@@ -22,7 +23,7 @@ PRIMES = [7, 32003, 3037000493]
 def _reduce_dense_loop(vec, table_exps, table_keys,
                        lead_exps, lead_keys,
                        tail_keys, tail_coeffs, tail_bounds, p):
-    """Reference for ``_kernels.reduce_dense``: one forward scan, in place."""
+    """Reference for ``_kernels.reduce_dense``: scans every row, in place."""
     keys = table_keys.tolist()
     exps = table_exps.tolist()
     leads = lead_exps.tolist()
@@ -89,10 +90,11 @@ def _entry(rng, p):
 
 
 def _random_pack(rng, nvars, degree, order, nred, p):
-    """A degree slice plus monic reducers of degree <= ``degree``.
+    """A degree slice plus monic reducers of degree <= ``degree`` + 1.
 
     Each tail monomial comes after its lead in the order, as in a basis, so
-    every shifted tail lands on a later row of the slice.
+    every shifted tail lands on a later row of the slice.  A reducer of
+    degree ``degree`` + 1 divides no row of the slice.
     """
     tab = table_for(nvars, degree, order)
     vec = np.zeros(len(tab), dtype=np.int64)
@@ -100,7 +102,7 @@ def _random_pack(rng, nvars, degree, order, nred, p):
         vec[rng.below(len(tab))] = _entry(rng, p)
     lead_rows, tail_keys, tail_coeffs, bounds = [], [], [], [0]
     for _ in range(nred):
-        low = table_for(nvars, 1 + rng.below(degree), order)
+        low = table_for(nvars, 1 + rng.below(degree + 1), order)
         lead = rng.below(len(low))
         lead_rows.append(low.exps[lead])
         later = range(lead + 1, len(low))
@@ -116,22 +118,40 @@ def _random_pack(rng, nvars, degree, order, nred, p):
             np.array(bounds, dtype=np.int64))
 
 
+def _divisible_rows(table_exps, lead_exps):
+    """Rows some lead divides, tested on plain tuples."""
+    leads = [tuple(lead) for lead in lead_exps.tolist()]
+    return np.array([any(all(a <= b for a, b in zip(lead, row))
+                         for lead in leads)
+                     for row in table_exps.tolist()], dtype=bool)
+
+
 # -- kernel against loop ------------------------------------------------------
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
 def test_reduce_dense_matches_loop(order, p):
     rng = SplitMix64(404)
+    above = 0
     for trial in range(20):
         tab, vec, lexp, lkey, tkey, tcoef, bounds = _random_pack(
             rng, 3 + trial % 2, 2 + trial % 4, order, 1 + trial % 4, p)
-        kernel = vec.copy()
+        high = lexp[lexp.sum(axis=1) > tab.degree]
+        above += len(high)
+        assert not _covered_rows(tab, high).any()
+        reducible = _divisible_rows(tab.exps, lexp)
+        # the blocked cover behind the backend's masks marks the same rows
+        assert (_covered_rows(tab, lexp) == reducible).all()
         loop = vec.copy()
-        _kernels.reduce_dense(kernel, tab.exps, tab.keys, lexp, lkey,
-                              tkey, tcoef, bounds, p)
         _reduce_dense_loop(loop, tab.exps, tab.keys, lexp, lkey,
                            tkey, tcoef, bounds, p)
-        assert (kernel == loop).all()
+        # a mask that marks every row only costs time
+        for mask in (reducible, np.ones(len(tab), dtype=bool)):
+            kernel = vec.copy()
+            _kernels.reduce_dense(kernel, tab.exps, tab.keys, mask, lexp,
+                                  lkey, tkey, tcoef, bounds, p)
+            assert (kernel == loop).all()
+    assert above > 0
 
 
 @pytest.mark.parametrize("p", PRIMES)
