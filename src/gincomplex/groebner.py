@@ -1,4 +1,5 @@
-"""Buchberger engine, monomial-ideal queries, Hilbert functions, colon/intersection.
+"""Buchberger engine and normal forms on one dense reduction path, plus
+monomial-ideal queries, Hilbert functions and colon/intersection.
 
 The engine keeps the classical shape: normal pair selection (lowest lcm
 degree first, ties broken by the order on the lcm, then by pair index) and
@@ -10,7 +11,9 @@ Every ideal is homogeneous and both orders are graded, so there is one
 reduction path: each reduction is a forward scan over one dense degree
 slice, with the inner multiply-accumulate in a numpy kernel.  The scan
 visits only rows that some reducer lead divides; the backend keeps that
-mask per degree and extends it as leads arrive.
+mask per degree and extends it as leads arrive.  ``normal_form`` divides
+by any list of homogeneous reducers on the same path, one homogeneous
+component at a time.
 
 Generators wait in a queue by degree and enter at their own degree, before
 that degree's pairs, so elements arrive in nondecreasing degree and each
@@ -33,7 +36,8 @@ so the reduced basis, are exactly those of the run without the Hilbert
 function.
 
 Intersections and colon ideals reuse that engine: a graded-lex basis in two
-extra variables eliminates one of them (see ``intersect``).
+extra variables eliminates one of them (see ``intersect``).  Ideal equality
+needs no membership test: a reduced basis is unique per ideal and order.
 """
 
 import numpy as np
@@ -166,26 +170,26 @@ def _covered_rows(tab, gens, covered=None):
 # ---------------------------------------------------------------------------
 
 class GroebnerBasis:
-    """Basis elements plus the work counts of the run that produced them.
+    """A reduced basis plus the work counts of the run that produced it.
 
-    ``buchberger`` returns monic elements sorted by descending lead, no term
-    of one divisible by another's lead.  ``pairs_reduced`` S-pairs went
+    ``buchberger`` builds every instance: monic elements sorted by
+    descending lead, no term of one divisible by another's lead, so the
+    leads generate the initial ideal.  ``pairs_reduced`` S-pairs went
     through a reduction and ``reductions_to_zero`` of those gave nothing
     new; ``pairs_pruned`` were dropped unreduced by the Hilbert-driven
     criterion.  The three count S-pairs only, not generators, and repeat
     exactly for a fixed input.
     """
 
-    __slots__ = ("elements", "order", "nvars", "p", "reduced",
+    __slots__ = ("elements", "order", "nvars", "p",
                  "pairs_reduced", "reductions_to_zero", "pairs_pruned")
 
-    def __init__(self, elements, order, nvars, p, reduced=True,
+    def __init__(self, elements, order, nvars, p,
                  pairs_reduced=0, reductions_to_zero=0, pairs_pruned=0):
         self.elements = tuple(elements)
         self.order = order
         self.nvars = nvars
         self.p = p
-        self.reduced = reduced
         self.pairs_reduced = pairs_reduced
         self.reductions_to_zero = reductions_to_zero
         self.pairs_pruned = pairs_pruned
@@ -194,8 +198,6 @@ class GroebnerBasis:
         return [g.leading_monomial() for g in self.elements]
 
     def initial_ideal(self):
-        if not self.reduced:
-            raise GincomplexError("initial ideal requires a reduced basis")
         return MonomialIdeal(self.leading_monomials(), self.nvars)
 
     def normal_form(self, f):
@@ -219,51 +221,39 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# sparse division
+# normal forms
 # ---------------------------------------------------------------------------
 
-def _as_dict(f):
-    return dict(zip(map(tuple, f.exps.tolist()), f.coeffs.tolist()))
-
-
 def normal_form(f, reducers, order=None):
-    """Remainder of f on division by the reducers (full tail reduction).
+    """Remainder of f on division by homogeneous reducers, tails reduced too.
 
-    No term of the result is divisible by any reducer leading monomial, and
-    f minus the result lies in the ideal the reducers generate.  A zero
-    result is the membership signal.
+    Terms are scanned in descending order, and each is divided by the first
+    reducer, in list order, whose lead divides it; the reducers need not be
+    a Groebner basis.  No term of the result is divisible by any reducer
+    leading monomial, and f minus the result lies in the ideal the reducers
+    generate.  A zero result is the membership signal.  The result carries
+    ``order``, which defaults to f's.  Reducers from another ring raise
+    ``RingMismatchError``.
     """
     order = order if order is not None else f.order
     f = f.with_order(order)
-    reds = [(r.with_order(order)) for r in reducers if not r.is_zero]
+    reds = []
+    for r in reducers:
+        if r.nvars != f.nvars or r.p != f.p:
+            raise RingMismatchError(
+                f"reducer in {r.nvars} vars mod {r.p}, "
+                f"dividend in {f.nvars} vars mod {f.p}")
+        if not r.is_homogeneous:
+            raise GincomplexError("normal_form needs homogeneous reducers")
+        if not r.is_zero:
+            reds.append(r.with_order(order).monic())
     if f.is_zero or not reds:
         return f
-    p = f.p
-    lead = [(r.leading_monomial(), r.leading_coeff(), r.terms()) for r in reds]
-    work = _as_dict(f)
-    out = {}
-    while work:
-        lm = max(work, key=order.key)
-        c = work.pop(lm)
-        hit = None
-        for lmr, lcr, terms in lead:
-            if monomial_divides(lmr, lm):
-                hit = (lmr, lcr, terms)
-                break
-        if hit is None:
-            out[lm] = c
-            continue
-        lmr, lcr, terms = hit
-        shift = tuple(a - b for a, b in zip(lm, lmr))
-        factor = (c * pow(lcr, p - 2, p)) % p
-        for e, cf in terms[1:]:
-            key = monomial_mul(e, shift)
-            val = (work.get(key, 0) - factor * cf) % p
-            if val:
-                work[key] = val
-            else:
-                work.pop(key, None)
-    return Polynomial.from_terms(out.items(), f.nvars, p, order)
+    # a homogeneous reducer keeps each component of f in its own degree
+    backend = _DenseBackend(f.nvars, f.p, order, reds)
+    parts = (backend.reduce(c) for c in f.homogeneous_components())
+    return sum((r for r in parts if r is not None),
+               Polynomial.zero(f.nvars, f.p, order))
 
 
 def s_polynomial(f, g):
@@ -285,7 +275,7 @@ def exact_divide(h, f):
     lmf, lcf = f.leading_monomial(), f.leading_coeff()
     fterms = f.terms()
     inv_lcf = pow(lcf, p - 2, p)
-    work = _as_dict(h)
+    work = dict(zip(map(tuple, h.exps.tolist()), h.coeffs.tolist()))
     quot = {}
     order = h.order
     while work:
@@ -479,15 +469,18 @@ def _select_pair(pairs):
     return best
 
 
-def buchberger(source, order, hilbert=None):
-    """Reduced Groebner basis of homogeneous generators under a graded order.
+def buchberger(ideal, order, hilbert=None):
+    """Reduced Groebner basis of an ``Ideal`` under a graded order.
 
-    Deterministic for a fixed input sequence; the reduced result is unique
-    per (ideal, order) regardless of generator presentation.  Generators
-    wait in a queue sorted by degree, stable in input order, and each is
-    reduced at its own degree, before that degree's pairs.  So elements
-    arrive in nondecreasing degree, and the basis is reduced after every
-    insertion (see the module docstring); there is no final interreduction.
+    ``Ideal`` has already checked that its generators are nonzero,
+    homogeneous and in one ring; the zero ideal raises
+    ``ZeroPolynomialError``.  Deterministic for a fixed generator sequence;
+    the reduced result is unique per (ideal, order) regardless of generator
+    presentation.  Generators wait in a queue sorted by degree, stable in
+    input order, and each is reduced at its own degree, before that degree's
+    pairs.  So elements arrive in nondecreasing degree, and the basis is
+    reduced after every insertion (see the module docstring); there is no
+    final interreduction.
 
     ``hilbert``, when given, is the Hilbert function d -> dim (R/I)_d of the
     ideal; it prunes pairs and generators (see the module docstring) without
@@ -496,24 +489,11 @@ def buchberger(source, order, hilbert=None):
     every pair and generator of that degree is done -- raises
     ``GincomplexError``.
     """
-    if isinstance(source, Ideal):
-        gens = list(source.generators)
-        nvars, p = source.nvars, source.p
-    else:
-        gens = [g for g in source]
-        if not gens:
-            raise ZeroPolynomialError("no generators given")
-        nvars, p = gens[0].nvars, gens[0].p
-    gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        raise ZeroPolynomialError("all generators are zero")
-    for g in gens:
-        if g.nvars != nvars or g.p != p:
-            raise RingMismatchError("generators live in different rings")
-        if not g.is_homogeneous:
-            raise GincomplexError("inhomogeneous generator; Buchberger "
-                                  "requires homogeneous input")
-    queue = sorted((g.with_order(order) for g in gens), key=lambda g: g.degree)
+    if ideal.is_zero:
+        raise ZeroPolynomialError("the zero ideal has no generators")
+    nvars, p = ideal.nvars, ideal.p
+    queue = sorted((g.with_order(order) for g in ideal.generators),
+                   key=lambda g: g.degree)
     backend = _DenseBackend(nvars, p, order)
     basis = backend.reducers
     degrees = []
@@ -593,9 +573,8 @@ def buchberger(source, order, hilbert=None):
 
     elements = sorted(basis, key=lambda g: order.key(g.leading_monomial()),
                       reverse=True)
-    return GroebnerBasis(elements, order, nvars, p, reduced=True,
-                         pairs_reduced=n_reduced, reductions_to_zero=n_zero,
-                         pairs_pruned=n_pruned)
+    return GroebnerBasis(elements, order, nvars, p, pairs_reduced=n_reduced,
+                         reductions_to_zero=n_zero, pairs_pruned=n_pruned)
 
 
 def is_groebner_basis(gb):
@@ -615,32 +594,23 @@ def is_groebner_basis(gb):
 # Hilbert functions
 # ---------------------------------------------------------------------------
 
-def hilbert_function_macaulay(source, m):
+def hilbert_function_macaulay(ideal, m):
     """dim (R/I)_m as (#degree-m monomials) - rank of the Macaulay matrix.
 
     Independent of the monomial/initial-ideal count on purpose: the two
     implementations serve as each other's oracle.
     """
-    if isinstance(source, Ideal):
-        gens, nvars, p = source.generators, source.nvars, source.p
-    else:
-        gens = list(source)
-        if not gens:
-            raise ZeroPolynomialError("need ring data; pass an Ideal")
-        nvars, p = gens[0].nvars, gens[0].p
     if m < 0:
         return 0
-    tab = table_for(nvars, m, GLEX)
+    tab = table_for(ideal.nvars, m, GLEX)
     ncols = len(tab)
     blocks = []
     total = 0
-    for g in gens:
-        if not g.is_homogeneous:
-            raise GincomplexError("Macaulay count needs homogeneous generators")
+    for g in ideal.generators:
         d = g.degree
         if d > m:
             continue
-        mu = table_for(nvars, m - d, GLEX)
+        mu = table_for(ideal.nvars, m - d, GLEX)
         gkeys = g.weighted_keys(tab.weights)
         pos = np.searchsorted(tab.keys, mu.keys[:, None] + gkeys[None, :])
         blocks.append((pos, g.coeffs))
@@ -653,7 +623,7 @@ def hilbert_function_macaulay(source, m):
         nrows = pos.shape[0]
         mat[np.arange(row, row + nrows)[:, None], pos] = coeffs[None, :]
         row += nrows
-    rank = int(_kernels.rank_mod(mat, p))
+    rank = int(_kernels.rank_mod(mat, ideal.p))
     return ncols - rank
 
 
@@ -693,7 +663,8 @@ def intersect(I, J):
         Polynomial.from_terms(
             zip(map(tuple, e.exps[:, 1:-1].tolist()), e.coeffs.tolist()),
             nvars, p, GLEX)
-        for e in buchberger(gens, GLEX).elements if not e.exps[:, 0].any()
+        for e in buchberger(Ideal(gens, nvars + 2, p), GLEX).elements
+        if not e.exps[:, 0].any()
     ], nvars, p)
 
 
@@ -713,12 +684,9 @@ def ideal_quotient(I, f):
 
 
 def ideals_equal(I, J):
-    """Equality by mutual membership against each other's reduced basis."""
+    """Equality as equality of the reduced grevlex bases, unique per ideal."""
     if I.nvars != J.nvars or I.p != J.p:
         raise RingMismatchError("ideals live in different rings")
     if I.is_zero or J.is_zero:
         return I.is_zero and J.is_zero
-    gb_i = buchberger(I, GREVLEX)
-    gb_j = buchberger(J, GREVLEX)
-    return (all(gb_j.normal_form(g).is_zero for g in I.generators)
-            and all(gb_i.normal_form(h).is_zero for h in J.generators))
+    return list(buchberger(I, GREVLEX)) == list(buchberger(J, GREVLEX))

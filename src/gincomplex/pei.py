@@ -57,8 +57,6 @@ def partial_elimination(gb, index, mode=MODE_EQUAL, generic=False):
     """
     if gb.order is not GLEX:
         raise ConfigurationError("partial elimination needs a graded-lex basis")
-    if not gb.reduced:
-        raise ConfigurationError("partial elimination needs a reduced basis")
     if gb.nvars < 2:
         raise ConfigurationError("quotient ring needs at least one variable")
     if mode not in (MODE_EQUAL, MODE_UPTO):

@@ -39,22 +39,12 @@ _KEY_MAX = int(np.iinfo(np.int64).max)
 # monomial helpers (exponent tuples)
 # ---------------------------------------------------------------------------
 
-def monomial_degree(e):
-    return sum(e)
-
 def monomial_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 def monomial_divides(a, b):
     """True when x^a divides x^b."""
     return all(x <= y for x, y in zip(a, b))
-
-def monomial_div(a, b):
-    """Exponent vector of x^a / x^b; requires divisibility."""
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(v < 0 for v in out):
-        raise GincomplexError(f"{b} does not divide {a}")
-    return out
 
 def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
@@ -190,34 +180,30 @@ class MonomialTable:
         return pos
 
 
+# least recently used first; _table_rows is the total row count it holds
 _TABLE_CACHE = {}
-_TABLE_LRU = []
+_table_rows = 0
 _TABLE_ROW_BUDGET = 4_000_000
 
 
 def table_for(nvars, degree, order):
+    global _table_rows
     if degree > DEGREE_CAP:
         raise ConfigurationError(
             f"degree {degree} exceeds the packed-key cap {DEGREE_CAP}"
         )
     key = (nvars, degree, order.name)
-    tab = _TABLE_CACHE.get(key)
+    # a hit is taken out and put back as the newest entry
+    tab = _TABLE_CACHE.pop(key, None)
     if tab is None:
         _check_key_range(nvars, degree)
         tab = MonomialTable(nvars, degree, order)
-        _TABLE_CACHE[key] = tab
-        _TABLE_LRU.append(key)
-        total = sum(len(_TABLE_CACHE[k]) for k in _TABLE_LRU)
-        while total > _TABLE_ROW_BUDGET and len(_TABLE_LRU) > 1:
-            old = _TABLE_LRU.pop(0)
-            if old == key:
-                _TABLE_LRU.append(old)
-                continue
-            total -= len(_TABLE_CACHE.pop(old))
-    else:
-        if _TABLE_LRU and _TABLE_LRU[-1] != key:
-            _TABLE_LRU.remove(key)
-            _TABLE_LRU.append(key)
+        _table_rows += len(tab)
+        # evict the oldest first; the new table is not in the cache yet, so
+        # it is never evicted, even when it alone exceeds the budget
+        while _table_rows > _TABLE_ROW_BUDGET and _TABLE_CACHE:
+            _table_rows -= len(_TABLE_CACHE.pop(next(iter(_TABLE_CACHE))))
+    _TABLE_CACHE[key] = tab
     return tab
 
 

@@ -269,12 +269,12 @@ def test_criterion_10_reduced_basis_uniqueness():
     failures = 0
     for _ in range(1000):
         gens = _random_ideal(rng, nvars=3, maxdeg=3)
-        gb1 = buchberger(gens, GLEX)
+        gb1 = buchberger(Ideal(gens), GLEX)
         perm = list(gens)
         for i in range(len(perm) - 1, 0, -1):
             j = rng.below(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
-        gb2 = buchberger(perm, GLEX)
+        gb2 = buchberger(Ideal(perm), GLEX)
         if [tuple(e.terms()) for e in gb1.elements] != \
                 [tuple(e.terms()) for e in gb2.elements]:
             failures += 1

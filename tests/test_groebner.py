@@ -7,7 +7,11 @@ from gincomplex.corpus import (
     remark_counterexample,
     scroll,
 )
-from gincomplex.errors import GincomplexError, ZeroPolynomialError
+from gincomplex.errors import (
+    GincomplexError,
+    RingMismatchError,
+    ZeroPolynomialError,
+)
 from gincomplex.gin import (
     is_saturated,
     random_change,
@@ -15,7 +19,6 @@ from gincomplex.gin import (
     saturate_irrelevant,
 )
 from gincomplex.groebner import (
-    GroebnerBasis,
     MonomialIdeal,
     buchberger,
     hilbert_function_macaulay,
@@ -34,6 +37,7 @@ from gincomplex.poly import (
     Polynomial,
     monomial_divides,
     monomial_lcm,
+    monomial_mul,
     table_for,
 )
 from gincomplex.rng import SplitMix64
@@ -68,11 +72,125 @@ def test_normal_form_no_division():
     assert normal_form(f, reducers) == f
 
 
+def _normal_form_reference(f, reducers, order=None):
+    """Division on term dicts: the loop the dense ``normal_form`` replaced."""
+    order = order if order is not None else f.order
+    f = f.with_order(order)
+    reds = [(r.with_order(order)) for r in reducers if not r.is_zero]
+    if f.is_zero or not reds:
+        return f
+    p = f.p
+    lead = [(r.leading_monomial(), r.leading_coeff(), r.terms()) for r in reds]
+    work = dict(zip(map(tuple, f.exps.tolist()), f.coeffs.tolist()))
+    out = {}
+    while work:
+        lm = max(work, key=order.key)
+        c = work.pop(lm)
+        hit = None
+        for lmr, lcr, terms in lead:
+            if monomial_divides(lmr, lm):
+                hit = (lmr, lcr, terms)
+                break
+        if hit is None:
+            out[lm] = c
+            continue
+        lmr, lcr, terms = hit
+        shift = tuple(a - b for a, b in zip(lm, lmr))
+        factor = (c * pow(lcr, p - 2, p)) % p
+        for e, cf in terms[1:]:
+            key = monomial_mul(e, shift)
+            val = (work.get(key, 0) - factor * cf) % p
+            if val:
+                work[key] = val
+            else:
+                work.pop(key, None)
+    return Polynomial.from_terms(out.items(), f.nvars, p, order)
+
+
+def _random_form(rng, nvars, degree, nterms, order, below=None):
+    """Random homogeneous form; with ``below``, every monomial is less."""
+    rows = [tuple(int(v) for v in e)
+            for e in table_for(nvars, degree, GLEX).exps]
+    if below is not None:
+        rows = [e for e in rows if order.key(e) < order.key(below)]
+    if not rows:
+        return Polynomial.zero(nvars, P, order)
+    return Polynomial.from_terms(
+        [(rows[rng.below(len(rows))], rng.field_nonzero(P))
+         for _ in range(nterms)], nvars, P, order)
+
+
+def _random_division_case(rng):
+    """Non-Groebner, non-monic reducers, some sharing a lead, and an f that
+    is inhomogeneous half the time, in 2 to 5 variables."""
+    nvars = 2 + rng.below(4)
+    order = (GLEX, GREVLEX)[rng.below(2)]
+    reducers = []
+    for _ in range(1 + rng.below(4)):
+        tag = (GLEX, GREVLEX)[rng.below(2)]
+        r = _random_form(rng, nvars, 1 + rng.below(3), 1 + rng.below(4), tag)
+        reducers.append(r)
+        if rng.below(3) == 0:
+            lead = r.with_order(order).leading_monomial()
+            same = Polynomial.monomial(lead, nvars, P, order,
+                                       rng.field_nonzero(P))
+            reducers.append(same + _random_form(
+                rng, nvars, sum(lead), rng.below(3), order, below=lead))
+    if rng.below(8) == 0:
+        reducers.insert(rng.below(len(reducers) + 1),
+                        Polynomial.zero(nvars, P))
+    degrees = [2 + rng.below(4)]
+    if rng.below(2):
+        degrees += [rng.below(6) for _ in range(1 + rng.below(2))]
+    f = Polynomial.zero(nvars, P, (GLEX, GREVLEX)[rng.below(2)])
+    for d in degrees:
+        f = f + _random_form(rng, nvars, d, 1 + rng.below(6), f.order)
+    return f, reducers, order
+
+
+def test_normal_form_matches_the_dict_division():
+    rng = SplitMix64(20261018)
+    inhomogeneous = shared_lead = 0
+    for case in range(1000):
+        f, reducers, order = _random_division_case(rng)
+        inhomogeneous += not f.is_homogeneous
+        leads = [r.with_order(order).leading_monomial()
+                 for r in reducers if not r.is_zero]
+        shared_lead += len(set(leads)) < len(leads)
+        for o in (order, None):
+            want = _normal_form_reference(f, reducers, o)
+            got = normal_form(f, reducers, o)
+            assert got.order is want.order, case
+            assert got.terms() == want.terms(), case
+    assert inhomogeneous > 300 and shared_lead > 300
+
+
+def test_normal_form_rejects_reducers_from_another_ring():
+    # zip used to truncate the 4-variable exponents, and the mod-7
+    # coefficients used to be read mod 32003
+    f = poly([((2, 0, 0, 0, 0), 1), ((0, 0, 0, 1, 1), 3)])
+    other_rings = [mono((1, 0, 0, 0)),
+                   poly([((1, 0, 0, 0, 0), 1), ((0, 1, 0, 0, 0), 5)], p=7)]
+    for reducer in other_rings:
+        gb = buchberger(Ideal([reducer]), GLEX)
+        for call in (lambda: normal_form(f, [reducer]),
+                     lambda: gb.normal_form(f), lambda: gb.contains(f)):
+            with pytest.raises(RingMismatchError):
+                call()
+
+
+def test_normal_form_rejects_inhomogeneous_reducers():
+    f = mono((2, 0, 0))
+    reducer = poly([((1, 0, 0), 1), ((0, 0, 0), 1)], nvars=3)
+    with pytest.raises(GincomplexError, match="homogeneous"):
+        normal_form(f, [reducer])
+
+
 # -- buchberger ------------------------------------------------------------------
 
 def test_principal_ideal_basis():
     f = poly([((2, 0, 0, 0, 0), 3), ((0, 0, 1, 0, 1), 5)])
-    gb = buchberger([f], GLEX)
+    gb = buchberger(Ideal([f]), GLEX)
     assert len(gb.elements) == 1
     assert gb.elements[0] == f.monic()
 
@@ -80,7 +198,7 @@ def test_principal_ideal_basis():
 def test_linear_ideal_reduced_basis():
     f = poly([((0, 1, 0, 0, 0), 1), ((0, 0, 1, 0, 0), -1)])
     g = poly([((0, 0, 1, 0, 0), 1), ((0, 0, 0, 1, 0), -1)])
-    gb = buchberger([f, g], GLEX)
+    gb = buchberger(Ideal([f, g]), GLEX)
     want = {
         (((0, 1, 0, 0, 0), 1), ((0, 0, 0, 1, 0), P - 1)),
         (((0, 0, 1, 0, 0), 1), ((0, 0, 0, 1, 0), P - 1)),
@@ -100,9 +218,9 @@ def test_scroll_original_coordinates_initial_ideal():
 
 def test_empty_generators_rejected():
     with pytest.raises(ZeroPolynomialError):
-        buchberger([], GLEX)
+        buchberger(Ideal([], 5, P), GLEX)
     with pytest.raises(ZeroPolynomialError):
-        buchberger([Polynomial.zero(5, P)], GLEX)
+        buchberger(Ideal([Polynomial.zero(5, P)]), GLEX)
 
 
 def _random_small_ideal(rng, nvars=3, ngens=3, maxdeg=3):
@@ -122,7 +240,7 @@ def test_reduced_basis_invariants():
     rng = SplitMix64(77)
     for _ in range(50):
         gens = _random_small_ideal(rng)
-        gb = buchberger(gens, GLEX)
+        gb = buchberger(Ideal(gens), GLEX)
         leads = [g.leading_monomial() for g in gb.elements]
         for g in gb.elements:
             assert g.leading_coeff() == 1
@@ -138,12 +256,12 @@ def test_reduced_basis_unique_under_permutation():
     rng = SplitMix64(123)
     for _ in range(100):
         gens = _random_small_ideal(rng)
-        gb1 = buchberger(gens, GLEX)
+        gb1 = buchberger(Ideal(gens), GLEX)
         perm = list(gens)
         for i in range(len(perm) - 1, 0, -1):
             j = rng.below(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
-        gb2 = buchberger(perm, GLEX)
+        gb2 = buchberger(Ideal(perm), GLEX)
         assert [tuple(e.terms()) for e in gb1.elements] == \
                [tuple(e.terms()) for e in gb2.elements]
 
@@ -153,7 +271,7 @@ def test_buchberger_criterion_self_check():
     assert is_groebner_basis(gb)
     rng = SplitMix64(11)
     for _ in range(20):
-        gb = buchberger(_random_small_ideal(rng), GREVLEX)
+        gb = buchberger(Ideal(_random_small_ideal(rng)), GREVLEX)
         assert is_groebner_basis(gb)
 
 
@@ -219,9 +337,9 @@ def test_k1_basis_is_reduced_whatever_the_generator_order(store, order):
     gens = sorted(_k1(store, "acm4").generators, key=lambda g: -g.degree)
     assert len(gens) == 26
     assert (gens[0].degree, gens[-1].degree) == (19, 3)
-    gb = buchberger(gens, order)
+    gb = buchberger(Ideal(gens), order)
     _assert_reduced(gb)
-    assert ([g.terms() for g in buchberger(gens[::-1], order)]
+    assert ([g.terms() for g in buchberger(Ideal(gens[::-1]), order)]
             == [g.terms() for g in gb])
 
 
@@ -265,9 +383,10 @@ def test_hilbert_function_above_count_is_rejected():
     gens = [mono((2, 0, 0)), mono((1, 1, 0))]
     truth = MonomialIdeal([(2, 0, 0), (1, 1, 0)], 3).hilbert_function
     assert truth(3) == 5
-    assert buchberger(gens, GLEX, hilbert=truth).pairs_pruned == 1
+    assert buchberger(Ideal(gens), GLEX, hilbert=truth).pairs_pruned == 1
     with pytest.raises(GincomplexError, match="contradicted"):
-        buchberger(gens, GLEX, hilbert=lambda d: truth(d) + (d == 3))
+        buchberger(Ideal(gens), GLEX,
+                   hilbert=lambda d: truth(d) + (d == 3))
 
 
 def test_spolynomial_reduces_to_zero_in_basis():
@@ -281,7 +400,7 @@ def test_normal_form_difference_lies_in_ideal():
     rng = SplitMix64(314)
     for _ in range(25):
         gens = _random_small_ideal(rng)
-        gb = buchberger(gens, GLEX)
+        gb = buchberger(Ideal(gens), GLEX)
         tab = table_for(3, 4, GLEX)
         rows = {rng.below(len(tab)) for _ in range(4)}
         f = Polynomial.from_terms(
@@ -299,13 +418,6 @@ def test_normal_form_difference_lies_in_ideal():
 
 
 # -- initial ideals and Borel queries ---------------------------------------------
-
-def test_initial_ideal_requires_reduced():
-    f = poly([((2, 0, 0, 0, 0), 1)])
-    fake = GroebnerBasis([f], GLEX, 5, P, reduced=False)
-    with pytest.raises(GincomplexError):
-        fake.initial_ideal()
-
 
 def test_borel_fixed_examples():
     scroll_gin = MonomialIdeal(
@@ -444,7 +556,7 @@ def test_intersect_between_product_and_factors():
         b = _random_small_ideal(rng, nvars=3, ngens=2, maxdeg=2)
         both = buchberger(intersect(Ideal(a, 3, P), Ideal(b, 3, P)), GREVLEX)
         for factor in (a, b):
-            gb = buchberger(factor, GREVLEX)
+            gb = buchberger(Ideal(factor), GREVLEX)
             assert all(gb.contains(h) for h in both)
         assert all(both.contains(f * g) for f in a for g in b)
 

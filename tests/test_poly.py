@@ -9,6 +9,7 @@ from gincomplex.errors import (
     RingMismatchError,
     ZeroPolynomialError,
 )
+from gincomplex import poly as poly_module
 from gincomplex.gin import random_change
 from gincomplex.poly import (
     DEGREE_CAP,
@@ -214,6 +215,37 @@ def test_packed_key_overflow_is_a_configuration_error(order):
     assert len(table_for(8, 2, order)) == 36
     with pytest.raises(ConfigurationError):
         table_for(8, 130, order)
+
+
+def test_table_cache_evicts_least_recently_used_first(monkeypatch):
+    monkeypatch.setattr(poly_module, "_TABLE_CACHE", {})
+    monkeypatch.setattr(poly_module, "_table_rows", 0)
+    monkeypatch.setattr(poly_module, "_TABLE_ROW_BUDGET", 30)
+    cache = poly_module._TABLE_CACHE
+
+    def cached():
+        return [degree for _, degree, _ in cache]
+
+    # in 3 variables degree d has (d + 1)(d + 2)/2 rows
+    cubics = table_for(3, 3, GLEX)                  # 10 rows
+    table_for(3, 2, GLEX)                           # 6
+    table_for(3, 1, GLEX)                           # 3
+    assert cached() == [3, 2, 1]
+    assert table_for(3, 3, GLEX) is cubics          # a hit is the newest
+    assert cached() == [2, 1, 3]
+    table_for(3, 4, GLEX)                           # 15: 34 rows > 30
+    assert cached() == [1, 3, 4]
+    assert poly_module._table_rows == 28
+    table_for(3, 1, GLEX)
+    table_for(3, 5, GLEX)                           # 21: evicts 3, then 4
+    assert cached() == [1, 5]
+    # a table over the budget by itself stays, alone
+    table_for(3, 7, GLEX)                           # 36
+    assert cached() == [7]
+    assert poly_module._table_rows == 36
+    assert table_for(3, 3, GLEX) is not cubics      # rebuilt
+    assert cached() == [3]
+    assert poly_module._table_rows == 10
 
 
 def test_prime_above_int64_bound_is_a_configuration_error():
