@@ -21,6 +21,8 @@ from .field import DEFAULT_PRIME, FieldElement, PrimeField
 from .gin import (
     CoordinateChange,
     GinResult,
+    SurfaceCheck,
+    check_surface,
     degree_complexity,
     gin,
     is_saturated,
@@ -28,6 +30,7 @@ from .gin import (
     reduced_grevlex,
     saturate_irrelevant,
     witness_check,
+    witness_monomials,
 )
 from .groebner import (
     GroebnerBasis,
@@ -70,8 +73,9 @@ __all__ = [
     "InvariantError", "NonBorelGinError", "ParseError", "RingMismatchError",
     "UnstableGinError", "ZeroPolynomialError",
     "DEFAULT_PRIME", "FieldElement", "PrimeField",
-    "CoordinateChange", "GinResult", "degree_complexity", "gin",
-    "is_saturated", "random_change", "reduced_grevlex", "witness_check",
+    "CoordinateChange", "GinResult", "SurfaceCheck", "check_surface",
+    "degree_complexity", "gin", "is_saturated", "random_change",
+    "reduced_grevlex", "witness_check", "witness_monomials",
     "GroebnerBasis", "MonomialIdeal", "buchberger",
     "hilbert_function_macaulay", "ideal_quotient", "ideals_equal",
     "intersect", "is_groebner_basis", "normal_form", "s_polynomial",

@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass
 
 from . import corpus, geometry
+from .corpus import format_monomial, format_polynomial, monomial_strings
 from .errors import (
     ConfigurationError,
     ExceptionalCaseError,
@@ -35,8 +36,9 @@ from .gin import (
     DEFAULT_MIN_AGREE,
     DEFAULT_SEED_BASE,
     DEFAULT_TRIAL_BUDGET,
+    check_surface,
     gin,
-    witness_check,
+    witness_monomials,
 )
 from .groebner import buchberger
 from .pei import (
@@ -57,61 +59,13 @@ PRIME_ENV_VAR = "GINCOMPLEX_PRIME"
 
 
 # ---------------------------------------------------------------------------
-# formatting
-# ---------------------------------------------------------------------------
-
-def format_monomial(exps, offset=0):
-    """Canonical monomial string: x<i>^<e> factors ascending, ^1 elided."""
-    parts = []
-    for i, e in enumerate(exps):
-        if e == 0:
-            continue
-        name = f"x{i + offset}"
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
-def format_polynomial(poly, offset=0):
-    """Round-trippable polynomial string with balanced coefficients."""
-    if poly.is_zero:
-        return "0"
-    p = poly.p
-    pieces = []
-    for exps, coeff in poly.terms():
-        negative = coeff > p // 2
-        mag = p - coeff if negative else coeff
-        mono = format_monomial(exps, offset)
-        if mono == "1":
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        pieces.append(("-" if negative else "+", body))
-    sign, body = pieces[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
-
-
-def monomial_strings(mono_ideal, order=GLEX, offset=0):
-    """Minimal generators as strings, descending in the order's lex part.
-
-    Dropping the degree component reproduces the conventional listing
-    (x0-heavy generators first, e.g. x0^2 before x1^3), which is the frozen
-    JSON format golden files use.
-    """
-    return [format_monomial(g, offset)
-            for g in sorted(mono_ideal.gens,
-                            key=lambda g: order.key(g)[1:], reverse=True)]
-
-
-# ---------------------------------------------------------------------------
 # tokenizer / parser
 # ---------------------------------------------------------------------------
 
 _SYMBOLS = set("+-*^()")
+
+# each parenthesis level costs the parser four Python frames
+MAX_NESTING = 100
 
 
 def _tokenize(text, lineno):
@@ -163,6 +117,7 @@ class _LineParser:
         self.lineno = lineno
         self.nvars = nvars
         self.p = p
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -253,7 +208,12 @@ class _LineParser:
                              for i in range(self.nvars))
             return Polynomial.monomial(exponent, self.nvars, self.p)
         if tok[0] == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than "
+                                 f"{MAX_NESTING}", self.lineno, tok[3])
+            self.depth += 1
             inner = self._expr()
+            self.depth -= 1
             closing = self._next()
             if closing[0] != ")":
                 raise ParseError("expected ')'", self.lineno, closing[3])
@@ -345,24 +305,33 @@ class RunConfig:
 _CONFIG_KEYS = {"prime", "seed", "agree", "budget", "order", "format", "mmax"}
 
 
+def _read_text(path, error):
+    """The file's UTF-8 text; undecodable bytes raise ``error``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def load_config_file(path):
     """Plain ``key = value`` settings; '#' comments allowed."""
     values = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_KEYS:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: unknown setting {key!r}")
-            values[key] = value
+    text = _read_text(path, ConfigurationError)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(
+                f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _CONFIG_KEYS:
+            raise ConfigurationError(
+                f"{path}:{lineno}: unknown setting {key!r}")
+        values[key] = value
     return values
 
 
@@ -416,8 +385,7 @@ def resolve_config(args, file_prime=None):
 
 
 def _read_ideal(args):
-    with open(args.file, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    text = _read_text(args.file, ParseError)
     _, file_prime, _ = scan_header(text)
     cfg = resolve_config(args, file_prime)
     ideal = parse_ideal_file(text, prime=cfg.prime)
@@ -436,96 +404,6 @@ def _emit(payload_text, payload_obj, cfg):
 # complexity report
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ComplexityReport:
-    prime: int
-    seeds: list
-    gin_glex: list
-    gin_grevlex: list
-    M: int
-    m: int
-    beta: int
-    k_data: list        # per stratum: {"i", "generators", "M_Ki"}
-    recombined: int
-    prediction: dict
-    verdicts: dict
-
-    def ok(self):
-        if self.verdicts["recombination"] != "ok":
-            return False
-        for key in ("hilbert_identity", "witness", "prediction_match",
-                    "m_match"):
-            if self.verdicts.get(key) is False:
-                return False
-        return True
-
-    def to_json_obj(self):
-        return {
-            "prime": self.prime,
-            "seeds": self.seeds,
-            "order": "glex",
-            "gin": self.gin_glex,
-            "gin_grevlex": self.gin_grevlex,
-            "M": self.M,
-            "m": self.m,
-            "m_provenance": "computed",
-            "beta": self.beta,
-            "kI": self.k_data,
-            "predictions": self.prediction,
-            "verdicts": self.verdicts,
-        }
-
-    def to_text(self):
-        lines = [f"prime: {self.prime}",
-                 f"seeds: {','.join(map(str, self.seeds))}",
-                 f"M (graded-lex): {self.M}",
-                 f"m (graded-revlex, computed): {self.m}",
-                 f"beta: {self.beta}",
-                 "gin (glex):"]
-        lines += [f"  {s}" for s in self.gin_glex]
-        lines.append("gin (grevlex):")
-        lines += [f"  {s}" for s in self.gin_grevlex]
-        lines.append("partial elimination strata (labels x1..):")
-        for item in self.k_data:
-            gens = ", ".join(item["generators"]) if item["generators"] else "0"
-            lines.append(f"  K_{item['i']}: M = {item['M_Ki']}; gin = ({gens})")
-        lines.append(
-            f"recombination: {self.recombined} -> {self.verdicts['recombination']}")
-        lines.append(
-            f"stratum Hilbert identity (m <= {self.verdicts['hilbert_m_max']}): "
-            f"{self.verdicts['hilbert_identity']}")
-        if self.prediction is not None:
-            pred = self.prediction
-            lines.append(
-                f"prediction: M = {pred['M']}"
-                + (f" ({pred['exceptional_case']})"
-                   if pred["exceptional_case"] else ""))
-            lines.append(
-                f"  deg Y1 = {pred['deg_y1']}, g(Y1) = {pred['g_y1']}, "
-                f"nodes = {pred['nodes_y1']}")
-            lines.append(
-                f"  witness monomials "
-                f"({', '.join(pred['witness_monomials'])}) present: "
-                f"{self.verdicts['witness']}")
-            lines.append(f"  prediction match: "
-                         f"{self.verdicts['prediction_match']}")
-            if self.verdicts.get("m_expected") is not None:
-                lines.append(
-                    f"  m expected {self.verdicts['m_expected']}: "
-                    f"{self.verdicts['m_match']}")
-        return "\n".join(lines) + "\n"
-
-
-def _witness_strings(pred):
-    d = pred.invariants.degree
-    first = f"x1^{d}" if d != 1 else "x1"
-    second = "x0" + (f"*x2^{pred.deg_y1}" if pred.deg_y1 > 1
-                     else ("*x2" if pred.deg_y1 == 1 else ""))
-    third = "x0*x1" + (f"*x3^{pred.nodes_y1}" if pred.nodes_y1 > 1
-                       else ("*x3" if pred.nodes_y1 == 1 else ""))
-    return [first, second, third]
-
-
 def _prediction_dict(pred):
     inv = pred.invariants
     return {
@@ -540,70 +418,95 @@ def _prediction_dict(pred):
         "M": pred.M,
         "m": pred.m,
         "exceptional_case": pred.exceptional_case,
-        "witness_monomials": _witness_strings(pred),
+        # the witnesses involve x0..x3 only, so four variables render them
+        "witness_monomials": [
+            format_monomial(m) for m in witness_monomials(
+                4, inv.degree, pred.deg_y1, pred.nodes_y1)],
     }
 
 
 def build_complexity_report(ideal, cfg, surface=None):
-    """Run the whole pipeline on one ideal and collect every verdict."""
-    res_glex = gin(ideal, GLEX, cfg.seed_base, cfg.min_agree,
-                   cfg.trial_budget)
-    if not res_glex.borel:
-        raise NonBorelGinError(
-            "graded-lex gin is not Borel-fixed; retry with another prime "
-            "or seed")
-    big_m = res_glex.gin.regularity()
-    res_grev = gin(ideal, GREVLEX, cfg.seed_base, cfg.min_agree,
-                   cfg.trial_budget)
-    if not res_grev.borel:
-        raise NonBorelGinError(
-            "graded-revlex gin is not Borel-fixed; retry with another "
-            "prime or seed")
-    small_m = res_grev.gin.regularity()
+    """Run the whole pipeline on one ideal; the report as its JSON object."""
+    check = check_surface(ideal, surface, cfg.seed_base, cfg.min_agree,
+                          cfg.trial_budget)
     rec = recombine_m(ideal, cfg.seed_base, cfg.min_agree, cfg.trial_budget,
-                      gin_result=res_glex)
-    k_data = []
-    for stratum in rec.strata:
-        k_data.append({
-            "i": stratum.index,
-            "generators": monomial_strings(stratum.gin, GLEX, offset=1),
-            "M_Ki": stratum.complexity,
-        })
-    hilbert = hilbert_identity_check(ideal, cfg.m_max, gin_result=res_glex)
-    verdicts = {
-        "recombination": "ok" if rec.value == big_m else "mismatch",
-        "recombined_M": rec.value,
-        "hilbert_identity": hilbert.ok,
-        "hilbert_m_max": cfg.m_max,
-        "witness": None,
-        "prediction_match": None,
-        "m_expected": None,
-        "m_match": None,
+                      gin_result=check.glex)
+    hilbert = hilbert_identity_check(ideal, cfg.m_max, gin_result=check.glex)
+    pred = check.prediction
+    return {
+        "prime": ideal.p,
+        "seeds": sorted(set(check.glex.seeds) | set(check.grevlex.seeds)),
+        "order": "glex",
+        "gin": monomial_strings(check.glex.gin, GLEX),
+        "gin_grevlex": monomial_strings(check.grevlex.gin, GREVLEX),
+        "M": check.M,
+        "m": check.m,
+        "m_provenance": "computed",
+        "beta": rec.beta,
+        "kI": [{"i": stratum.index,
+                "generators": monomial_strings(stratum.gin, GLEX, offset=1),
+                "M_Ki": stratum.complexity} for stratum in rec.strata],
+        "predictions": None if pred is None else _prediction_dict(pred),
+        "verdicts": {
+            "recombination": "ok" if rec.value == check.M else "mismatch",
+            "recombined_M": rec.value,
+            "hilbert_identity": hilbert.ok,
+            "hilbert_m_max": cfg.m_max,
+            "witness": check.witness,
+            "prediction_match": None if pred is None else pred.M == check.M,
+            "m_expected": None if pred is None else pred.m,
+            "m_match": (None if pred is None or pred.m is None
+                        else pred.m == check.m),
+        },
     }
-    prediction = None
-    if surface is not None:
-        pred = geometry.surface_complexity_on_quadric(surface)
-        prediction = _prediction_dict(pred)
-        verdicts["prediction_match"] = pred.M == big_m
-        verdicts["witness"] = witness_check(
-            res_glex.gin, surface.degree, pred.deg_y1, pred.nodes_y1)
-        if pred.m is not None:
-            verdicts["m_expected"] = pred.m
-            verdicts["m_match"] = pred.m == small_m
-    seeds = sorted(set(res_glex.seeds) | set(res_grev.seeds))
-    return ComplexityReport(
-        prime=ideal.p,
-        seeds=seeds,
-        gin_glex=monomial_strings(res_glex.gin, GLEX),
-        gin_grevlex=monomial_strings(res_grev.gin, GREVLEX),
-        M=big_m,
-        m=small_m,
-        beta=rec.beta,
-        k_data=k_data,
-        recombined=rec.value,
-        prediction=prediction,
-        verdicts=verdicts,
-    )
+
+
+def complexity_ok(report):
+    """False when any verdict of the report failed."""
+    verdicts = report["verdicts"]
+    return verdicts["recombination"] == "ok" and all(
+        verdicts[key] is not False for key in
+        ("hilbert_identity", "witness", "prediction_match", "m_match"))
+
+
+def complexity_text(report):
+    verdicts = report["verdicts"]
+    lines = [f"prime: {report['prime']}",
+             f"seeds: {','.join(map(str, report['seeds']))}",
+             f"M (graded-lex): {report['M']}",
+             f"m (graded-revlex, computed): {report['m']}",
+             f"beta: {report['beta']}",
+             "gin (glex):"]
+    lines += [f"  {s}" for s in report["gin"]]
+    lines.append("gin (grevlex):")
+    lines += [f"  {s}" for s in report["gin_grevlex"]]
+    lines.append("partial elimination strata (labels x1..):")
+    for item in report["kI"]:
+        gens = ", ".join(item["generators"]) if item["generators"] else "0"
+        lines.append(f"  K_{item['i']}: M = {item['M_Ki']}; gin = ({gens})")
+    lines.append(f"recombination: {verdicts['recombined_M']} -> "
+                 f"{verdicts['recombination']}")
+    lines.append(
+        f"stratum Hilbert identity (m <= {verdicts['hilbert_m_max']}): "
+        f"{verdicts['hilbert_identity']}")
+    pred = report["predictions"]
+    if pred is not None:
+        lines.append(
+            f"prediction: M = {pred['M']}"
+            + (f" ({pred['exceptional_case']})"
+               if pred["exceptional_case"] else ""))
+        lines.append(
+            f"  deg Y1 = {pred['deg_y1']}, g(Y1) = {pred['g_y1']}, "
+            f"nodes = {pred['nodes_y1']}")
+        lines.append(
+            f"  witness monomials "
+            f"({', '.join(pred['witness_monomials'])}) present: "
+            f"{verdicts['witness']}")
+        lines.append(f"  prediction match: {verdicts['prediction_match']}")
+        if verdicts["m_expected"] is not None:
+            lines.append(f"  m expected {verdicts['m_expected']}: "
+                         f"{verdicts['m_match']}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -645,10 +548,8 @@ def cmd_complexity(args):
     ideal, cfg = _read_ideal(args)
     surface = _parse_surface(args)
     report = build_complexity_report(ideal, cfg, surface)
-    code = _emit(report.to_text(), report.to_json_obj(), cfg)
-    if not report.ok():
-        return EXIT_MISMATCH
-    return code
+    _emit(complexity_text(report), report, cfg)
+    return EXIT_OK if complexity_ok(report) else EXIT_MISMATCH
 
 
 def cmd_pei(args):
@@ -749,6 +650,26 @@ def _next_prime(n):
     return n
 
 
+def _golden_problems(entry, check):
+    """How a surface check (None: a gin not Borel-fixed) misses the entry."""
+    if check is None:
+        return ["gin not Borel-fixed"]
+    problems = []
+    got = set(monomial_strings(check.glex.gin, GLEX))
+    want = set(entry.expected_gin)
+    if got != want:
+        problems.append(f"gin differs ({len(got)} vs {len(want)} gens)")
+    if check.M != entry.expected_M:
+        problems.append(f"M={check.M} expected {entry.expected_M}")
+    if problems:
+        return problems
+    if entry.expected_m is not None and check.m != entry.expected_m:
+        return [f"m={check.m} expected {entry.expected_m}"]
+    if check.witness is False:
+        return ["witness monomials missing"]
+    return []
+
+
 def _verify_gin_entry(entry, cfg, retries, out):
     """Golden-gin check with the documented reseed/re-prime retry policy."""
     attempts = [(entry.seed, cfg.prime)]
@@ -756,44 +677,22 @@ def _verify_gin_entry(entry, cfg, retries, out):
         seed = (entry.seed + 1000 * k) if entry.seed is not None else None
         prime = _next_prime(cfg.prime) if entry.extended else cfg.prime
         attempts.append((seed, prime))
-    failure = None
     for attempt, (seed, prime) in enumerate(attempts):
         ideal = entry.build(seed=seed, p=prime)
         started = time.monotonic()
-        res = gin(ideal, GLEX, cfg.seed_base, cfg.min_agree,
-                  cfg.trial_budget)
+        try:
+            check = check_surface(ideal, entry.invariants, cfg.seed_base,
+                                  cfg.min_agree, cfg.trial_budget)
+        except NonBorelGinError:
+            check = None
         elapsed = time.monotonic() - started
-        got = set(monomial_strings(res.gin, GLEX))
-        want = set(entry.expected_gin)
-        big_m = res.gin.regularity() if res.borel else None
-        problems = []
-        if not res.borel:
-            problems.append("gin not Borel-fixed")
-        if got != want:
-            problems.append(f"gin differs ({len(got)} vs {len(want)} gens)")
-        if big_m is not None and big_m != entry.expected_M:
-            problems.append(f"M={big_m} expected {entry.expected_M}")
-        small_m = None
-        if not problems and entry.expected_m is not None:
-            res_m = gin(ideal, GREVLEX, cfg.seed_base, cfg.min_agree,
-                        cfg.trial_budget)
-            small_m = res_m.gin.regularity()
-            if small_m != entry.expected_m:
-                problems.append(f"m={small_m} expected {entry.expected_m}")
-        witness_note = ""
-        if not problems and entry.invariants is not None:
-            pred = geometry.surface_complexity_on_quadric(entry.invariants)
-            if not witness_check(res.gin, entry.invariants.degree,
-                                 pred.deg_y1, pred.nodes_y1):
-                problems.append("witness monomials missing")
-            else:
-                witness_note = ", witness ok"
+        problems = _golden_problems(entry, check)
         if not problems:
+            m_note = (f", m={check.m}" if entry.expected_m is not None
+                      else ", m computed-only")
+            witness_note = ", witness ok" if check.witness else ""
             retry_note = f" (retry {attempt})" if attempt else ""
-            m_note = (f", m={small_m}" if small_m is not None
-                      else (", m computed-only" if entry.expected_m is None
-                            else ""))
-            out.append(f"PASS {entry.name}: gin ok, M={big_m}{m_note}"
+            out.append(f"PASS {entry.name}: gin ok, M={check.M}{m_note}"
                        f"{witness_note}{retry_note} [{elapsed:.2f}s]")
             return True
         detail = (f"{'; '.join(problems)} "
@@ -825,14 +724,8 @@ def _verify_remark(cfg, out):
 
 def cmd_verify(args):
     cfg = resolve_config(args)
-    if args.entry:
-        if args.entry not in corpus.ENTRIES:
-            raise ConfigurationError(
-                f"unknown corpus entry {args.entry!r}; available: "
-                + ", ".join(sorted(corpus.ENTRIES)))
-        names = [args.entry]
-    else:
-        names = corpus.default_names(extended=args.extended)
+    names = ([args.entry] if args.entry
+             else corpus.default_names(extended=args.extended))
     out = []
     all_ok = True
     for name in names:
@@ -940,7 +833,7 @@ def main(argv=None):
     try:
         return args.handler(args)
     except (ParseError, ConfigurationError, InvariantError,
-            ExceptionalCaseError, FileNotFoundError) as exc:
+            ExceptionalCaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except UnstableGinError as exc:

@@ -6,12 +6,15 @@ for the two families on a quadric and for the degree-3 scroll; the degree-5
 entry is realized as the alpha=3 member of the determinantal family, the
 classification of degree-(2*alpha - 1) surfaces on a quadric being what pins
 that construction down.
+
+The canonical monomial and polynomial strings live here too: golden gins are
+stored in them, and reports and exported ideal files are written in them.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import GincomplexError
+from .errors import ConfigurationError, GincomplexError
 from .field import DEFAULT_PRIME
 from .geometry import SurfaceInvariants, acm_invariants, ci_invariants
 from .poly import GLEX, Ideal, Polynomial, table_for
@@ -206,7 +209,7 @@ ENTRIES = {
 
 def entry(name):
     if name not in ENTRIES:
-        raise GincomplexError(
+        raise ConfigurationError(
             f"unknown corpus entry {name!r}; available: "
             + ", ".join(sorted(ENTRIES)))
     return ENTRIES[name]
@@ -223,12 +226,60 @@ def default_names(extended=False):
 
 def ideal_file_text(name, seed=None, p=DEFAULT_PRIME):
     """Entry rendered in the ideal-file grammar, for external tools."""
-    from .cli import format_polynomial  # deferred: cli imports this module
-
     ideal = build(name, seed=seed, p=p)
     lines = [f"ring {ideal.nvars} {p}"]
     lines += [format_polynomial(g) for g in ideal.generators]
     return "\n".join(lines) + "\n"
+
+
+# canonical strings of ideal files, reports and golden gins;
+# parse_monomial_string is the inverse of format_monomial
+
+def format_monomial(exps, offset=0):
+    """Canonical monomial string: x<i>^<e> factors ascending, ^1 elided."""
+    parts = []
+    for i, e in enumerate(exps):
+        if e == 0:
+            continue
+        name = f"x{i + offset}"
+        parts.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(parts) if parts else "1"
+
+
+def format_polynomial(poly, offset=0):
+    """Round-trippable polynomial string with balanced coefficients."""
+    if poly.is_zero:
+        return "0"
+    p = poly.p
+    pieces = []
+    for exps, coeff in poly.terms():
+        negative = coeff > p // 2
+        mag = p - coeff if negative else coeff
+        mono = format_monomial(exps, offset)
+        if mono == "1":
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        pieces.append(("-" if negative else "+", body))
+    sign, body = pieces[0]
+    out = ("-" if sign == "-" else "") + body
+    for sign, body in pieces[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def monomial_strings(mono_ideal, order=GLEX, offset=0):
+    """Minimal generators as strings, descending in the order's lex part.
+
+    Dropping the degree component reproduces the conventional listing
+    (x0-heavy generators first, e.g. x0^2 before x1^3), which is the frozen
+    JSON format golden files use.
+    """
+    return [format_monomial(g, offset)
+            for g in sorted(mono_ideal.gens,
+                            key=lambda g: order.key(g)[1:], reverse=True)]
 
 
 def parse_monomial_string(s, nvars=5):

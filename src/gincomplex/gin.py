@@ -20,10 +20,15 @@ generator degree.  The certificate checks the pruning against H, not H
 itself -- an H one too large where a new leading monomial is due would drop
 a productive pair and certify the result -- so H is always read off a basis
 computed without pruning.
+
+``check_surface`` is the paper's test of one surface ideal: both gins, M and
+m, and with the surface's invariants the closed-form prediction and its
+witness monomials.
 """
 
 from dataclasses import dataclass
 from functools import cache
+from typing import Optional
 
 from .errors import (
     ConfigurationError,
@@ -32,8 +37,10 @@ from .errors import (
     UnstableGinError,
 )
 from .field import DEFAULT_PRIME
+from .geometry import Prediction, surface_complexity_on_quadric
 from .groebner import GroebnerBasis, MonomialIdeal, buchberger
 from .poly import (
+    GLEX,
     GREVLEX,
     Ideal,
     MonomialOrder,
@@ -187,6 +194,19 @@ class GinResult:
     basis: GroebnerBasis
     hilbert_checked_to: int
 
+    def complexity(self):
+        """The gin's largest generator degree: M(I) or m(I) by the order.
+
+        Only a Borel-fixed gin has one; any other signals a bad prime or
+        unlucky coordinates and raises ``NonBorelGinError``.
+        """
+        if not self.borel:
+            name = "graded-revlex" if self.order is GREVLEX else "graded-lex"
+            raise NonBorelGinError(
+                f"{name} gin is not Borel-fixed; retry with another prime "
+                "or seed")
+        return self.gin.max_generator_degree()
+
 
 def hilbert_function_of(basis):
     """d -> dim (R/I)_d, memoized, from a reduced Groebner basis of I."""
@@ -263,38 +283,69 @@ def degree_complexity(ideal, order, seed_base=DEFAULT_SEED_BASE,
     Under graded-lex this is M(I); under graded-revlex it is m(I), which
     equals the Castelnuovo-Mumford regularity.
     """
-    result = gin(ideal, order, seed_base, min_agree, trial_budget)
-    if not result.borel:
-        raise NonBorelGinError(
-            f"stabilized initial ideal is not Borel-fixed at prime "
-            f"{ideal.p}; rerun with a different prime or seed base")
-    return result.gin.regularity()
+    return gin(ideal, order, seed_base, min_agree, trial_budget).complexity()
+
+
+def witness_monomials(nvars, d, deg_y1, nodes_y1):
+    """x1^d, x0*x2^deg_y1 and x0*x1*x3^nodes_y1 as exponent tuples.
+
+    The third attains M = 2 + nodes_y1 for a surface of degree d >= 6 on a
+    quadric with double curve Y1 of degree deg_y1 and nodes_y1 nodes.
+    """
+    if nvars < 4:
+        raise ConfigurationError("witness check needs at least 4 variables")
+    rest = (0,) * (nvars - 4)
+    return ((0, d, 0, 0) + rest,
+            (1, 0, deg_y1, 0) + rest,
+            (1, 1, 0, nodes_y1) + rest)
 
 
 def witness_check(gin_ideal, d, deg_y1, nodes_y1):
     """Check the three witness monomials of a surface-on-a-quadric gin.
 
-    Membership of x1^d, x0*x2^deg_y1 and x0*x1*x3^nodes_y1 is required; the
-    third must additionally be a minimal generator when it attains the
-    complexity 2 + nodes_y1.
+    Membership of all three is required; the third must additionally be a
+    minimal generator when it attains the complexity 2 + nodes_y1.
     """
-    n = gin_ideal.nvars
-    if n < 4:
-        raise ConfigurationError("witness check needs at least 4 variables")
-
-    def mono(pairs):
-        e = [0] * n
-        for var, power in pairs:
-            e[var] = power
-        return tuple(e)
-
-    m1 = mono([(1, d)])
-    m2 = mono([(0, 1), (2, deg_y1)])
-    m3 = mono([(0, 1), (1, 1), (3, nodes_y1)])
-    if not (gin_ideal.contains_monomial(m1)
-            and gin_ideal.contains_monomial(m2)
-            and gin_ideal.contains_monomial(m3)):
+    monos = witness_monomials(gin_ideal.nvars, d, deg_y1, nodes_y1)
+    if not all(gin_ideal.contains_monomial(m) for m in monos):
         return False
     if 2 + nodes_y1 == gin_ideal.max_generator_degree():
-        return m3 in gin_ideal.gens
+        return monos[2] in gin_ideal.gens
     return True
+
+
+@dataclass(frozen=True)
+class SurfaceCheck:
+    """Both gins of a surface ideal, M and m, and the paper's prediction.
+
+    ``prediction`` and ``witness`` (the ``witness_check`` verdict on the
+    graded-lex gin) are None when no surface invariants were given.
+    """
+
+    glex: GinResult
+    grevlex: GinResult
+    M: int
+    m: int
+    prediction: Optional[Prediction]
+    witness: Optional[bool]
+
+
+def check_surface(ideal, invariants=None, seed_base=DEFAULT_SEED_BASE,
+                  min_agree=DEFAULT_MIN_AGREE,
+                  trial_budget=DEFAULT_TRIAL_BUDGET):
+    """The graded-lex and graded-revlex gins of ``ideal`` with M and m.
+
+    With ``invariants`` (a ``SurfaceInvariants``) the closed-form prediction
+    is evaluated and the witness monomials are looked up in the graded-lex
+    gin.  A gin that is not Borel-fixed raises ``NonBorelGinError``.
+    """
+    glex = gin(ideal, GLEX, seed_base, min_agree, trial_budget)
+    big_m = glex.complexity()
+    grevlex = gin(ideal, GREVLEX, seed_base, min_agree, trial_budget)
+    small_m = grevlex.complexity()
+    prediction = witness = None
+    if invariants is not None:
+        prediction = surface_complexity_on_quadric(invariants)
+        witness = witness_check(glex.gin, invariants.degree,
+                                prediction.deg_y1, prediction.nodes_y1)
+    return SurfaceCheck(glex, grevlex, big_m, small_m, prediction, witness)

@@ -139,12 +139,11 @@ def recombine_m(ideal, seed_base=DEFAULT_SEED_BASE,
             sub = gin(reduced_grevlex(data.ideal), GLEX,
                       seed_base + _STRATUM_SEED_STEP * (i + 1),
                       min_agree, trial_budget)
-            if not sub.borel:
-                raise NonBorelGinError(
-                    f"stratum {i} stabilized on a non-Borel initial ideal; "
-                    "rerun with a different prime or seed base")
+            try:
+                complexity = sub.complexity()
+            except NonBorelGinError as exc:
+                raise NonBorelGinError(f"stratum {i}: {exc}") from None
             sub_gin = sub.gin
-            complexity = sub_gin.regularity()
         best = max(best, complexity + i)
         strata.append(Stratum(i, data, sub_gin, complexity))
     return RecombinationResult(best, b, tuple(strata), result.seeds)

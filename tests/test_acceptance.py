@@ -11,7 +11,7 @@ import time
 import pytest
 
 from gincomplex import corpus, geometry
-from gincomplex.cli import monomial_strings
+from gincomplex.corpus import monomial_strings
 from gincomplex.field import PrimeField
 from gincomplex.gin import gin, witness_check
 from gincomplex.groebner import buchberger, hilbert_function_macaulay

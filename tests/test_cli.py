@@ -8,15 +8,19 @@ from gincomplex.cli import (
     EXIT_OK,
     EXIT_UNSTABLE,
     EXIT_USAGE,
+    MAX_NESTING,
     RunConfig,
-    format_monomial,
-    format_polynomial,
     main,
-    monomial_strings,
     parse_ideal_file,
 )
-from gincomplex.corpus import golden_monomial_ideal, scroll
-from gincomplex.errors import ConfigurationError, ParseError
+from gincomplex.corpus import (
+    format_monomial,
+    format_polynomial,
+    golden_monomial_ideal,
+    monomial_strings,
+    scroll,
+)
+from gincomplex.errors import ConfigurationError, NonBorelGinError, ParseError
 from gincomplex.poly import GLEX, Polynomial
 from gincomplex.rng import SplitMix64
 
@@ -319,6 +323,8 @@ def test_cmd_verify_remark(capsys):
 
 def test_cmd_verify_unknown_entry(capsys):
     assert main(["verify", "--entry", "nonesuch"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown corpus entry 'nonesuch'")
 
 
 def test_cmd_verify_default_corpus_completes(capsys):
@@ -328,6 +334,12 @@ def test_cmd_verify_default_corpus_completes(capsys):
     for name in ("scroll", "ci22", "castelnuovo", "ci23", "acm4", "remark"):
         assert f"PASS {name}" in out
     assert "ci24" not in out
+
+
+def test_cmd_export_unknown_entry_is_a_usage_error(capsys):
+    assert main(["export", "--entry", "nonesuch"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown corpus entry 'nonesuch'")
 
 
 def test_cmd_export_parses_back(tmp_path, capsys):
@@ -402,6 +414,53 @@ def test_missing_file_exit_code(capsys):
     assert main(["gin", "/nonexistent/nowhere.ideal"]) == EXIT_USAGE
 
 
+def test_parse_nesting_above_the_cap_gives_its_column(tmp_path, capsys):
+    deep = "(" * MAX_NESTING + "x0" + ")" * MAX_NESTING
+    (f,) = parse_ideal_file(f"ring 2\n{deep}\n").generators
+    assert f.terms() == [((1, 0), 1)]
+    # one more level, opened at column 6, puts the last '(' of deep one too
+    # deep; 300 levels used to overflow the Python stack
+    with pytest.raises(ParseError, match=f"line 2, column {MAX_NESTING + 6}: "
+                                         "parentheses nested deeper"):
+        parse_ideal_file(f"ring 2\nx0 + ({deep})\n")
+    path = tmp_path / "deep.ideal"
+    path.write_text("ring 2\n" + "(" * 300 + "x0" + ")" * 300 + "\n")
+    assert main(["gin", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: line 2, column {MAX_NESTING + 1}: parentheses nested "
+        f"deeper than {MAX_NESTING}\n")
+
+
+def test_non_utf8_ideal_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.ideal"
+    path.write_bytes(b"ring 2\nx0 + x1 \xff\n")
+    assert main(["gin", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        f"error: {path}: not UTF-8 text (byte 15)\n"
+
+
+def test_non_utf8_config_file_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"prime = 7 \xff\n")
+    path = tmp_path / "q.ideal"
+    path.write_text("ring 3\nx0^2 + x1*x2\n")
+    assert main(["gin", str(path), "--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        f"error: {cfg}: not UTF-8 text (byte 10)\n"
+
+
+def test_directory_as_ideal_file_is_a_usage_error(tmp_path, capsys):
+    assert main(["gin", str(tmp_path)]) == EXIT_USAGE
+    assert "Is a directory" in capsys.readouterr().err
+
+
+def test_directory_as_config_file_is_a_usage_error(scroll_file, tmp_path,
+                                                   capsys):
+    assert main(["gin", scroll_file, "--config", str(tmp_path)]) == \
+        EXIT_USAGE
+    assert "Is a directory" in capsys.readouterr().err
+
+
 def test_mismatch_exit_code(scroll_file, capsys):
     # deliberately wrong surface metadata: prediction disagrees with M
     code = main(["complexity", scroll_file, "--surface", "6,4,1",
@@ -428,3 +487,48 @@ def test_unstable_exit_code_reports_trials(scroll_file, monkeypatch, capsys):
     assert "no agreement" in err
     assert "seed 12345: x0^2" in err
     assert "seed 12346: x0*x1" in err
+
+
+# -- non-Borel gins ----------------------------------------------------------------
+
+@pytest.fixture
+def never_borel(monkeypatch):
+    """Every stabilized gin reads as not Borel-fixed."""
+    from gincomplex.groebner import MonomialIdeal
+    monkeypatch.setattr(MonomialIdeal, "is_borel_fixed", lambda self: False)
+
+
+def test_complexity_of_a_non_borel_gin_is_a_gin_instability(
+        scroll_file, never_borel, capsys):
+    assert main(["complexity", scroll_file]) == EXIT_UNSTABLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: graded-lex gin is not Borel-fixed; "
+                            "retry with another prime or seed\n")
+
+
+def test_verify_retries_a_non_borel_gin_then_fails(never_borel, capsys):
+    assert main(["verify", "--entry", "ci22"]) == EXIT_MISMATCH
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("RETRY ci22: gin not Borel-fixed "
+                        "(attempt 0, seed 101, prime 32003)")
+    assert [line.split(":")[0] for line in lines] == \
+        ["RETRY ci22"] * 3 + ["FAIL ci22", "FAILURES present"]
+    assert lines[3] == ("FAIL ci22: gin not Borel-fixed "
+                        "(attempt 3, seed 3101, prime 32003)")
+
+
+def test_degree_complexity_of_a_non_borel_gin_raises(never_borel):
+    from gincomplex.gin import degree_complexity
+    with pytest.raises(NonBorelGinError):
+        degree_complexity(scroll(), GLEX)
+
+
+def test_recombination_names_a_non_borel_stratum(never_borel):
+    from gincomplex.gin import gin
+    from gincomplex.pei import recombine_m
+    ideal = scroll()
+    with pytest.raises(NonBorelGinError,
+                       match="^stratum 0: graded-lex gin is not Borel-fixed; "
+                             "retry with another prime or seed$"):
+        recombine_m(ideal, gin_result=gin(ideal, GLEX))

@@ -93,6 +93,9 @@ def test_default_names_gate_extended():
 def test_unknown_entry_rejected():
     with pytest.raises(GincomplexError):
         build("nonesuch")
+    # an unknown name is a usage error wherever the CLI meets it
+    with pytest.raises(ConfigurationError, match="unknown corpus entry"):
+        entry("nonesuch")
 
 
 def test_hilbert_growth_matches_degree():
@@ -104,6 +107,14 @@ def test_hilbert_growth_matches_degree():
         second = [values[i + 2] - 2 * values[i + 1] + values[i]
                   for i in range(2)]
         assert second == [degree, degree]
+
+
+def test_ideal_file_text_needs_no_cli(monkeypatch):
+    import sys
+    # a None entry makes any import of the module fail
+    monkeypatch.setitem(sys.modules, "gincomplex.cli", None)
+    assert ideal_file_text("scroll").splitlines() == [
+        "ring 5 32003", "x0*x3 - x1*x2", "x0*x1 - x3*x4", "x0^2 - x2*x4"]
 
 
 def test_export_round_trip():

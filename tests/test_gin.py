@@ -12,12 +12,14 @@ from gincomplex.errors import (
     UnstableGinError,
 )
 from gincomplex.gin import (
+    check_surface,
     degree_complexity,
     gin,
     is_saturated,
     random_change,
     saturate_irrelevant,
     witness_check,
+    witness_monomials,
 )
 from gincomplex.groebner import MonomialIdeal, hilbert_function_macaulay
 from gincomplex.poly import GLEX, GREVLEX, Ideal, Polynomial, table_for
@@ -310,3 +312,24 @@ def test_witness_rejects_missing_monomial():
         [g for g in golden_monomial_ideal("ci23").gens
          if g != (1, 1, 0, 6, 0)], 5)
     assert not witness_check(stripped, 6, 6, 6)
+
+
+def test_witness_monomials_pad_to_the_ring():
+    assert witness_monomials(5, 6, 6, 6) == (
+        (0, 6, 0, 0, 0), (1, 0, 6, 0, 0), (1, 1, 0, 6, 0))
+    assert witness_monomials(4, 3, 1, 0) == (
+        (0, 3, 0, 0), (1, 0, 1, 0), (1, 1, 0, 0))
+    with pytest.raises(ConfigurationError):
+        witness_monomials(3, 3, 1, 0)
+
+
+def test_check_surface_scroll():
+    from gincomplex.geometry import acm_invariants
+    check = check_surface(scroll(), acm_invariants(2))
+    assert (check.M, check.m) == (3, 2)
+    assert check.M == check.glex.complexity() == check.prediction.M
+    assert check.m == check.grevlex.complexity()
+    assert check.witness is True
+    bare = check_surface(scroll())
+    assert bare.prediction is None and bare.witness is None
+    assert bare.glex.gin == check.glex.gin
