@@ -1,4 +1,4 @@
-"""Hot numeric kernels: dense reduction, linear substitution, matrix rank mod p.
+"""Hot numeric kernels: dense reduction, linear substitution, elimination mod p.
 
 One numpy implementation of each kernel.  ``tests/test_kernels.py`` keeps a
 scalar loop for each as the reference the kernels must match exactly.
@@ -20,6 +20,11 @@ The reduction scan is driven by a boolean row mask of the slice: the rows
 some reducer lead divides.  The caller keeps that mask (the Buchberger
 backend holds one per degree and extends it as leads arrive), so the
 kernel's work is one step per elimination, not one per nonzero row.
+
+``echelon_mod`` is the package's one Gaussian elimination mod p.  The
+Macaulay-matrix Hilbert function reads its rank through ``rank_mod``, and
+``poly.factor_change`` reads the row order and the L and U factors of each
+coordinate change off it.
 """
 
 import numpy as np
@@ -104,32 +109,51 @@ def transvect(vec, out, exp_col, table_keys, wdelta, binom_c, p):
 
 
 # ---------------------------------------------------------------------------
-# rank over F_p
+# forward elimination over F_p
 # ---------------------------------------------------------------------------
 
-def rank_mod(mat, p):
-    """Row-echelon rank of an int64 matrix mod p (destroys ``mat``)."""
+def echelon_mod(mat, p):
+    """In-place forward elimination of an int64 matrix mod p.
+
+    Column by column, the pivot is the first nonzero row at or below the
+    current rank; a column with none is skipped.  Each row below the pivot
+    keeps its multiplier (entry / pivot) in the pivot column and is reduced
+    to the right of it, so ``mat`` ends with the unit lower factor L below
+    the pivots and U from each pivot rightwards: for a nonsingular square
+    matrix, ``mat[order] = L U`` of the input.  Returns ``(rank, order)``,
+    where ``order[i]`` is the input row now at row i.
+    """
     nrows, ncols = mat.shape
     np.mod(mat, p, out=mat)
+    order = np.arange(nrows)
     rank = 0
     for col in range(ncols):
         if rank == nrows:
             break
-        nz = np.nonzero(mat[rank:, col])[0]
+        nz = np.flatnonzero(mat[rank:, col])
         if nz.size == 0:
             continue
         pivot = rank + int(nz[0])
         if pivot != rank:
             mat[[rank, pivot]] = mat[[pivot, rank]]
-        inv = pow(int(mat[rank, col]), p - 2, p)
-        mat[rank] = (mat[rank] * inv) % p
-        factors = mat[:, col].copy()
-        factors[rank] = 0
-        rows = np.nonzero(factors)[0]
-        if rows.size:
-            mat[rows] = (mat[rows] - factors[rows, None] * mat[rank]) % p
+            order[[rank, pivot]] = order[[pivot, rank]]
+        # rows above the old pivot row were zero in this column, so the
+        # swap leaves the nonzero rows below the pivot where they were
+        below = rank + nz[1:]
+        if below.size:
+            inv = pow(int(mat[rank, col]), p - 2, p)
+            factors = (mat[below, col] * inv) % p
+            mat[below, col] = factors
+            upper = mat[rank, col + 1:]
+            mat[below, col + 1:] = (mat[below, col + 1:]
+                                    - factors[:, None] * upper) % p
         rank += 1
-    return rank
+    return rank, order
+
+
+def rank_mod(mat, p):
+    """Rank of an int64 matrix mod p (destroys ``mat``)."""
+    return echelon_mod(mat, p)[0]
 
 
 def warmup():

@@ -144,21 +144,25 @@ class _LineParser:
         return result
 
     def _expr(self):
+        """A signed sum of terms, merged into one polynomial at the end."""
+        summands = []
         tok = self._peek()
-        negate = False
+        sign = "+"
         if tok is not None and tok[0] in ("+", "-"):
             self._next()
-            negate = tok[0] == "-"
-        acc = self._term()
-        if negate:
-            acc = -acc
+            sign = tok[0]
         while True:
+            term = self._term()
+            summands.append(-term if sign == "-" else term)
             tok = self._peek()
             if tok is None or tok[0] not in ("+", "-"):
-                return acc
+                break
             self._next()
-            rhs = self._term()
-            acc = acc - rhs if tok[0] == "-" else acc + rhs
+            sign = tok[0]
+        if len(summands) == 1:
+            return summands[0]
+        return Polynomial.from_terms(
+            (t for f in summands for t in f.terms()), self.nvars, self.p)
 
     def _check_degree(self, degree, col):
         """Reject a product above the degree cap before expanding it."""
@@ -671,7 +675,11 @@ def _golden_problems(entry, check):
 
 
 def _verify_gin_entry(entry, cfg, retries, out):
-    """Golden-gin check with the documented reseed/re-prime retry policy."""
+    """Golden-gin check with the documented reseed/re-prime retry policy.
+
+    Appends (line, timing) pairs to ``out``; a PASS line's timing is its
+    attempt's wall-clock time, which only the text report shows.
+    """
     attempts = [(entry.seed, cfg.prime)]
     for k in range(1, retries + 1):
         seed = (entry.seed + 1000 * k) if entry.seed is not None else None
@@ -692,15 +700,15 @@ def _verify_gin_entry(entry, cfg, retries, out):
                       else ", m computed-only")
             witness_note = ", witness ok" if check.witness else ""
             retry_note = f" (retry {attempt})" if attempt else ""
-            out.append(f"PASS {entry.name}: gin ok, M={check.M}{m_note}"
-                       f"{witness_note}{retry_note} [{elapsed:.2f}s]")
+            out.append((f"PASS {entry.name}: gin ok, M={check.M}{m_note}"
+                        f"{witness_note}{retry_note}", f" [{elapsed:.2f}s]"))
             return True
         detail = (f"{'; '.join(problems)} "
                   f"(attempt {attempt}, seed {seed}, prime {prime})")
         if attempt < len(attempts) - 1:
-            out.append(f"RETRY {entry.name}: {detail}")
+            out.append((f"RETRY {entry.name}: {detail}", ""))
         else:
-            out.append(f"FAIL {entry.name}: {detail}")
+            out.append((f"FAIL {entry.name}: {detail}", ""))
     return False
 
 
@@ -716,9 +724,9 @@ def _verify_remark(cfg, out):
     ok = (strict_gens == ["x1", "x2"]
           and relaxed_gens == ["x1", "x2", "x3"]
           and strict_gens != relaxed_gens)
-    out.append(("PASS" if ok else "FAIL")
-               + f" remark: strict=({', '.join(strict_gens)}) "
-               f"relaxed=({', '.join(relaxed_gens)})")
+    out.append((("PASS" if ok else "FAIL")
+                + f" remark: strict=({', '.join(strict_gens)}) "
+                f"relaxed=({', '.join(relaxed_gens)})", ""))
     return ok
 
 
@@ -736,8 +744,11 @@ def cmd_verify(args):
         retries = 1 if entry.extended else 3
         all_ok &= _verify_gin_entry(entry, cfg, retries, out)
     summary = "all checks passed" if all_ok else "FAILURES present"
-    obj = {"prime": cfg.prime, "results": out, "ok": all_ok}
-    text = "\n".join(out) + f"\n{summary}\n"
+    # wall-clock timings stay out of the byte-stable JSON report
+    obj = {"prime": cfg.prime, "results": [line for line, _ in out],
+           "ok": all_ok}
+    text = ("\n".join(line + timing for line, timing in out)
+            + f"\n{summary}\n")
     _emit(text, obj, cfg)
     return EXIT_OK if all_ok else EXIT_MISMATCH
 

@@ -82,10 +82,6 @@ class MonomialIdeal:
     def is_zero(self):
         return not self.gens
 
-    @property
-    def is_full(self):
-        return self.gens == ((0,) * self.nvars,)
-
     def minimal_generators(self, order=GLEX):
         return sorted(self.gens, key=order.key, reverse=True)
 

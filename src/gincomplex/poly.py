@@ -11,9 +11,10 @@ implicit conversion, so graded-lex and graded-revlex pipelines cannot share
 sorted state by accident.
 
 A linear change of coordinates is factored once, by the package's one
-Gaussian elimination mod p, into permutation, transvection and scaling steps;
-the inverse's steps follow in closed form.  Substitution applies the steps to
-each homogeneous component on its dense degree table.
+Gaussian elimination mod p (``_kernels.echelon_mod``), into permutation,
+transvection and scaling steps; the inverse's steps follow in closed form.
+Substitution applies the steps to each homogeneous component on its dense
+degree table.
 """
 
 import numpy as np
@@ -353,12 +354,6 @@ class Polynomial:
     def __neg__(self):
         return self._sorted_trusted(self.exps, (-self.coeffs) % self.p)
 
-    def scale(self, c):
-        c = int(c) % self.p
-        if c == 0:
-            return Polynomial.zero(self.nvars, self.p, self.order)
-        return self._sorted_trusted(self.exps, (self.coeffs * c) % self.p)
-
     def mul_term(self, coeff, exponent):
         """Multiply by coeff * x^exponent; term order is preserved."""
         coeff = int(coeff) % self.p
@@ -505,28 +500,21 @@ def _inverse_perm(tau):
 def _substitution_ops(matrix, p):
     """Factor a square matrix mod p into substitution steps; None if singular.
 
-    Row-pivoted elimination writes A = P^T L D U1 as steps ("perm", tau),
-    ("trans", i, j, c) and ("scale", i, c) -- the matrices with rows e_tau(i),
-    I + c E_ij and I + (c-1) E_ii -- whose product in list order is A.  That
-    identity is asserted because substitution correctness hinges on it.
+    Row-pivoted elimination (``_kernels.echelon_mod``) writes A = P^T L D U1
+    as steps ("perm", tau), ("trans", i, j, c) and ("scale", i, c) -- the
+    matrices with rows e_tau(i), I + c E_ij and I + (c-1) E_ii -- whose
+    product in list order is A.  That identity is asserted because
+    substitution correctness hinges on it.
     """
     n = len(matrix)
     target = tuple(tuple(int(x) % p for x in row) for row in matrix)
-    m = [list(row) for row in target]
-    perm = list(range(n))
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return None
-        m[piv], m[col] = m[col], m[piv]
-        perm[piv], perm[col] = perm[col], perm[piv]
-        inv = pow(m[col][col], p - 2, p)
-        for r in range(col + 1, n):
-            f = (m[r][col] * inv) % p
-            m[r][col] = f
-            for cc in range(col + 1, n):
-                m[r][cc] = (m[r][cc] - f * m[col][cc]) % p
-    # m now holds the unit lower factor below the diagonal and U from it up
+    lu = np.array(target, dtype=np.int64).reshape(n, n)
+    rank, order = _kernels.echelon_mod(lu, p)
+    if rank < n:
+        return None
+    # lu now holds the unit lower factor below the diagonal and U from it up
+    m = lu.tolist()
+    perm = order.tolist()
     ops = []
     # P^T sends row i to basis vector at perm^{-1}(i)
     if perm != list(range(n)):

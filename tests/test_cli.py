@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -100,6 +101,28 @@ def test_parse_parentheses_and_constants():
     assert ideal.generators[0].terms() == [((2, 0), 1), ((0, 2), P - 1)]
     ideal = parse_ideal_file("ring 2\n3*x0^2 - 2*x0*x1\n")
     assert ideal.generators[0].terms() == [((2, 0), 3), ((1, 1), P - 2)]
+
+
+def test_parse_sum_builds_one_polynomial(monkeypatch):
+    # a dense 5-variable degree-10 form, 1001 terms on one line
+    rng = SplitMix64(23)
+    from gincomplex.poly import table_for
+    tab = table_for(5, 10, GLEX)
+    f = Polynomial.from_terms(
+        [(tuple(e), rng.field_nonzero(P)) for e in tab.exps], 5, P, GLEX)
+    text = f"ring 5\n{format_polynomial(f)}\n"
+    adds = []
+    add = Polynomial.__add__
+
+    def counted(self, other):
+        adds.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(Polynomial, "__add__", counted)
+    (parsed,) = parse_ideal_file(text).generators
+    assert parsed == f and parsed.num_terms == 1001
+    # the sum is merged once, not rebuilt at every '+'
+    assert not adds
 
 
 def test_parse_inhomogeneous_reports_line():
@@ -314,6 +337,22 @@ def test_cmd_verify_scroll(capsys):
     assert main(["verify", "--entry", "scroll"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS scroll" in out
+
+
+def test_cmd_verify_json_has_no_wall_clock(capsys):
+    reports = []
+    for _ in range(2):
+        assert main(["verify", "--entry", "scroll", "--format", "json"]) \
+            == EXIT_OK
+        reports.append(capsys.readouterr().out)
+    results = json.loads(reports[0])["results"]
+    assert results and results[0].startswith("PASS scroll")
+    assert not any(re.search(r"\[\d+\.\d+s\]", line) for line in results)
+    assert reports[0] == reports[1]
+    # the text report keeps the attempt's timing
+    assert main(["verify", "--entry", "scroll"]) == EXIT_OK
+    assert re.search(r"PASS scroll: .* \[\d+\.\d+s\]\n",
+                     capsys.readouterr().out)
 
 
 def test_cmd_verify_remark(capsys):

@@ -11,7 +11,13 @@ import pytest
 
 from gincomplex import _kernels
 from gincomplex.groebner import _covered_rows
-from gincomplex.poly import GLEX, GREVLEX, _binomial_table, table_for
+from gincomplex.poly import (
+    GLEX,
+    GREVLEX,
+    _binomial_table,
+    factor_change,
+    table_for,
+)
 from gincomplex.rng import SplitMix64
 
 P = 32003
@@ -56,28 +62,29 @@ def _transvect_loop(vec, out, exp_col, table_keys, wdelta, binom_c, p):
             out[lo] = (int(out[lo]) + v * int(binom_c[e, k])) % p
 
 
-def _rank_mod_loop(mat, p):
-    """Reference for ``_kernels.rank_mod``: Gauss-Jordan, in place."""
+def _echelon_mod_loop(mat, p):
+    """Reference for ``_kernels.echelon_mod``: forward elimination, in place."""
     rows = [[int(x) % p for x in row] for row in mat.tolist()]
-    nrows = len(rows)
+    nrows, ncols = mat.shape
+    order = list(range(nrows))
     rank = 0
-    for col in range(mat.shape[1]):
+    for col in range(ncols):
         if rank == nrows:
             break
         pivot = next((r for r in range(rank, nrows) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        order[rank], order[pivot] = order[pivot], order[rank]
         inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(nrows):
-            f = rows[r][col]
-            if r != rank and f:
-                rows[r] = [(a - f * b) % p
-                           for a, b in zip(rows[r], rows[rank])]
+        for r in range(rank + 1, nrows):
+            f = (rows[r][col] * inv) % p
+            rows[r][col] = f
+            for c in range(col + 1, ncols):
+                rows[r][c] = (rows[r][c] - f * rows[rank][c]) % p
         rank += 1
     mat[:] = rows
-    return rank
+    return rank, np.array(order)
 
 
 # -- random inputs ------------------------------------------------------------
@@ -180,25 +187,57 @@ def test_transvect_matches_loop(p):
         assert (kernel == loop).all()
 
 
+def _product(rng, rows, inner, cols, p):
+    """A rows x cols matrix through ``inner`` columns, so of rank <= inner."""
+    left = [[_entry(rng, p) for _ in range(inner)] for _ in range(rows)]
+    right = [[_entry(rng, p) for _ in range(cols)] for _ in range(inner)]
+    return np.array([[sum(a * b for a, b in zip(row, col)) % p
+                      for col in zip(*right)] for row in left],
+                    dtype=np.int64).reshape(rows, cols)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_rank_mod_matches_loop(p):
     rng = SplitMix64(909)
     for trial in range(30):
         rows = 1 + rng.below(12)
         cols = 1 + rng.below(12)
-        # a product through `inner` columns has rank at most `inner`
         inner = 1 + rng.below(min(rows, cols) + 1)
-        left = [[_entry(rng, p) for _ in range(inner)] for _ in range(rows)]
-        right = [[_entry(rng, p) for _ in range(cols)] for _ in range(inner)]
-        mat = np.array([[sum(a * b for a, b in zip(row, col)) % p
-                         for col in zip(*right)] for row in left],
-                       dtype=np.int64)
+        mat = _product(rng, rows, inner, cols, p)
         kernel = mat.copy()
         loop = mat.copy()
-        rank = int(_kernels.rank_mod(kernel, p))
-        assert rank == _rank_mod_loop(loop, p)
+        rank, order = _kernels.echelon_mod(kernel, p)
+        loop_rank, loop_order = _echelon_mod_loop(loop, p)
+        assert rank == loop_rank == _kernels.rank_mod(mat.copy(), p)
+        assert (order == loop_order).all()
         assert rank <= min(rows, cols, inner)
         assert (kernel == loop).all()
+
+
+def _square(rng, p):
+    """A square matrix of 1..6 rows: uniform, sparse, or of deficient rank."""
+    n = 1 + rng.below(6)
+    kind = rng.below(3)
+    if kind == 0:
+        return [[rng.below(p) for _ in range(n)] for _ in range(n)]
+    if kind == 1:
+        return [[_entry(rng, p) if rng.below(2) else 0 for _ in range(n)]
+                for _ in range(n)]
+    inner = 1 + rng.below(n - 1) if n > 1 and rng.below(2) else n
+    return _product(rng, n, inner, n, p).tolist()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_factor_change_matches_loop(p, monkeypatch):
+    """The kernel-driven factorization gives the reference-driven steps."""
+    rng = SplitMix64(1010)
+    matrices = [_square(rng, p) for _ in range(10_000)]
+    kernel = [factor_change(m, p) for m in matrices]
+    monkeypatch.setattr(_kernels, "echelon_mod", _echelon_mod_loop)
+    loop = [factor_change(m, p) for m in matrices]
+    assert kernel == loop
+    singular = sum(f is None for f in kernel)
+    assert 1_000 < singular < 9_000
 
 
 def test_rank_identity_and_singular():
