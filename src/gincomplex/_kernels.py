@@ -17,9 +17,10 @@ Conventions shared by all kernels:
   in term order (so each tail's keys ascend), delimited by ``tail_bounds``.
 
 The reduction scan is driven by a boolean row mask of the slice: the rows
-some reducer lead divides.  The caller keeps that mask (the Buchberger
-backend holds one per degree and extends it as leads arrive), so the
-kernel's work is one step per elimination, not one per nonzero row.
+some reducer lead divides.  The caller keeps that mask: the Buchberger
+backend chains it from the degree below, as the rows x_i * m for each
+covered row m of degree d - 1 plus the degree-d leads.  So the kernel's
+work is one step per elimination, not one per nonzero row.
 
 ``echelon_mod`` is the package's one Gaussian elimination mod p.  The
 Macaulay-matrix Hilbert function reads its rank through ``rank_mod``, and

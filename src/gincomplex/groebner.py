@@ -10,10 +10,13 @@ rule and the reducer order are fixed.
 Every ideal is homogeneous and both orders are graded, so there is one
 reduction path: each reduction is a forward scan over one dense degree
 slice, with the inner multiply-accumulate in a numpy kernel.  The scan
-visits only rows that some reducer lead divides; the backend keeps that
-mask per degree and extends it as leads arrive.  ``normal_form`` divides
-by any list of homogeneous reducers on the same path, one homogeneous
-component at a time.
+visits only rows that some reducer lead divides.  The backend chains that
+mask over the degrees: a monomial of degree d is divisible by a lead iff it
+is a lead or x_i times a divisible monomial of degree d - 1, and packed keys
+are linear, so each degree's mask is the one below shifted by each
+variable's key weight, plus that degree's leads (see ``_ChainedCover``).
+``normal_form`` divides by any list of homogeneous reducers on the same
+path, one homogeneous component at a time.
 
 Generators wait in a queue by degree and enter at their own degree, before
 that degree's pairs, so elements arrive in nondecreasing degree and each
@@ -40,6 +43,8 @@ extra variables eliminates one of them (see ``intersect``).  Ideal equality
 needs no membership test: a reduced basis is unique per ideal and order.
 """
 
+import math
+
 import numpy as np
 
 from . import _kernels
@@ -62,9 +67,14 @@ from .poly import (
 # ---------------------------------------------------------------------------
 
 class MonomialIdeal:
-    """Minimal monomial generators, an antichain under divisibility."""
+    """Minimal monomial generators, an antichain under divisibility.
 
-    __slots__ = ("nvars", "gens")
+    The ideal is immutable, so it keeps the chained graded-lex masks of the
+    monomials it contains (``_ChainedCover``) once a query has built them;
+    the Hilbert function and the Borel test share them.
+    """
+
+    __slots__ = ("nvars", "gens", "_cover")
 
     def __init__(self, monomials, nvars):
         mons = sorted({tuple(int(v) for v in m) for m in monomials},
@@ -77,6 +87,7 @@ class MonomialIdeal:
                 minimal.append(m)
         self.nvars = nvars
         self.gens = tuple(sorted(minimal, key=GLEX.key, reverse=True))
+        self._cover = None
 
     @property
     def is_zero(self):
@@ -94,18 +105,33 @@ class MonomialIdeal:
             return 0
         return max(sum(g) for g in self.gens)
 
+    def _covered(self, degree):
+        """Mask of the degree-``degree`` graded-lex table rows in the ideal."""
+        if self._cover is None:
+            self._cover = _ChainedCover(self.nvars, GLEX, self.gens)
+        return self._cover.mask(degree)
+
     def is_borel_fixed(self):
-        """Closed under swapping a dividing variable for any earlier one."""
-        for g in self.gens:
-            for i in range(self.nvars):
-                if g[i] == 0:
-                    continue
-                for j in range(i):
-                    moved = list(g)
-                    moved[i] -= 1
-                    moved[j] += 1
-                    if not self.contains_monomial(moved):
-                        return False
+        """Closed under swapping a dividing variable for any earlier one.
+
+        A move keeps the degree, so each moved generator is one key lookup
+        in the mask of its degree.
+        """
+        # with one variable there is nothing to swap
+        if self.is_zero or self.nvars == 1:
+            return True
+        gens = np.array(self.gens, dtype=np.int64)
+        weights = GLEX.index_weights(self.nvars)
+        keys = gens @ weights
+        degrees = gens.sum(axis=1)
+        for degree in np.unique(degrees).tolist():
+            at = degrees == degree
+            moved = np.concatenate([
+                keys[at & (gens[:, i] > 0)] - weights[i] + weights[j]
+                for i in range(self.nvars) for j in range(i)])
+            tab = table_for(self.nvars, degree, GLEX)
+            if not self._covered(degree)[tab.positions(moved)].all():
+                return False
         return True
 
     def regularity(self):
@@ -119,8 +145,11 @@ class MonomialIdeal:
         """dim over F of (R/this)_m, by counting standard monomials."""
         if m < 0:
             return 0
-        tab = table_for(self.nvars, m, GLEX)
-        return len(tab) - int(_covered_rows(tab, self.gens).sum())
+        # generators sort by degree first, so the last has the lowest
+        if self.is_zero or m < sum(self.gens[-1]):
+            return math.comb(m + self.nvars - 1, self.nvars - 1)
+        covered = self._covered(m)
+        return len(covered) - int(np.count_nonzero(covered))
 
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):
@@ -134,31 +163,72 @@ class MonomialIdeal:
         return f"MonomialIdeal<{len(self.gens)} gens, {self.nvars} vars>"
 
 
-# bound on the (monomial, generator) cells one block of _covered_rows holds
-_COVER_CELLS = 1 << 20
+class _ChainedCover:
+    """Per-degree masks of the table rows that some lead divides.
 
+    Packed keys are linear, key(x_i * m) = key(m) + weights[i], so a row of
+    degree d is covered iff it is a lead or x_i times a covered row of
+    degree d - 1.  The mask of a degree is built once, from the mask below
+    it, with one ``searchsorted`` per variable over the covered rows, and is
+    kept.  The chain starts at the lowest lead degree; below it a mask is
+    all False and nothing is built or kept.
 
-def _covered_rows(tab, gens, covered=None):
-    """Mask of the rows of ``tab`` divisible by one of the exponents ``gens``.
-
-    ORs into ``covered`` when given and returns it.  A generator of the
-    table's own degree covers just its own row; lower ones are tested in
-    blocks of rows x generators, higher ones cover nothing.
+    Asking for a degree chains every degree up to it, so by then each lead
+    below it must be known.  A lead may still come at the highest chained
+    degree, where it marks its own row, or above it, where it waits for the
+    chain.  One below that degree would leave a kept mask stale, and rows
+    it divides unreduced, so it raises ``GincomplexError``.
     """
-    if covered is None:
-        covered = np.zeros(len(tab), dtype=bool)
-    gens = np.array(gens, dtype=np.int64).reshape(-1, tab.nvars)
-    degs = gens.sum(axis=1)
-    covered[tab.positions(gens[degs == tab.degree] @ tab.weights)] = True
-    lower = gens[degs < tab.degree]
-    step = max(1, _COVER_CELLS // len(tab))
-    for lo in range(0, len(lower), step):
-        block = lower[lo:lo + step]
-        divides = np.ones((len(tab), len(block)), dtype=bool)
-        for v in range(tab.nvars):
-            divides &= tab.exps[:, v, None] >= block[None, :, v]
-        covered |= divides.any(axis=1)
-    return covered
+
+    __slots__ = ("nvars", "order", "weights", "_masks", "_waiting", "_top")
+
+    def __init__(self, nvars, order, leads=()):
+        self.nvars = nvars
+        self.order = order
+        self.weights = order.index_weights(nvars)
+        self._masks = {}
+        # degree -> packed keys of the leads the chain has not reached
+        self._waiting = {}
+        self._top = -1
+        for lead in leads:
+            self.add(lead)
+
+    def add(self, lead):
+        """Mark the exponent row ``lead`` as a lead."""
+        degree = int(sum(lead))
+        key = int(np.asarray(lead, dtype=np.int64) @ self.weights)
+        if degree > self._top:
+            self._waiting.setdefault(degree, []).append(key)
+        elif degree == self._top:
+            tab = table_for(self.nvars, degree, self.order)
+            self._masks[degree][tab.positions(key)] = True
+        else:
+            raise GincomplexError(
+                f"internal: a lead of degree {degree} arrived after the "
+                f"cover was chained to degree {self._top}")
+
+    def mask(self, degree):
+        """Boolean mask of the degree-``degree`` table rows a lead divides."""
+        below = self._masks.get(self._top)
+        for d in range(self._top + 1, degree + 1):
+            waiting = self._waiting.pop(d, None)
+            if below is None and waiting is None and d < degree:
+                continue
+            tab = table_for(self.nvars, d, self.order)
+            mask = np.zeros(len(tab), dtype=bool)
+            if below is not None:
+                keys = table_for(self.nvars, d - 1, self.order).keys[below]
+                for w in self.weights:
+                    mask[tab.positions(keys + w)] = True
+            if waiting is not None:
+                mask[tab.positions(np.array(waiting, dtype=np.int64))] = True
+            self._masks[d] = below = mask
+        self._top = max(self._top, degree)
+        mask = self._masks.get(degree)
+        if mask is None:
+            mask = np.zeros(len(table_for(self.nvars, degree, self.order)),
+                            dtype=bool)
+        return mask
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +373,11 @@ class _DenseBackend:
 
     The backend holds the reducers: a list that only grows, whose members
     may be replaced by others with the same leading monomial.  Per degree
-    it keeps the mask of table rows some reducer lead divides, and extends
-    it with each new lead instead of rebuilding it.
+    it keeps the mask of table rows some reducer lead divides, each chained
+    from the mask of the degree below (``_ChainedCover``).  So once a
+    degree's mask is used, no reducer may be added below that degree:
+    ``buchberger`` adds its elements in nondecreasing degree, and
+    ``normal_form`` and ``is_groebner_basis`` know every reducer up front.
     """
 
     def __init__(self, nvars, p, order, reducers=()):
@@ -314,13 +387,14 @@ class _DenseBackend:
         self.weights = order.index_weights(nvars)
         self.reducers = list(reducers)
         self._pack = None
-        # degree -> (mask of covered rows, number of reducer leads marked)
-        self._covered = {}
+        self._cover = _ChainedCover(nvars, order,
+                                    [r.exps[0] for r in self.reducers])
 
     def add(self, h):
         """Append the monic reducer h."""
         self.reducers.append(h)
         self._pack = None
+        self._cover.add(h.exps[0])
 
     def replace(self, i, g):
         """Swap reducer i for g, which has the same leading monomial."""
@@ -329,13 +403,7 @@ class _DenseBackend:
 
     def covered(self, degree):
         """Rows of the degree table that some reducer lead divides."""
-        mask, marked = self._covered.get(degree, (None, 0))
-        if mask is None or marked < len(self.reducers):
-            tab = table_for(self.nvars, degree, self.order)
-            mask = _covered_rows(
-                tab, [r.exps[0] for r in self.reducers[marked:]], mask)
-            self._covered[degree] = (mask, len(self.reducers))
-        return mask
+        return self._cover.mask(degree)
 
     def _packed(self):
         if self._pack is not None:

@@ -17,6 +17,9 @@ Substitution applies the steps to each homogeneous component on its dense
 degree table.
 """
 
+import itertools
+import math
+
 import numpy as np
 
 from . import _kernels
@@ -146,18 +149,41 @@ def compare(order, a, b):
 # ---------------------------------------------------------------------------
 
 def _enumerate_degree(nvars, degree):
+    """Exponent rows of all degree-``degree`` monomials, by stars and bars.
+
+    Each choice of nvars - 1 bar positions among degree + nvars - 1 slots
+    is one monomial: the exponents are the gaps between consecutive bars,
+    with sentinel bars at -1 and degree + nvars - 1.  All bars but the last
+    come from ``itertools.combinations``; the last then takes every slot
+    after the one before it, which splits the remaining gap both ways.
+    Rows come in no particular order; ``MonomialTable`` sorts them by key.
+    """
     if nvars == 1:
         return np.array([[degree]], dtype=np.int64)
-    blocks = []
-    for e0 in range(degree, -1, -1):
-        sub = _enumerate_degree(nvars - 1, degree - e0)
-        col = np.full((sub.shape[0], 1), e0, dtype=np.int64)
-        blocks.append(np.hstack([col, sub]))
-    return np.vstack(blocks)
+    slots, bars = degree + nvars - 1, nvars - 1
+    heads = math.comb(slots - 1, bars - 1)
+    head = np.full((heads, bars), -1, dtype=np.int64)
+    head[:, 1:] = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(slots - 1), bars - 1)),
+        dtype=np.int64, count=heads * (bars - 1)).reshape(heads, bars - 1)
+    # slots left for the last bar after each head
+    runs = slots - 1 - head[:, -1]
+    exps = np.empty((int(runs.sum()), nvars), dtype=np.int64)
+    exps[:, :-2] = np.repeat(np.diff(head, axis=1) - 1, runs, axis=0)
+    step = np.arange(len(exps)) - np.repeat(np.cumsum(runs) - runs, runs)
+    exps[:, -2] = step
+    exps[:, -1] = np.repeat(runs - 1, runs) - step
+    return exps
 
 
 class MonomialTable:
-    """All monomials of one degree, descending in the order, with packed keys."""
+    """All monomials of one degree, descending in the order, with packed keys.
+
+    The rows come in closed form from ``_enumerate_degree`` and are sorted
+    by packed key, which is injective within one degree, so a table does not
+    depend on the order its rows were enumerated in.
+    """
 
     __slots__ = ("nvars", "degree", "order", "exps", "keys", "weights")
 
@@ -504,7 +530,8 @@ def _substitution_ops(matrix, p):
     as steps ("perm", tau), ("trans", i, j, c) and ("scale", i, c) -- the
     matrices with rows e_tau(i), I + c E_ij and I + (c-1) E_ii -- whose
     product in list order is A.  That identity is asserted because
-    substitution correctness hinges on it.
+    substitution correctness hinges on it.  Returns the steps and the
+    inverses of the n diagonal entries of D.
     """
     n = len(matrix)
     target = tuple(tuple(int(x) % p for x in row) for row in matrix)
@@ -526,15 +553,16 @@ def _substitution_ops(matrix, p):
     for i in range(n):
         if m[i][i] != 1:
             ops.append(("scale", i, m[i][i]))
+    inverses = tuple(pow(m[i][i], p - 2, p) for i in range(n))
     # unit upper part factors column by column, right to left
     for j in range(n - 1, -1, -1):
         for i in range(j):
-            c = (m[i][j] * pow(m[i][i], p - 2, p)) % p
+            c = (m[i][j] * inverses[i]) % p
             if c:
                 ops.append(("trans", i, j, c))
     if _ops_product(ops, n, p) != target:
         raise GincomplexError("internal: substitution factorization mismatch")
-    return tuple(ops)
+    return tuple(ops), inverses
 
 
 def factor_change(matrix, p):
@@ -544,9 +572,10 @@ def factor_change(matrix, p):
     is singular.  The inverse's steps are the forward steps reversed, each
     one inverted; their product is the inverse matrix.
     """
-    ops = _substitution_ops(matrix, p)
-    if ops is None:
+    factored = _substitution_ops(matrix, p)
+    if factored is None:
         return None
+    ops, inverses = factored
     inverse_ops = []
     for op in reversed(ops):
         if op[0] == "perm":
@@ -555,8 +584,7 @@ def factor_change(matrix, p):
             _, i, j, c = op
             inverse_ops.append(("trans", i, j, (-c) % p))
         else:
-            _, i, c = op
-            inverse_ops.append(("scale", i, pow(c, p - 2, p)))
+            inverse_ops.append(("scale", op[1], inverses[op[1]]))
     inverse_ops = tuple(inverse_ops)
     return ops, inverse_ops, _ops_product(inverse_ops, len(matrix), p)
 
@@ -680,9 +708,10 @@ def apply_linear_change(f, change):
             f"change of coordinates must be {n}x{n} for {n} variables")
     ops = getattr(change, "ops", None)
     if ops is None:
-        ops = _substitution_ops(matrix, f.p)
-        if ops is None:
+        factored = _substitution_ops(matrix, f.p)
+        if factored is None:
             raise GincomplexError("singular coordinate change")
+        ops = factored[0]
     elif change.p != f.p:
         raise RingMismatchError(
             f"change of coordinates mod {change.p} applied mod {f.p}")

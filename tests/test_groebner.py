@@ -426,6 +426,55 @@ def test_borel_fixed_examples():
     assert scroll_gin.is_borel_fixed()
     assert not MonomialIdeal([(0, 1)], 2).is_borel_fixed()
     assert MonomialIdeal([(1, 0)], 2).is_borel_fixed()
+    assert not MonomialIdeal([(0, 2, 0)], 3).is_borel_fixed()
+
+
+def _borel_fixed_reference(ideal):
+    """The tuple rule: every move of a generator stays in the ideal."""
+    for g in ideal.gens:
+        for i in range(ideal.nvars):
+            for j in range(i if g[i] else 0):
+                moved = list(g)
+                moved[i] -= 1
+                moved[j] += 1
+                if not ideal.contains_monomial(moved):
+                    return False
+    return True
+
+
+def _borel_closure(gens, nvars):
+    """The smallest Borel-fixed set of monomials holding ``gens``."""
+    closed = set(gens)
+    todo = list(gens)
+    while todo:
+        g = todo.pop()
+        for i in range(nvars):
+            for j in range(i if g[i] else 0):
+                moved = list(g)
+                moved[i] -= 1
+                moved[j] += 1
+                moved = tuple(moved)
+                if moved not in closed:
+                    closed.add(moved)
+                    todo.append(moved)
+    return closed
+
+
+def test_borel_fixed_matches_the_tuple_rule():
+    # half the ideals are Borel closures, the rest mostly are not
+    rng = SplitMix64(1618)
+    verdicts = []
+    for trial in range(200):
+        nvars = 2 + rng.below(4)
+        gens = {_random_exponent(rng, nvars, 1 + rng.below(5))
+                for _ in range(1 + rng.below(4))}
+        if trial % 2:
+            gens = _borel_closure(gens, nvars)
+        ideal = MonomialIdeal(gens, nvars)
+        verdict = ideal.is_borel_fixed()
+        assert verdict == _borel_fixed_reference(ideal)
+        verdicts.append(verdict)
+    assert 50 < sum(verdicts) < 150
 
 
 def test_borel_regularity():
@@ -459,6 +508,26 @@ def test_hilbert_function_monomial():
     for m in range(9):
         assert scroll_gin.hilbert_function(m) == _brute_force_standard_count(
             scroll_gin.gens, 5, m)
+
+
+def test_hilbert_function_matches_brute_force_count():
+    # generator degrees with gaps, and degrees below the lowest generator
+    rng = SplitMix64(3141)
+    for _ in range(40):
+        nvars = 2 + rng.below(3)
+        low = rng.below(3)
+        gens = {_random_exponent(rng, nvars, low + 2 * k + rng.below(2))
+                for k in range(1 + rng.below(3))}
+        ideal = MonomialIdeal(gens, nvars)
+        for m in range(-1, 10):
+            assert ideal.hilbert_function(m) == _brute_force_standard_count(
+                ideal.gens, nvars, m)
+    unit = MonomialIdeal([(0, 0, 0)], 3)
+    zero = MonomialIdeal([], 3)
+    for m in range(8):
+        assert unit.hilbert_function(m) == 0
+        assert zero.hilbert_function(m) == _brute_force_standard_count(
+            [], 3, m)
 
 
 def test_hilbert_function_macaulay():

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from gincomplex import _kernels
-from gincomplex.groebner import _covered_rows
+from gincomplex.errors import GincomplexError
+from gincomplex.groebner import _ChainedCover
 from gincomplex.poly import (
     GLEX,
     GREVLEX,
@@ -145,10 +146,12 @@ def test_reduce_dense_matches_loop(order, p):
             rng, 3 + trial % 2, 2 + trial % 4, order, 1 + trial % 4, p)
         high = lexp[lexp.sum(axis=1) > tab.degree]
         above += len(high)
-        assert not _covered_rows(tab, high).any()
+        assert not _ChainedCover(tab.nvars, order, high).mask(
+            tab.degree).any()
         reducible = _divisible_rows(tab.exps, lexp)
-        # the blocked cover behind the backend's masks marks the same rows
-        assert (_covered_rows(tab, lexp) == reducible).all()
+        # the chained cover behind the backend's masks marks the same rows
+        assert (_ChainedCover(tab.nvars, order, lexp).mask(tab.degree)
+                == reducible).all()
         loop = vec.copy()
         _reduce_dense_loop(loop, tab.exps, tab.keys, lexp, lkey,
                            tkey, tcoef, bounds, p)
@@ -159,6 +162,52 @@ def test_reduce_dense_matches_loop(order, p):
                                   lkey, tkey, tcoef, bounds, p)
             assert (kernel == loop).all()
     assert above > 0
+
+
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_chained_cover_matches_divisibility(order):
+    # leads at a few scattered degrees, so some degrees in between and every
+    # degree below the lowest have none; each degree's leads arrive in two
+    # halves, the second after that degree's mask was first read
+    rng = SplitMix64(505)
+    for trial in range(30):
+        nvars = 2 + trial % 4
+        degrees = sorted({1 + rng.below(7) for _ in range(1 + rng.below(3))})
+        leads = []
+        for d in degrees:
+            tab = table_for(nvars, d, order)
+            leads.extend(tab.exps[rng.below(len(tab))]
+                         for _ in range(1 + rng.below(3)))
+        cover = _ChainedCover(nvars, order)
+        for d in range(degrees[-1] + 3):
+            tab = table_for(nvars, d, order)
+            own = [lead for lead in leads if lead.sum() == d]
+            for lead in own[:1]:
+                cover.add(lead)
+            cover.mask(d)
+            for lead in own[1:]:
+                cover.add(lead)
+            known = np.array([lead for lead in leads if lead.sum() <= d],
+                             dtype=np.int64).reshape(-1, nvars)
+            assert (cover.mask(d) == _divisible_rows(tab.exps, known)).all()
+        # every lead known up front, degrees read from the top down
+        static = _ChainedCover(nvars, order, leads)
+        lead_exps = np.array(leads, dtype=np.int64)
+        for d in range(degrees[-1] + 2, -1, -1):
+            tab = table_for(nvars, d, order)
+            assert (static.mask(d)
+                    == _divisible_rows(tab.exps, lead_exps)).all()
+
+
+def test_chained_cover_rejects_a_lead_below_a_chained_degree():
+    cover = _ChainedCover(3, GLEX, [(1, 1, 0)])
+    assert cover.mask(3).sum() == 3
+    # at the chained degree a lead marks its own row; above it, it waits
+    cover.add((0, 0, 3))
+    cover.add((0, 0, 4))
+    assert cover.mask(3).sum() == 4
+    with pytest.raises(GincomplexError):
+        cover.add((0, 2, 0))
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -202,6 +203,37 @@ def _random_homogeneous(rng, nvars, degree, p=P):
     return Polynomial.from_terms(
         [(tuple(tab.exps[r]), rng.field_nonzero(p)) for r in rows],
         nvars, p, GLEX)
+
+
+@functools.cache
+def _enumerate_degree_reference(nvars, degree):
+    """Degree-``degree`` exponent rows by recursion on the first exponent."""
+    if nvars == 1:
+        return np.array([[degree]], dtype=np.int64)
+    blocks = []
+    for e0 in range(degree, -1, -1):
+        sub = _enumerate_degree_reference(nvars - 1, degree - e0)
+        col = np.full((sub.shape[0], 1), e0, dtype=np.int64)
+        blocks.append(np.hstack([col, sub]))
+    return np.vstack(blocks)
+
+
+def test_tables_match_the_recursive_enumeration(monkeypatch):
+    small, large = [], []
+    for nvars in range(1, 7):
+        for degree in range(41):
+            rows = math.comb(degree + nvars - 1, nvars - 1)
+            (small if rows <= 20_000 else large).append((nvars, degree, rows))
+    built = {(n, d, order): poly_module.MonomialTable(n, d, order)
+             for n, d, _ in small for order in (GLEX, GREVLEX)}
+    for n, d, rows in large:
+        assert poly_module._enumerate_degree(n, d).shape == (rows, n)
+    monkeypatch.setattr(poly_module, "_enumerate_degree",
+                        _enumerate_degree_reference)
+    for (n, d, order), tab in built.items():
+        reference = poly_module.MonomialTable(n, d, order)
+        assert np.array_equal(tab.exps, reference.exps)
+        assert np.array_equal(tab.keys, reference.keys)
 
 
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
