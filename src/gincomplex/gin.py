@@ -26,7 +26,7 @@ m, and with the surface's invariants the closed-form prediction and its
 witness monomials.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional
 
@@ -183,6 +183,11 @@ class GinResult:
     pipeline extracts its strata directly from it.  ``hilbert_checked_to``
     is the top degree up to which the gin's Hilbert function was checked
     against the ideal's (one past the largest generator degree).
+
+    ``_strata`` is ``pei``'s memo of the strata read off ``basis``, filled
+    by ``pei`` alone: each stratum is extracted, and its reduced grevlex
+    basis computed, at most once per result.  It takes no part in equality,
+    hashing or the repr, and it lives exactly as long as the result.
     """
 
     gin: MonomialIdeal
@@ -193,6 +198,8 @@ class GinResult:
     prime: int
     basis: GroebnerBasis
     hilbert_checked_to: int
+    _strata: dict = field(default_factory=dict, compare=False, repr=False,
+                          init=False)
 
     def complexity(self):
         """The gin's largest generator degree: M(I) or m(I) by the order.

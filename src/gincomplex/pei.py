@@ -73,14 +73,35 @@ def partial_elimination(gb, index, mode=MODE_EQUAL, generic=False):
         take = (t == index) if mode == MODE_EQUAL else (t <= index)
         if not take:
             continue
+        # the kept terms share the x0-power t and the degree, so without
+        # column 0 they stay distinct and in graded-lex order
         top = f.exps[:, 0] == t
-        gens.append(Polynomial.from_terms(
-            ((tuple(e[1:]), c) for e, c in
-             zip(f.exps[top].tolist(), f.coeffs[top].tolist())),
-            f.nvars - 1, f.p, GLEX))
+        gens.append(Polynomial(f.exps[top, 1:], f.coeffs[top],
+                               f.nvars - 1, f.p, GLEX, _presorted=True))
     ideal = Ideal(gens, gb.nvars - 1, gb.p)
     is_full = any(g.degree == 0 for g in gens)
     return PartialEliminationData(index, mode, ideal, is_full)
+
+
+def _stratum(result, index, grevlex=False):
+    """Stratum ``index`` of a graded-lex gin result, read through its memo.
+
+    Returns the stratum's ``PartialEliminationData``, or with ``grevlex``
+    the ideal of its reduced grevlex basis.  Each is computed at most once
+    per result and kept in ``result._strata``.  ``partial_elimination`` and
+    ``reduced_grevlex`` are looked up as module globals, so a wrapper put
+    on either sees every computation.
+    """
+    entry = result._strata.get(index)
+    if entry is None:
+        data = partial_elimination(result.basis, index, MODE_EQUAL,
+                                   generic=True)
+        entry = result._strata[index] = [data, None]
+    if not grevlex:
+        return entry[0]
+    if entry[1] is None:
+        entry[1] = reduced_grevlex(entry[0].ideal)
+    return entry[1]
 
 
 def beta(gb):
@@ -116,7 +137,9 @@ def recombine_m(ideal, seed_base=DEFAULT_SEED_BASE,
     reduced grevlex basis, which in these generic coordinates has the
     lowest degrees, rather than of the extracted generators: a gin depends
     only on the ideal, so every result is the same, and ``Stratum.data``
-    keeps the extracted generators.  Must agree with the direct graded-lex
+    keeps the extracted generators.  Strata and their grevlex bases come
+    from the gin result's memo, which ``hilbert_identity_check`` and
+    ``k1_saturation_check`` share.  Must agree with the direct graded-lex
     degree complexity.
     """
     result = gin_result
@@ -128,7 +151,7 @@ def recombine_m(ideal, seed_base=DEFAULT_SEED_BASE,
     strata = []
     best = 0
     for i in range(b + 1):
-        data = partial_elimination(gb, i, MODE_EQUAL, generic=True)
+        data = _stratum(result, i)
         if data.is_full_ring:
             sub_gin = MonomialIdeal([(0,) * nsub], nsub)
             complexity = 0
@@ -136,7 +159,7 @@ def recombine_m(ideal, seed_base=DEFAULT_SEED_BASE,
             sub_gin = MonomialIdeal([], nsub)
             complexity = 0
         else:
-            sub = gin(reduced_grevlex(data.ideal), GLEX,
+            sub = gin(_stratum(result, i, grevlex=True), GLEX,
                       seed_base + _STRATUM_SEED_STEP * (i + 1),
                       min_agree, trial_budget)
             try:
@@ -176,10 +199,7 @@ def hilbert_identity_check(ideal, m_max, seed_base=DEFAULT_SEED_BASE,
     result = gin_result
     if result is None:
         result = gin(ideal, GLEX, seed_base, min_agree, trial_budget)
-    gb = result.basis
-    b = beta(gb)
-    strata = [partial_elimination(gb, i, MODE_EQUAL, generic=True)
-              for i in range(b + 1)]
+    strata = [_stratum(result, i) for i in range(beta(result.basis) + 1)]
     lhs = []
     rhs = []
     failed = -1
@@ -207,13 +227,14 @@ def k1_saturation_check(ideal, seed_base=DEFAULT_SEED_BASE,
     linear form l, and K_1 is saturated iff K_1 = K_1 : l^inf, read off one
     grevlex initial ideal (Bayer-Stillman).  The grevlex basis is taken
     first, in the gin's generic coordinates, so the coordinate change moves
-    a few low-degree generators instead of the extracted ones.  The error is
-    one-sided: I : l^inf contains I^sat, which contains I, for every l, so
-    True is a proof.  Only a saturated K_1 can be misreported as
-    unsaturated, with probability about deg/p over the draw of l.
+    a few low-degree generators instead of the extracted ones.  With the
+    gin result that ``recombine_m`` read, that basis comes from the result's
+    stratum memo and is not computed again.  The error is one-sided:
+    I : l^inf contains I^sat, which contains I, for every l, so True is a
+    proof.  Only a saturated K_1 can be misreported as unsaturated, with
+    probability about deg/p over the draw of l.
     """
     result = gin_result
     if result is None:
         result = gin(ideal, GLEX, seed_base, min_agree, trial_budget)
-    data = partial_elimination(result.basis, 1, MODE_EQUAL, generic=True)
-    return is_saturated(reduced_grevlex(data.ideal))
+    return is_saturated(_stratum(result, 1, grevlex=True))

@@ -390,14 +390,27 @@ class Polynomial:
                                     (self.coeffs * coeff) % self.p)
 
     def __mul__(self, other):
-        """Product over all term pairs at once, sorted and merged in numpy.
+        """Product; a one-term factor is a ``mul_term`` of the other.
 
-        Each coefficient product is reduced mod p before the sums, so with
-        p*p < 2**63 nothing overflows int64.
+        A monomial factor keeps the other's terms distinct and in order, so
+        that shortcut gives exactly what ``_product`` gives.
         """
         self._same_ring(other)
         if self.is_zero or other.is_zero:
             return Polynomial.zero(self.nvars, self.p, self.order)
+        if other.num_terms == 1:
+            return self.mul_term(other.coeffs[0], other.exps[0])
+        if self.num_terms == 1:
+            return other.mul_term(self.coeffs[0], self.exps[0])
+        return self._product(other)
+
+    def _product(self, other):
+        """Product over all term pairs at once, sorted and merged in numpy.
+
+        Both factors are nonzero and in one ring.  Each coefficient product
+        is reduced mod p before the sums, so with p*p < 2**63 nothing
+        overflows int64.
+        """
         exps = (self.exps[:, None, :] + other.exps[None, :, :]).reshape(
             -1, self.nvars)
         coeffs = (self.coeffs[:, None] * other.coeffs[None, :]
@@ -421,10 +434,17 @@ class Polynomial:
         return self._sorted_trusted(self.exps, (self.coeffs * inv) % self.p)
 
     def with_order(self, order):
-        """Explicit resort under a different order."""
+        """Explicit resort under a different order.
+
+        The monomials are distinct and the coefficients nonzero residues, so
+        the resort is one permutation of the rows: the lexsort that orders
+        a product.
+        """
         if order is self.order:
             return self
-        return Polynomial.from_terms(self.terms(), self.nvars, self.p, order)
+        idx = order.descending(self.exps)
+        return Polynomial(self.exps[idx], self.coeffs[idx], self.nvars,
+                          self.p, order, _presorted=True)
 
     def homogeneous_components(self):
         """Split into homogeneous parts, highest degree first."""

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from gincomplex.corpus import (
     format_monomial,
     format_polynomial,
     golden_monomial_ideal,
+    ideal_file_text,
     monomial_strings,
     scroll,
 )
@@ -259,6 +261,24 @@ def test_cmd_complexity_deterministic_bytes(scroll_file, capsys):
           "--format", "json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("golden, entry, args", [
+    ("complexity_ci23.json", "ci23",
+     ["complexity", "--surface", "6,4,1", "--chi", "2"]),
+    ("complexity_acm4.json", "acm4",
+     ["complexity", "--surface", "7,6,2", "--chi", "3"]),
+    ("gin_glex_acm4.json", "acm4", ["gin", "--order", "glex"]),
+])
+def test_report_bytes_match_the_committed_golden(tmp_path, capsys, golden,
+                                                 entry, args):
+    path = tmp_path / f"{entry}.ideal"
+    path.write_text(ideal_file_text(entry))
+    assert main([args[0], str(path), *args[1:], "--format", "json"]) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
 def test_cmd_complexity_ci23_full_pipeline(tmp_path, capsys):

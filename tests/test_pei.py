@@ -1,7 +1,10 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 import gincomplex.pei
-from gincomplex.corpus import remark_counterexample
+from gincomplex.corpus import default_names, entry, remark_counterexample
 from gincomplex.errors import ConfigurationError
 from gincomplex.gin import DEFAULT_SEED_BASE, gin
 from gincomplex.groebner import (
@@ -210,3 +213,85 @@ def test_remark_strict_k1_is_itself_saturated():
     strict = partial_elimination(gb, 1, MODE_EQUAL, generic=True)
     from gincomplex.gin import saturate_irrelevant
     assert ideals_equal(saturate_irrelevant(strict.ideal), strict.ideal)
+
+
+def _partial_elimination_reference(gb, index, mode):
+    """Stratum generators rebuilt term by term through ``from_terms``."""
+    gens = []
+    for f in gb.elements:
+        t = f.d0()
+        if (t == index) if mode == MODE_EQUAL else (t <= index):
+            gens.append(Polynomial.from_terms(
+                [(e[1:], c) for e, c in f.terms() if e[0] == t],
+                f.nvars - 1, f.p, GLEX))
+    return gens
+
+
+@pytest.mark.parametrize("name", default_names())
+def test_partial_elimination_matches_a_from_terms_rebuild(store, name):
+    if entry(name).family == "monomial":
+        gb = buchberger(remark_counterexample(), GLEX)
+    else:
+        gb = store.gin(name).basis
+    top = max(f.d0() for f in gb.elements)
+    for mode in (MODE_EQUAL, MODE_UPTO):
+        for i in range(top + 2):
+            data = partial_elimination(gb, i, mode, generic=True)
+            want = _partial_elimination_reference(gb, i, mode)
+            got = data.ideal.generators
+            assert len(got) == len(want), (mode, i)
+            for g, w in zip(got, want):
+                assert g.nvars == w.nvars and g.order is GLEX
+                assert np.array_equal(g.exps, w.exps), (mode, i)
+                assert np.array_equal(g.coeffs, w.coeffs), (mode, i)
+            assert data.is_full_ring == any(w.degree == 0 for w in want)
+
+
+def _pipeline(ideal, result):
+    rec = recombine_m(ideal, gin_result=result)
+    return (
+        (rec.value, rec.beta, rec.seeds,
+         [(s.index, s.gin, s.complexity,
+           [g.terms() for g in s.data.ideal.generators])
+          for s in rec.strata]),
+        hilbert_identity_check(ideal, 6, gin_result=result),
+        k1_saturation_check(ideal, gin_result=result),
+    )
+
+
+def test_pipeline_builds_each_stratum_basis_once(store, monkeypatch):
+    # a copy of the session's result starts with an empty memo, which the
+    # three pipeline checks then share
+    ideal, stored = store.ideal("ci23"), store.gin("ci23")
+    fresh, second = dataclasses.replace(stored), dataclasses.replace(stored)
+    assert fresh._strata == {} and second._strata == {}
+    calls = {"partial_elimination": [], "reduced_grevlex": []}
+    for name, seen in calls.items():
+        real = getattr(gincomplex.pei, name)
+
+        def counting(*args, _real=real, _seen=seen, **kwargs):
+            _seen.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(gincomplex.pei, name, counting)
+    got = _pipeline(ideal, fresh)
+    monkeypatch.undo()
+    b = beta(stored.basis)
+    proper = [i for i in range(b + 1)
+              if not (fresh._strata[i][0].is_full_ring
+                      or fresh._strata[i][0].ideal.is_zero)]
+    # K_1 is proper, so the saturation check reuses recombine_m's basis
+    assert 1 in proper
+    assert [a[1] for a in calls["partial_elimination"]] == list(range(b + 1))
+    assert len(calls["reduced_grevlex"]) == len(proper)
+    assert got == _pipeline(ideal, second)
+
+
+def test_stratum_memo_leaves_equality_and_hash(store):
+    ideal, stored = store.ideal("ci23"), store.gin("ci23")
+    filled, empty = dataclasses.replace(stored), dataclasses.replace(stored)
+    k1_saturation_check(ideal, gin_result=filled)
+    recombine_m(ideal, gin_result=filled)
+    assert filled._strata and not empty._strata
+    assert filled == empty and hash(filled) == hash(empty)
+    assert repr(filled) == repr(empty)
