@@ -184,10 +184,10 @@ class GinResult:
     is the top degree up to which the gin's Hilbert function was checked
     against the ideal's (one past the largest generator degree).
 
-    ``_strata`` is ``pei``'s memo of the strata read off ``basis``, filled
-    by ``pei`` alone: each stratum is extracted, and its reduced grevlex
-    basis computed, at most once per result.  It takes no part in equality,
-    hashing or the repr, and it lives exactly as long as the result.
+    ``_strata`` is an opaque memo owned by ``pei``, which alone reads and
+    fills it, so each stratum of ``basis`` is worked out once per result.
+    It takes no part in equality, hashing or the repr, and it lives exactly
+    as long as the result.
     """
 
     gin: MonomialIdeal

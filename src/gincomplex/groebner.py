@@ -244,13 +244,11 @@ class GroebnerBasis:
     through a reduction and ``reductions_to_zero`` of those gave nothing
     new; ``pairs_pruned`` were dropped unreduced by the Hilbert-driven
     criterion.  The three count S-pairs only, not generators, and repeat
-    exactly for a fixed input.  ``normal_form`` and ``contains`` reduce on
-    one ``_DenseBackend``, built on first use and kept with the basis.
+    exactly for a fixed input.
     """
 
     __slots__ = ("elements", "order", "nvars", "p",
-                 "pairs_reduced", "reductions_to_zero", "pairs_pruned",
-                 "_backend")
+                 "pairs_reduced", "reductions_to_zero", "pairs_pruned")
 
     def __init__(self, elements, order, nvars, p,
                  pairs_reduced=0, reductions_to_zero=0, pairs_pruned=0):
@@ -261,7 +259,6 @@ class GroebnerBasis:
         self.pairs_reduced = pairs_reduced
         self.reductions_to_zero = reductions_to_zero
         self.pairs_pruned = pairs_pruned
-        self._backend = None
 
     def leading_monomials(self):
         return [g.leading_monomial() for g in self.elements]
@@ -270,23 +267,7 @@ class GroebnerBasis:
         return MonomialIdeal(self.leading_monomials(), self.nvars)
 
     def normal_form(self, f):
-        """The remainder ``normal_form(f, self.elements, self.order)`` gives.
-
-        The elements are monic, homogeneous and in ``order`` already, so the
-        backend holds them as they are.  A dividend from another ring raises
-        ``RingMismatchError``.
-        """
-        if f.nvars != self.nvars or f.p != self.p:
-            raise RingMismatchError(
-                f"basis in {self.nvars} vars mod {self.p}, "
-                f"dividend in {f.nvars} vars mod {f.p}")
-        f = f.with_order(self.order)
-        if f.is_zero:
-            return f
-        if self._backend is None:
-            self._backend = _DenseBackend(self.nvars, self.p, self.order,
-                                          self.elements)
-        return _reduce_components(self._backend, f)
+        return normal_form(f, self.elements, self.order)
 
     def contains(self, f):
         return self.normal_form(f).is_zero
@@ -334,15 +315,11 @@ def normal_form(f, reducers, order=None):
             reds.append(r.with_order(order).monic())
     if f.is_zero or not reds:
         return f
-    return _reduce_components(_DenseBackend(f.nvars, f.p, order, reds), f)
-
-
-def _reduce_components(backend, f):
-    """Sum of the backend's normal forms of f's homogeneous components."""
     # a homogeneous reducer keeps each component of f in its own degree
+    backend = _DenseBackend(f.nvars, f.p, order, reds)
     parts = (backend.reduce(c) for c in f.homogeneous_components())
     return sum((r for r in parts if r is not None),
-               Polynomial.zero(f.nvars, f.p, f.order))
+               Polynomial.zero(f.nvars, f.p, order))
 
 
 def s_polynomial(f, g):

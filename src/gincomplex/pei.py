@@ -83,25 +83,31 @@ def partial_elimination(gb, index, mode=MODE_EQUAL, generic=False):
     return PartialEliminationData(index, mode, ideal, is_full)
 
 
-def _stratum(result, index, grevlex=False):
-    """Stratum ``index`` of a graded-lex gin result, read through its memo.
+def _stratum(result, index):
+    """Stratum ``index`` of a graded-lex gin result, once per result.
 
-    Returns the stratum's ``PartialEliminationData``, or with ``grevlex``
-    the ideal of its reduced grevlex basis.  Each is computed at most once
-    per result and kept in ``result._strata``.  ``partial_elimination`` and
-    ``reduced_grevlex`` are looked up as module globals, so a wrapper put
-    on either sees every computation.
+    The ``PartialEliminationData`` is kept in ``result._strata`` under
+    ``(index, "data")``.  ``partial_elimination`` is looked up as a module
+    global, so a wrapper put on it sees every extraction.
     """
-    entry = result._strata.get(index)
-    if entry is None:
-        data = partial_elimination(result.basis, index, MODE_EQUAL,
-                                   generic=True)
-        entry = result._strata[index] = [data, None]
-    if not grevlex:
-        return entry[0]
-    if entry[1] is None:
-        entry[1] = reduced_grevlex(entry[0].ideal)
-    return entry[1]
+    key = (index, "data")
+    if key not in result._strata:
+        result._strata[key] = partial_elimination(
+            result.basis, index, MODE_EQUAL, generic=True)
+    return result._strata[key]
+
+
+def _stratum_basis(result, index):
+    """The ideal of stratum ``index``'s reduced grevlex basis, once per result.
+
+    Kept in ``result._strata`` under ``(index, "grevlex")``;
+    ``reduced_grevlex`` is looked up as a module global, like
+    ``partial_elimination`` in ``_stratum``.
+    """
+    key = (index, "grevlex")
+    if key not in result._strata:
+        result._strata[key] = reduced_grevlex(_stratum(result, index).ideal)
+    return result._strata[key]
 
 
 def beta(gb):
@@ -159,7 +165,7 @@ def recombine_m(ideal, seed_base=DEFAULT_SEED_BASE,
             sub_gin = MonomialIdeal([], nsub)
             complexity = 0
         else:
-            sub = gin(_stratum(result, i, grevlex=True), GLEX,
+            sub = gin(_stratum_basis(result, i), GLEX,
                       seed_base + _STRATUM_SEED_STEP * (i + 1),
                       min_agree, trial_budget)
             try:
@@ -237,4 +243,4 @@ def k1_saturation_check(ideal, seed_base=DEFAULT_SEED_BASE,
     result = gin_result
     if result is None:
         result = gin(ideal, GLEX, seed_base, min_agree, trial_budget)
-    return is_saturated(_stratum(result, 1, grevlex=True))
+    return is_saturated(_stratum_basis(result, 1))

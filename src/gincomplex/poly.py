@@ -390,27 +390,14 @@ class Polynomial:
                                     (self.coeffs * coeff) % self.p)
 
     def __mul__(self, other):
-        """Product; a one-term factor is a ``mul_term`` of the other.
+        """Product over all term pairs at once, sorted and merged in numpy.
 
-        A monomial factor keeps the other's terms distinct and in order, so
-        that shortcut gives exactly what ``_product`` gives.
+        Each coefficient product is reduced mod p before the sums, so with
+        p*p < 2**63 nothing overflows int64.
         """
         self._same_ring(other)
         if self.is_zero or other.is_zero:
             return Polynomial.zero(self.nvars, self.p, self.order)
-        if other.num_terms == 1:
-            return self.mul_term(other.coeffs[0], other.exps[0])
-        if self.num_terms == 1:
-            return other.mul_term(self.coeffs[0], self.exps[0])
-        return self._product(other)
-
-    def _product(self, other):
-        """Product over all term pairs at once, sorted and merged in numpy.
-
-        Both factors are nonzero and in one ring.  Each coefficient product
-        is reduced mod p before the sums, so with p*p < 2**63 nothing
-        overflows int64.
-        """
         exps = (self.exps[:, None, :] + other.exps[None, :, :]).reshape(
             -1, self.nvars)
         coeffs = (self.coeffs[:, None] * other.coeffs[None, :]

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from gincomplex import groebner as groebner_module
 from gincomplex.corpus import (
     golden_monomial_ideal,
     remark_counterexample,
@@ -178,37 +177,6 @@ def test_normal_form_rejects_reducers_from_another_ring():
                      lambda: gb.normal_form(f), lambda: gb.contains(f)):
             with pytest.raises(RingMismatchError):
                 call()
-
-
-def test_basis_membership_loop_builds_one_backend(store, monkeypatch):
-    # a fresh basis: its backend is built by the first call and kept
-    gb = buchberger(Ideal(store.gin("ci23").basis.elements), GLEX)
-    rng = SplitMix64(36)
-    dividends = []
-    for g in gb.elements[:6]:
-        member = g * _random_form(rng, 5, 1 + rng.below(2), 3, GLEX)
-        dividends.append(member)
-        dividends.append(member + _random_form(rng, 5, member.degree, 2, GLEX))
-    # two components, in the other order
-    dividends.append((dividends[0] + _random_form(rng, 5, 2, 2, GLEX))
-                     .with_order(GREVLEX))
-    inits = []
-    real_init = groebner_module._DenseBackend.__init__
-
-    def counting(self, *args, **kwargs):
-        inits.append(args)
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(groebner_module._DenseBackend, "__init__", counting)
-    verdicts = [gb.contains(f) for f in dividends]
-    remainders = [gb.normal_form(f) for f in dividends]
-    assert len(inits) == 1
-    monkeypatch.undo()
-    want = [normal_form(f, gb.elements, gb.order) for f in dividends]
-    assert [r.terms() for r in remainders] == [w.terms() for w in want]
-    assert all(r.order is GLEX for r in remainders)
-    assert verdicts == [w.is_zero for w in want]
-    assert True in verdicts and False in verdicts
 
 
 def test_normal_form_rejects_inhomogeneous_reducers():

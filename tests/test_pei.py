@@ -277,9 +277,9 @@ def test_pipeline_builds_each_stratum_basis_once(store, monkeypatch):
     got = _pipeline(ideal, fresh)
     monkeypatch.undo()
     b = beta(stored.basis)
-    proper = [i for i in range(b + 1)
-              if not (fresh._strata[i][0].is_full_ring
-                      or fresh._strata[i][0].ideal.is_zero)]
+    strata = [gincomplex.pei._stratum(fresh, i) for i in range(b + 1)]
+    proper = [data.index for data in strata
+              if not (data.is_full_ring or data.ideal.is_zero)]
     # K_1 is proper, so the saturation check reuses recombine_m's basis
     assert 1 in proper
     assert [a[1] for a in calls["partial_elimination"]] == list(range(b + 1))

@@ -327,24 +327,6 @@ def test_with_order_matches_a_from_terms_rebuild(nvars):
             assert got.exps.shape == (f.num_terms, nvars)
 
 
-@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
-def test_single_term_products_match_the_general_path(order):
-    rng = SplitMix64(23)
-    for _ in range(60):
-        nvars = 1 + rng.below(5)
-        mono = Polynomial.from_terms(
-            [(_random_monomial(rng, nvars, 4), rng.field_nonzero(P))],
-            nvars, P, order)
-        f = Polynomial.from_terms(
-            [(_random_monomial(rng, nvars, 5), rng.field_nonzero(P))
-             for _ in range(2 + rng.below(10))], nvars, P, order)
-        for a, b in ((mono, f), (f, mono), (mono, mono)):
-            got, want = a * b, a._product(b)
-            assert got.order is order
-            assert np.array_equal(got.exps, want.exps)
-            assert np.array_equal(got.coeffs, want.coeffs)
-
-
 def test_from_terms_merges_and_drops_zeros():
     f = poly([((1, 0, 0, 0, 0), 5), ((1, 0, 0, 0, 0), P - 5)])
     assert f.is_zero
