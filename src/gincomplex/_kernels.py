@@ -103,10 +103,11 @@ def transvect(vec, out, exp_col, table_keys, wdelta, binom_c, p):
         sel = nz[exp_col[nz] >= k]
         if sel.size == 0:
             continue
+        # m -> m * (x_j/x_i)^k is injective for fixed k, so pos has no
+        # repeats; out stays in [0, p), so a sum is at most
+        # (p-1) + (p-1)^2 = p(p-1) < p^2 < 2^63 and cannot overflow
         pos = np.searchsorted(table_keys, table_keys[sel] + k * wdelta)
-        contrib = (vec[sel] * binom_c[exp_col[sel], k]) % p
-        np.add.at(out, pos, contrib)
-        np.mod(out, p, out=out)
+        out[pos] = (out[pos] + vec[sel] * binom_c[exp_col[sel], k]) % p
 
 
 # ---------------------------------------------------------------------------

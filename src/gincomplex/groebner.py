@@ -12,9 +12,9 @@ reduction path: each reduction is a forward scan over one dense degree
 slice, with the inner multiply-accumulate in a numpy kernel.  The scan
 visits only rows that some reducer lead divides.  The backend chains that
 mask over the degrees: a monomial of degree d is divisible by a lead iff it
-is a lead or x_i times a divisible monomial of degree d - 1, and packed keys
-are linear, so each degree's mask is the one below shifted by each
-variable's key weight, plus that degree's leads (see ``_ChainedCover``).
+is a lead or x_i times a divisible monomial of degree d - 1, so each
+degree's mask is the one below gathered through the table's successor map,
+plus that degree's leads (see ``_ChainedCover``).
 ``normal_form`` divides by any list of homogeneous reducers on the same
 path, one homogeneous component at a time.
 
@@ -166,12 +166,12 @@ class MonomialIdeal:
 class _ChainedCover:
     """Per-degree masks of the table rows that some lead divides.
 
-    Packed keys are linear, key(x_i * m) = key(m) + weights[i], so a row of
-    degree d is covered iff it is a lead or x_i times a covered row of
-    degree d - 1.  The mask of a degree is built once, from the mask below
-    it, with one ``searchsorted`` per variable over the covered rows, and is
-    kept.  The chain starts at the lowest lead degree; below it a mask is
-    all False and nothing is built or kept.
+    A row of degree d is covered iff it is a lead or x_i times a covered row
+    of degree d - 1.  The mask of a degree is built once, from the mask
+    below it, by one gather through the lower table's successor map
+    (``MonomialTable.successors``), and is kept.  The chain starts at the
+    lowest lead degree; below it a mask is all False and nothing is built
+    or kept.
 
     Asking for a degree chains every degree up to it, so by then each lead
     below it must be known.  A lead may still come at the highest chained
@@ -217,9 +217,8 @@ class _ChainedCover:
             tab = table_for(self.nvars, d, self.order)
             mask = np.zeros(len(tab), dtype=bool)
             if below is not None:
-                keys = table_for(self.nvars, d - 1, self.order).keys[below]
-                for w in self.weights:
-                    mask[tab.positions(keys + w)] = True
+                succ = table_for(self.nvars, d - 1, self.order).successors()
+                mask[succ[below]] = True
             if waiting is not None:
                 mask[tab.positions(np.array(waiting, dtype=np.int64))] = True
             self._masks[d] = below = mask

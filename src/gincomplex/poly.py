@@ -19,6 +19,7 @@ degree table.
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -44,14 +45,14 @@ _KEY_MAX = int(np.iinfo(np.int64).max)
 # ---------------------------------------------------------------------------
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 def monomial_divides(a, b):
     """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 def unit_exponent(nvars, i):
     return tuple(1 if j == i else 0 for j in range(nvars))
@@ -182,10 +183,14 @@ class MonomialTable:
 
     The rows come in closed form from ``_enumerate_degree`` and are sorted
     by packed key, which is injective within one degree, so a table does not
-    depend on the order its rows were enumerated in.
+    depend on the order its rows were enumerated in.  That also keeps valid
+    the successor map (``successors``), which a table builds on first use
+    and holds until it leaves the cache: the row of each x_i * m in the
+    table of the next degree, even if that table is evicted and rebuilt.
     """
 
-    __slots__ = ("nvars", "degree", "order", "exps", "keys", "weights")
+    __slots__ = ("nvars", "degree", "order", "exps", "keys", "weights",
+                 "_successors")
 
     def __init__(self, nvars, degree, order):
         self.nvars = nvars
@@ -197,6 +202,7 @@ class MonomialTable:
         idx = np.argsort(keys, kind="stable")
         self.exps = np.ascontiguousarray(exps[idx])
         self.keys = np.ascontiguousarray(keys[idx])
+        self._successors = None
 
     def __len__(self):
         return self.exps.shape[0]
@@ -206,8 +212,19 @@ class MonomialTable:
         pos = np.searchsorted(self.keys, keys)
         return pos
 
+    def successors(self):
+        """int32 array: entry [r, i] is the next degree's row of x_i * m_r."""
+        if self._successors is None:
+            up = table_for(self.nvars, self.degree + 1, self.order)
+            self._successors = up.positions(
+                self.keys[:, None] + self.weights).astype(np.int32)
+        return self._successors
 
-# least recently used first; _table_rows is the total row count it holds
+
+# least recently used first; _table_rows is the total row count it holds.
+# A table whose successor map was built also carries nvars int32 entries
+# per row (about 1.1 MB over the acm4 graded-lex chain to degree 21); the
+# budget counts rows only.
 _TABLE_CACHE = {}
 _table_rows = 0
 _TABLE_ROW_BUDGET = 4_000_000

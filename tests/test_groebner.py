@@ -321,13 +321,33 @@ def _assert_reduced(gb):
                            for i, lead in enumerate(leads) if i != k)
 
 
+# (pairs_reduced, reductions_to_zero, pairs_pruned) of each corpus entry
+# moved by _moved_with_hilbert, without and with its Hilbert function
+GOLDEN_COUNTS = {
+    ("scroll", "glex"): ((4, 3, 0), (1, 0, 3)),
+    ("scroll", "grevlex"): ((2, 2, 0), (0, 0, 2)),
+    ("ci22", "glex"): ((4, 2, 0), (2, 0, 2)),
+    ("ci22", "grevlex"): ((2, 1, 0), (1, 0, 1)),
+    ("castelnuovo", "glex"): ((9, 6, 0), (3, 0, 6)),
+    ("castelnuovo", "grevlex"): ((2, 2, 0), (0, 0, 2)),
+    ("ci23", "glex"): ((20, 13, 0), (7, 0, 13)),
+    ("ci23", "grevlex"): ((2, 1, 0), (1, 0, 1)),
+    ("acm4", "glex"): ((91, 66, 0), (26, 1, 65)),
+    ("acm4", "grevlex"): ((2, 2, 0), (0, 0, 2)),
+}
+
+
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
 @pytest.mark.parametrize("name",
                          ["scroll", "ci22", "castelnuovo", "ci23", "acm4"])
 def test_basis_is_reduced(store, name, order):
     moved, hilbert = _moved_with_hilbert(store.ideal(name))
+    counts = []
     for kwargs in ({}, {"hilbert": hilbert}):
-        _assert_reduced(buchberger(moved, order, **kwargs))
+        gb = buchberger(moved, order, **kwargs)
+        _assert_reduced(gb)
+        counts.append(_counts(gb))
+    assert tuple(counts) == GOLDEN_COUNTS[name, order.name]
 
 
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])

@@ -280,6 +280,35 @@ def test_table_cache_evicts_least_recently_used_first(monkeypatch):
     assert poly_module._table_rows == 10
 
 
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_successors_are_the_rows_of_each_variable_multiple(order):
+    for nvars in range(1, 7):
+        unit = np.eye(nvars, dtype=np.int64)
+        for degree in range(9):
+            tab = table_for(nvars, degree, order)
+            succ = tab.successors()
+            assert succ.dtype == np.int32
+            assert succ.shape == (len(tab), nvars)
+            up = table_for(nvars, degree + 1, order)
+            assert np.array_equal(up.exps[succ],
+                                  tab.exps[:, None, :] + unit)
+
+
+def test_successors_survive_eviction_of_the_next_table(monkeypatch):
+    monkeypatch.setattr(poly_module, "_TABLE_CACHE", {})
+    monkeypatch.setattr(poly_module, "_table_rows", 0)
+    monkeypatch.setattr(poly_module, "_TABLE_ROW_BUDGET", 30)
+    cubics = table_for(3, 3, GLEX)                  # 10 rows
+    succ = cubics.successors()                      # builds quartics: 15
+    quartics = table_for(3, 4, GLEX)
+    table_for(3, 5, GLEX)                           # 21: evicts 3, then 4
+    rebuilt = table_for(3, 4, GLEX)
+    assert rebuilt is not quartics
+    assert cubics.successors() is succ
+    assert np.array_equal(rebuilt.exps[succ],
+                          cubics.exps[:, None, :] + np.eye(3, dtype=np.int64))
+
+
 def test_prime_above_int64_bound_is_a_configuration_error():
     # residue products must fit in int64: p*p <= 2**63 - 1
     big = 3037000493
