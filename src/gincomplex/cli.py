@@ -832,7 +832,6 @@ def build_parser():
     sub.add_argument("--out", default=None)
     sub.add_argument("--prime", type=int, default=None)
     sub.add_argument("--config", default=None)
-    sub.add_argument("--format", choices=("text", "json"), default=None)
     sub.set_defaults(handler=cmd_export)
 
     return parser

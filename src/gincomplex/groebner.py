@@ -1,11 +1,13 @@
 """Buchberger engine and normal forms on one dense reduction path, plus
 monomial-ideal queries, Hilbert functions and colon/intersection.
 
-The engine keeps the classical shape: normal pair selection (lowest lcm
-degree first, ties broken by the order on the lcm, then by pair index) and
-the two Buchberger criteria, installed Gebauer-Moeller style at pair-update
-time.  Determinism matters more than raw speed here, so both the selection
-rule and the reducer order are fixed.
+The engine runs the normal strategy a whole degree at a time, as Faugere's
+F4 does (JPAA 139, 1999): the lowest degree with a waiting generator or
+S-pair goes next, its generators in input order and then its pairs, sorted
+once by the order on the lcm and then by pair index.  The two Buchberger
+criteria are installed Gebauer-Moeller style at pair-update time.
+Determinism matters more than raw speed here, so both the sequence of
+reductions and the reducer order are fixed.
 
 Every ideal is homogeneous and both orders are graded, so there is one
 reduction path: each reduction is a forward scan over one dense degree
@@ -18,25 +20,26 @@ plus that degree's leads (see ``_ChainedCover``).
 ``normal_form`` divides by any list of homogeneous reducers on the same
 path, one homogeneous component at a time.
 
-Generators wait in a queue by degree and enter at their own degree, before
-that degree's pairs, so elements arrive in nondecreasing degree and each
-arrives fully reduced.  A new lead then divides no older lead, and it can
-occur only in the tails of the elements of its own degree; one same-slice
-subtraction clears it from each.  The basis is thus reduced after every
-insertion -- the reduced echelon form of each degree is kept as it grows
-(compare Faugere's F4, JPAA 139, 1999) -- and no interreduction runs at
-the end.
+Generators wait by degree and enter at their own degree, before that
+degree's pairs, so elements arrive in nondecreasing degree and each arrives
+fully reduced.  A new lead then divides no older lead, so every pair it
+makes has a higher degree and it removes no pair of its own degree: a
+degree's pairs are fixed when it starts.  The new lead can occur only in
+the tails of the elements of its own degree; one same-slice subtraction
+clears it from each.  The basis is thus reduced after every insertion --
+the reduced echelon form of each degree is kept as it grows -- and no
+interreduction runs at the end.
 
 Given the Hilbert function d -> dim (R/I)_d, which depends on neither the
 coordinates nor the term order, ``buchberger`` also applies Traverso's
 Hilbert-driven criterion (Traverso, *Hilbert functions and the Buchberger
-algorithm*, J. Symb. Comp. 22, 1996).  Pairs come in nondecreasing lcm
-degree and a fully reduced element of degree d only makes pairs of higher
-degree, so once the leading monomials span as many degree-d monomials as
-I_d has dimensions, every pair and generator still waiting at degree d
-reduces to zero and is dropped unreduced.  The reductions that do run, and
-so the reduced basis, are exactly those of the run without the Hilbert
-function.
+algorithm*, J. Symb. Comp. 22, 1996).  When degree d starts, the Hilbert
+function says how many degree-d leading monomials are still missing; each
+new element supplies one.  Once none is missing, the leading monomials span
+as many degree-d monomials as I_d has dimensions, so every pair and
+generator left in degree d reduces to zero and is dropped unreduced.  The
+reductions that do run, and so the reduced basis, are exactly those of the
+run without the Hilbert function.
 
 Intersections and colon ideals reuse that engine: a graded-lex basis in two
 extra variables eliminates one of them (see ``intersect``).  Ideal equality
@@ -521,17 +524,6 @@ def _gm_update(pairs, leads, order):
         pairs[(min(members), m)] = (lcm, sum(lcm), order.key(lcm))
 
 
-def _select_pair(pairs):
-    best = None
-    best_key = None
-    for (i, j), (_, deg, okey) in pairs.items():
-        cand = (deg, okey, i, j)
-        if best_key is None or cand < best_key:
-            best_key = cand
-            best = (i, j)
-    return best
-
-
 def buchberger(ideal, order, hilbert=None):
     """Reduced Groebner basis of an ``Ideal`` under a graded order.
 
@@ -539,9 +531,20 @@ def buchberger(ideal, order, hilbert=None):
     homogeneous and in one ring; the zero ideal raises
     ``ZeroPolynomialError``.  Deterministic for a fixed generator sequence;
     the reduced result is unique per (ideal, order) regardless of generator
-    presentation.  Generators wait in a queue sorted by degree, stable in
-    input order, and each is reduced at its own degree, before that degree's
-    pairs.  So elements arrive in nondecreasing degree, and the basis is
+    presentation.
+
+    The run is one loop over degrees, lowest first, visiting each degree
+    that has a waiting generator or pair.  A degree reduces its generators,
+    in input order, then its S-pairs, sorted once by (order key of the lcm,
+    i, j).  A degree's pairs are fixed when it starts.  Each new element h
+    of degree d is fully reduced, so no older lead divides lm(h).  Every
+    pair it makes therefore has lcm degree above d.  The Gebauer-Moeller
+    update drops a waiting pair (i, j) only if lm(h) divides its lcm; at
+    lcm degree d that makes lm(h) the lcm, which lead i divides, so it
+    cannot happen.  And h clears its lead only from elements of degree d.
+    So each degree-d S-pair reduces the same two polynomials as it would
+    if the lowest (degree, order key, i, j) pair were selected one at a
+    time.  Elements arrive in nondecreasing degree, and the basis is
     reduced after every insertion (see the module docstring); there is no
     final interreduction.
 
@@ -555,84 +558,60 @@ def buchberger(ideal, order, hilbert=None):
     if ideal.is_zero:
         raise ZeroPolynomialError("the zero ideal has no generators")
     nvars, p = ideal.nvars, ideal.p
-    queue = sorted((g.with_order(order) for g in ideal.generators),
-                   key=lambda g: g.degree)
+    waiting = {}
+    for g in ideal.generators:
+        waiting.setdefault(g.degree, []).append(g)
     backend = _DenseBackend(nvars, p, order)
     basis = backend.reducers
-    degrees = []
     leads = []
     pairs = {}
-
-    def insert(h, deg):
-        # h is fully reduced and no element has a higher degree, so lm(h)
-        # can only occur in the tails of the elements of its own degree
-        h = h.monic()
-        k = len(basis) - 1
-        while k >= 0 and degrees[k] == deg:
-            backend.replace(k, backend.clear_lead(basis[k], h))
-            k -= 1
-        backend.add(h)
-        degrees.append(deg)
-        leads.append(h.leading_monomial())
-        _gm_update(pairs, leads, order)
-
-    def check_filled():
-        if missing > 0:
+    n_reduced = n_zero = n_pruned = 0
+    while waiting or pairs:
+        degree = min([*waiting, *(val[1] for val in pairs.values())])
+        ranked = sorted((val[2], key) for key, val in pairs.items()
+                        if val[1] == degree)
+        # (None, generator) first, then ((i, j), lcm) per S-pair
+        jobs = [(None, g) for g in waiting.pop(degree, [])]
+        jobs += [(key, pairs.pop(key)[0]) for _, key in ranked]
+        first = len(basis)
+        if hilbert is not None:
+            # degree-d leading monomials still to be found
+            mask = backend.covered(degree)
+            missing = len(mask) - int(mask.sum()) - hilbert(degree)
+            if missing < 0:
+                raise GincomplexError(
+                    f"Hilbert function contradicted: it predicts "
+                    f"{hilbert(degree)} standard monomials in degree "
+                    f"{degree}, but the leading monomials leave only "
+                    f"{hilbert(degree) + missing}")
+        for at, (key, item) in enumerate(jobs):
+            if hilbert is not None and missing == 0:
+                # every job left reduces to zero; only pairs count as pruned
+                n_pruned += sum(k is not None for k, _ in jobs[at:])
+                break
+            if key is None:
+                r = backend.reduce(item.with_order(order))
+            else:
+                n_reduced += 1
+                r = backend.spoly_reduce(basis[key[0]], basis[key[1]], item)
+                n_zero += r is None
+            if r is None:
+                continue
+            # r is fully reduced and no element has a higher degree, so its
+            # lead can only occur in the tails of this degree's elements
+            h = r.monic()
+            for k in range(first, len(basis)):
+                backend.replace(k, backend.clear_lead(basis[k], h))
+            backend.add(h)
+            leads.append(h.leading_monomial())
+            _gm_update(pairs, leads, order)
+            if hilbert is not None:
+                missing -= 1
+        if hilbert is not None and missing > 0:
             raise GincomplexError(
                 f"Hilbert function contradicted in degree {degree}: every "
                 f"pair and generator is done, and {missing} of the leading "
                 f"monomials it predicts are still missing")
-
-    # degree-d leading monomials still to be found, once degree d began
-    degree, missing = None, 0
-    n_reduced = n_zero = n_pruned = 0
-    nxt = 0
-    while nxt < len(queue) or pairs:
-        pair = _select_pair(pairs) if pairs else None
-        if nxt < len(queue) and (
-                pair is None or queue[nxt].degree <= pairs[pair][1]):
-            deg = queue[nxt].degree
-            pair = None
-        else:
-            deg = pairs[pair][1]
-        if hilbert is not None:
-            if deg != degree:
-                check_filled()
-                degree = deg
-                mask = backend.covered(deg)
-                missing = len(mask) - int(mask.sum()) - hilbert(deg)
-                if missing < 0:
-                    raise GincomplexError(
-                        f"Hilbert function contradicted: it predicts "
-                        f"{hilbert(deg)} standard monomials in degree {deg}, "
-                        f"but the leading monomials leave only "
-                        f"{hilbert(deg) + missing}")
-            if missing == 0:
-                # every pair and generator of this degree reduces to zero;
-                # only the pairs count as pruned
-                done = [key for key, val in pairs.items() if val[1] == deg]
-                for key in done:
-                    del pairs[key]
-                n_pruned += len(done)
-                while nxt < len(queue) and queue[nxt].degree == deg:
-                    nxt += 1
-                continue
-        if pair is None:
-            r = backend.reduce(queue[nxt])
-            nxt += 1
-        else:
-            i, j = pair
-            lcm = pairs.pop(pair)[0]
-            n_reduced += 1
-            r = backend.spoly_reduce(basis[i], basis[j], lcm)
-            if r is None:
-                n_zero += 1
-        if r is not None:
-            # fully reduced: a new degree-deg leading monomial
-            insert(r, deg)
-            missing -= 1
-    if hilbert is not None:
-        check_filled()
 
     elements = sorted(basis, key=lambda g: order.key(g.leading_monomial()),
                       reverse=True)

@@ -401,6 +401,14 @@ def test_cmd_export_unknown_entry_is_a_usage_error(capsys):
     assert err.startswith("error: unknown corpus entry 'nonesuch'")
 
 
+def test_cmd_export_has_no_format_option(capsys):
+    # export always writes the ideal-file grammar, so a format is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--entry", "scroll", "--format", "json"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--format" in capsys.readouterr().err
+
+
 def test_cmd_export_parses_back(tmp_path, capsys):
     out_path = tmp_path / "ci22.ideal"
     assert main(["export", "--entry", "ci22",

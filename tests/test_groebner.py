@@ -20,6 +20,7 @@ from gincomplex.gin import (
 )
 from gincomplex.groebner import (
     MonomialIdeal,
+    _DenseBackend,
     buchberger,
     hilbert_function_macaulay,
     ideal_quotient,
@@ -348,6 +349,50 @@ def test_basis_is_reduced(store, name, order):
         _assert_reduced(gb)
         counts.append(_counts(gb))
     assert tuple(counts) == GOLDEN_COUNTS[name, order.name]
+
+
+# the lcm of every S-pair reduced, in order, by the plain glex basis of
+# each entry moved by _moved_with_hilbert
+GOLDEN_PAIR_LCMS = {
+    "castelnuovo": [
+        (1, 2, 1, 0, 0), (2, 1, 1, 0, 0), (2, 2, 0, 0, 0), (1, 1, 1, 2, 0),
+        (1, 2, 0, 2, 0), (2, 1, 0, 2, 0), (1, 1, 4, 0, 0), (1, 5, 0, 0, 0),
+        (2, 0, 4, 0, 0),
+    ],
+    "ci23": [
+        (2, 2, 0, 0, 0), (1, 2, 2, 0, 0), (2, 1, 2, 0, 0), (1, 1, 2, 2, 0),
+        (1, 2, 1, 2, 0), (2, 1, 1, 2, 0), (1, 1, 1, 2, 2), (1, 1, 2, 1, 2),
+        (1, 2, 1, 1, 2), (1, 6, 0, 0, 0), (2, 1, 1, 1, 2), (1, 1, 1, 1, 4),
+        (1, 1, 2, 0, 4), (1, 1, 6, 0, 0), (1, 2, 1, 0, 4), (2, 0, 6, 0, 0),
+        (2, 1, 1, 0, 4), (1, 1, 1, 6, 0), (1, 2, 0, 6, 0), (2, 1, 0, 6, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PAIR_LCMS))
+def test_pair_reduction_sequence_is_pinned(store, monkeypatch, name):
+    moved, _ = _moved_with_hilbert(store.ideal(name))
+    seen = []
+    spoly_reduce = _DenseBackend.spoly_reduce
+
+    def recording(backend, fi, fj, lcm):
+        seen.append(tuple(lcm))
+        return spoly_reduce(backend, fi, fj, lcm)
+
+    monkeypatch.setattr(_DenseBackend, "spoly_reduce", recording)
+    buchberger(moved, GLEX)
+    assert seen == GOLDEN_PAIR_LCMS[name]
+
+
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_gebauer_moeller_deletes_an_older_pair(order):
+    # the first two generators make a pair at lcm x0^2*x1^2*x2; x0*x1*x2
+    # arrives last, divides that lcm and has a smaller lcm with each of
+    # them, so the pair is dropped: only the two pairs with x0*x1*x2 are
+    # reduced, where keeping it would make three
+    gens = [mono((2, 0, 1)), mono((0, 2, 1)), mono((1, 1, 1))]
+    gb = buchberger(Ideal(gens), order)
+    assert (gb.pairs_reduced, gb.reductions_to_zero) == (2, 2)
 
 
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
