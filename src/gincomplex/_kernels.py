@@ -13,8 +13,9 @@ Conventions shared by all kernels:
   of the factor keys;
 * coefficients stay in [0, p) with p*p < 2**63 (``field.check_int64_prime``),
   so products fit in int64;
-* reducers are packed monic: one lead row each, and their tails concatenated
-  in term order (so each tail's keys ascend), delimited by ``tail_bounds``.
+* reducers are monic: one lead exponent row each, and a tail of
+  (key - lead key, coefficient) arrays in term order, so each tail's keys
+  ascend and a tail lands on the rows of the lead's multiple by one shift.
 
 The reduction scan is driven by a boolean row mask of the slice: the rows
 some reducer lead divides.  The caller keeps that mask: the Buchberger
@@ -38,10 +39,9 @@ USING_NUMBA = False
 # dense normal form
 # ---------------------------------------------------------------------------
 
-def reduce_dense(vec, table_exps, table_keys, reducible,
-                 lead_exps, lead_keys,
-                 tail_keys, tail_coeffs, tail_bounds, p):
-    """Full normal form of a degree slice against packed monic reducers.
+def reduce_dense(vec, table_exps, table_keys, reducible, lead_exps, tails,
+                 p):
+    """Full normal form of a degree slice against monic reducers.
 
     ``reducible`` marks the rows divisible by some reducer lead.  The scan
     jumps from one nonzero marked row to the next and never visits a
@@ -52,6 +52,9 @@ def reduce_dense(vec, table_exps, table_keys, reducible,
     A marked row that no lead divides is left alone, so a mask that marks
     too much costs time, never correctness; one that misses a divisible row
     leaves that row unreduced.
+
+    ``tails[r]`` is reducer r's tail as (keys relative to its lead key,
+    coefficients), so the row's own key shifts it onto the slice.
     """
     if lead_exps.shape[0] == 0:
         return
@@ -68,15 +71,14 @@ def reduce_dense(vec, table_exps, table_keys, reducible,
         if not hits[red]:
             continue
         vec[idx] = 0
-        lo, hi = int(tail_bounds[red]), int(tail_bounds[red + 1])
-        if hi == lo:
+        rel_keys, coeffs = tails[red]
+        if rel_keys.shape[0] == 0:
             continue
-        shift = int(table_keys[idx]) - int(lead_keys[red])
         # one reducer's tail monomials are distinct and ascend in key, so
         # their rows are distinct and ascend too
-        pos = np.searchsorted(table_keys, tail_keys[lo:hi] + shift)
+        pos = np.searchsorted(table_keys, rel_keys + table_keys[idx])
         before = vec[pos]
-        vec[pos] = (before - c * tail_coeffs[lo:hi]) % p
+        vec[pos] = (before - c * coeffs) % p
         new = pos[(before == 0) & reducible[pos]]
         if new.size:
             ahead = ahead[k:]
@@ -164,13 +166,9 @@ def warmup():
     exps = np.array([[2, 0], [1, 1], [0, 2]], dtype=np.int64)
     keys = np.array([-2, -1, 0], dtype=np.int64)
     lead = np.array([[1, 0]], dtype=np.int64)
-    lkey = np.array([-1], dtype=np.int64)
-    tkeys = np.array([0], dtype=np.int64)
-    tcoef = np.array([1], dtype=np.int64)
-    bounds = np.array([0, 1], dtype=np.int64)
+    tails = [(np.array([1], dtype=np.int64), np.array([1], dtype=np.int64))]
     reducible = np.array([True, True, False])
-    reduce_dense(vec.copy(), exps, keys, reducible, lead, lkey, tkeys, tcoef,
-                 bounds, 7)
+    reduce_dense(vec.copy(), exps, keys, reducible, lead, tails, 7)
     out = np.zeros(3, dtype=np.int64)
     binom = np.ones((3, 3), dtype=np.int64)
     transvect(vec.copy(), out, exps[:, 0].copy(), keys, 1, binom, 7)

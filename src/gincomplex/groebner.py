@@ -371,13 +371,17 @@ def exact_divide(h, f):
 # ---------------------------------------------------------------------------
 
 class _DenseBackend:
-    """Homogeneous reduction on dense degree slices via the packed kernel.
+    """Homogeneous reduction on dense degree slices via ``reduce_dense``.
 
     The backend holds the reducers: a list that only grows, whose members
-    may be replaced by others with the same leading monomial.  Per degree
-    it keeps the mask of table rows some reducer lead divides, each chained
-    from the mask of the degree below (``_ChainedCover``).  So once a
-    degree's mask is used, no reducer may be added below that degree:
+    may be replaced by others with the same leading monomial.  Next to the
+    list it keeps, row for row, what the kernel reads: ``leads``, the lead
+    exponents as one int64 array, and ``tails``, each reducer's tail as
+    (keys relative to its lead key, coefficients).  ``add`` appends to
+    both; ``replace`` keeps the lead and recomputes that one tail.  Per
+    degree it keeps the mask of table rows some reducer lead divides, each
+    chained from the mask of the degree below (``_ChainedCover``).  So once
+    a degree's mask is used, no reducer may be added below that degree:
     ``buchberger`` adds its elements in nondecreasing degree, and
     ``normal_form`` and ``is_groebner_basis`` know every reducer up front.
     """
@@ -387,91 +391,60 @@ class _DenseBackend:
         self.p = p
         self.order = order
         self.weights = order.index_weights(nvars)
-        self.reducers = list(reducers)
-        self._pack = None
-        self._cover = _ChainedCover(nvars, order,
-                                    [r.exps[0] for r in self.reducers])
+        self.reducers = []
+        self.leads = np.zeros((0, nvars), dtype=np.int64)
+        self.tails = []
+        self._cover = _ChainedCover(nvars, order)
+        for h in reducers:
+            self.add(h)
+
+    def _tail(self, h):
+        keys = h.weighted_keys(self.weights)
+        return keys[1:] - keys[0], h.coeffs[1:]
 
     def add(self, h):
         """Append the monic reducer h."""
         self.reducers.append(h)
-        self._pack = None
+        self.leads = np.vstack([self.leads, h.exps[:1]])
+        self.tails.append(self._tail(h))
         self._cover.add(h.exps[0])
 
     def replace(self, i, g):
         """Swap reducer i for g, which has the same leading monomial."""
         self.reducers[i] = g
-        self._pack = None
+        self.tails[i] = self._tail(g)
 
     def covered(self, degree):
         """Rows of the degree table that some reducer lead divides."""
         return self._cover.mask(degree)
 
-    def _packed(self):
-        if self._pack is not None:
-            return self._pack
-        n = self.nvars
-        reducers = self.reducers
-        if reducers:
-            lead_exps = np.array([r.exps[0] for r in reducers], dtype=np.int64)
-            lead_keys = lead_exps @ self.weights
-            bounds = np.zeros(len(reducers) + 1, dtype=np.int64)
-            bounds[1:] = np.cumsum([r.num_terms - 1 for r in reducers])
-            tail_keys = np.concatenate(
-                [r.weighted_keys(self.weights)[1:] for r in reducers])
-            tail_coeffs = np.concatenate([r.coeffs[1:] for r in reducers])
-        else:
-            lead_exps = np.zeros((0, n), dtype=np.int64)
-            lead_keys = np.zeros(0, dtype=np.int64)
-            tail_keys = np.zeros(0, dtype=np.int64)
-            tail_coeffs = np.zeros(0, dtype=np.int64)
-            bounds = np.zeros(1, dtype=np.int64)
-        self._pack = (np.ascontiguousarray(lead_exps),
-                      np.ascontiguousarray(lead_keys),
-                      np.ascontiguousarray(tail_keys),
-                      np.ascontiguousarray(tail_coeffs),
-                      np.ascontiguousarray(bounds))
-        return self._pack
-
-    def _slice(self, f, tab):
-        vec = np.zeros(len(tab), dtype=np.int64)
-        vec[tab.positions(f.weighted_keys(self.weights))] = f.coeffs
-        return vec
-
-    def _poly(self, vec, tab):
-        nz = np.nonzero(vec)[0]
-        if nz.size == 0:
-            return None
-        return Polynomial(tab.exps[nz].copy(), vec[nz].copy(), self.nvars,
-                          self.p, self.order, _presorted=True)
-
-    def _reduce_vec(self, degree, vec):
-        tab = table_for(self.nvars, degree, self.order)
-        _kernels.reduce_dense(vec, tab.exps, tab.keys, self.covered(degree),
-                              *self._packed(), self.p)
-        return self._poly(vec, tab)
+    def _reduce_vec(self, tab, vec):
+        _kernels.reduce_dense(vec, tab.exps, tab.keys,
+                              self.covered(tab.degree), self.leads,
+                              self.tails, self.p)
+        r = tab.polynomial(vec, self.p)
+        return None if r.is_zero else r
 
     def reduce(self, f):
         """Full normal form of the homogeneous f, or None when it is zero."""
         if f.is_zero:
             return None
         tab = table_for(self.nvars, f.degree, self.order)
-        return self._reduce_vec(f.degree, self._slice(f, tab))
+        return self._reduce_vec(tab, tab.dense(f))
 
     def spoly_reduce(self, fi, fj, lcm):
         """Full normal form of the monic S-polynomial of fi and fj at lcm."""
-        degree = sum(lcm)
-        tab = table_for(self.nvars, degree, self.order)
+        tab = table_for(self.nvars, sum(lcm), self.order)
         lcm_key = int(np.array(lcm, dtype=np.int64) @ self.weights)
         vec = np.zeros(len(tab), dtype=np.int64)
         ki = lcm_key - int(fi.exps[0] @ self.weights)
         kj = lcm_key - int(fj.exps[0] @ self.weights)
+        # the rows of one polynomial are distinct
         pos_i = tab.positions(fi.weighted_keys(self.weights) + ki)
         pos_j = tab.positions(fj.weighted_keys(self.weights) + kj)
-        np.add.at(vec, pos_i, fi.coeffs)
-        np.subtract.at(vec, pos_j, fj.coeffs)
-        np.mod(vec, self.p, out=vec)
-        return self._reduce_vec(degree, vec)
+        vec[pos_i] = fi.coeffs
+        vec[pos_j] = (vec[pos_j] - fj.coeffs) % self.p
+        return self._reduce_vec(tab, vec)
 
     def clear_lead(self, g, h):
         """g - c*h, c the coefficient of lm(h) in g (h monic, same degree).
@@ -484,10 +457,10 @@ class _DenseBackend:
         if at == keys.shape[0] or keys[at] != key:
             return g
         tab = table_for(self.nvars, g.degree, self.order)
-        vec = self._slice(g, tab)
+        vec = tab.dense(g)
         pos = tab.positions(h.weighted_keys(self.weights))
         vec[pos] = (vec[pos] - int(g.coeffs[at]) * h.coeffs) % self.p
-        return self._poly(vec, tab)
+        return tab.polynomial(vec, self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +574,9 @@ def buchberger(ideal, order, hilbert=None):
             # lead can only occur in the tails of this degree's elements
             h = r.monic()
             for k in range(first, len(basis)):
-                backend.replace(k, backend.clear_lead(basis[k], h))
+                g = backend.clear_lead(basis[k], h)
+                if g is not basis[k]:
+                    backend.replace(k, g)
             backend.add(h)
             leads.append(h.leading_monomial())
             _gm_update(pairs, leads, order)

@@ -209,8 +209,19 @@ class MonomialTable:
 
     def positions(self, keys):
         """Row indices for packed keys that are known to be in the table."""
-        pos = np.searchsorted(self.keys, keys)
-        return pos
+        return np.searchsorted(self.keys, keys)
+
+    def dense(self, f):
+        """Coefficient vector of f, of this table's degree and order."""
+        vec = np.zeros(len(self), dtype=np.int64)
+        vec[self.positions(f.weighted_keys(self.weights))] = f.coeffs
+        return vec
+
+    def polynomial(self, vec, p):
+        """Polynomial mod p of the nonzero rows of a coefficient vector."""
+        nz = np.flatnonzero(vec)
+        return Polynomial(self.exps[nz], vec[nz], self.nvars, p, self.order,
+                          _presorted=True)
 
     def successors(self):
         """int32 array: entry [r, i] is the next degree's row of x_i * m_r."""
@@ -641,9 +652,7 @@ def _apply_ops_dense(component, ops, p):
     degree = component.degree
     tab = table_for(nvars, degree, order)
     w = tab.weights
-    vec = np.zeros(len(tab), dtype=np.int64)
-    pos = tab.positions(component.weighted_keys(w))
-    vec[pos] = component.coeffs
+    vec = tab.dense(component)
     binom = _binomial_table(degree, p)
     for op in ops:
         if op[0] == "perm":
@@ -670,9 +679,7 @@ def _apply_ops_dense(component, ops, p):
                                np.ascontiguousarray(tab.exps[:, i]),
                                tab.keys, int(w[j] - w[i]), binom_c, p)
             vec = out
-    nz = np.nonzero(vec)[0]
-    return Polynomial(tab.exps[nz].copy(), vec[nz].copy(),
-                      nvars, p, order, _presorted=True)
+    return tab.polynomial(vec, p)
 
 
 def _apply_change_terms(f, matrix):

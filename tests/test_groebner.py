@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from gincomplex.corpus import (
@@ -382,6 +383,50 @@ def test_pair_reduction_sequence_is_pinned(store, monkeypatch, name):
     monkeypatch.setattr(_DenseBackend, "spoly_reduce", recording)
     buchberger(moved, GLEX)
     assert seen == GOLDEN_PAIR_LCMS[name]
+
+
+def _assert_backend_in_step(backend):
+    """``leads`` and ``tails`` equal arrays rebuilt from the reducers."""
+    reducers = backend.reducers
+    want = np.array([r.exps[0] for r in reducers], dtype=np.int64)
+    assert np.array_equal(backend.leads,
+                          want.reshape(len(reducers), backend.nvars))
+    assert len(backend.tails) == len(reducers)
+    for (rel_keys, coeffs), r in zip(backend.tails, reducers):
+        keys = r.exps @ backend.weights
+        assert np.array_equal(rel_keys, keys[1:] - keys[0])
+        assert np.array_equal(coeffs, r.coeffs[1:])
+
+
+@pytest.mark.parametrize("use_hilbert", [False, True],
+                         ids=["plain", "hilbert"])
+def test_backend_arrays_stay_in_step_with_its_reducers(store, monkeypatch,
+                                                       use_hilbert):
+    moved, hilbert = _moved_with_hilbert(store.ideal("acm4"))
+    backends, replaced = [], []
+    init, replace = _DenseBackend.__init__, _DenseBackend.replace
+
+    def capturing(backend, *args, **kwargs):
+        init(backend, *args, **kwargs)
+        backends.append(backend)
+
+    def counting(backend, i, g):
+        replaced.append(i)
+        replace(backend, i, g)
+
+    monkeypatch.setattr(_DenseBackend, "__init__", capturing)
+    monkeypatch.setattr(_DenseBackend, "replace", counting)
+    gb = buchberger(moved, GLEX, hilbert=hilbert if use_hilbert else None)
+    [backend] = backends
+    # some tails changed after their element was added
+    assert replaced
+    assert ({tuple(g.terms()) for g in backend.reducers}
+            == {tuple(g.terms()) for g in gb})
+    _assert_backend_in_step(backend)
+    # built with every reducer up front, as normal_form and
+    # is_groebner_basis build it
+    _assert_backend_in_step(
+        _DenseBackend(gb.nvars, gb.p, GLEX, list(gb.elements)))
 
 
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])

@@ -27,9 +27,7 @@ PRIMES = [7, 32003, 3037000493]
 
 # -- scalar references ------------------------------------------------------
 
-def _reduce_dense_loop(vec, table_exps, table_keys,
-                       lead_exps, lead_keys,
-                       tail_keys, tail_coeffs, tail_bounds, p):
+def _reduce_dense_loop(vec, table_exps, table_keys, lead_exps, tails, p):
     """Reference for ``_kernels.reduce_dense``: scans every row, in place."""
     keys = table_keys.tolist()
     exps = table_exps.tolist()
@@ -43,10 +41,10 @@ def _reduce_dense_loop(vec, table_exps, table_keys,
         if red is None:
             continue
         vec[idx] = 0
-        shift = keys[idx] - int(lead_keys[red])
-        for t in range(int(tail_bounds[red]), int(tail_bounds[red + 1])):
-            lo = bisect_left(keys, int(tail_keys[t]) + shift)
-            vec[lo] = (int(vec[lo]) - c * int(tail_coeffs[t])) % p
+        rel_keys, coeffs = tails[red]
+        for rel, cf in zip(rel_keys.tolist(), coeffs.tolist()):
+            lo = bisect_left(keys, keys[idx] + rel)
+            vec[lo] = (int(vec[lo]) - c * cf) % p
 
 
 def _transvect_loop(vec, out, exp_col, table_keys, wdelta, binom_c, p):
@@ -108,7 +106,7 @@ def _random_pack(rng, nvars, degree, order, nred, p):
     vec = np.zeros(len(tab), dtype=np.int64)
     for _ in range(len(tab) // 2 + 1):
         vec[rng.below(len(tab))] = _entry(rng, p)
-    lead_rows, tail_keys, tail_coeffs, bounds = [], [], [], [0]
+    lead_rows, tails = [], []
     for _ in range(nred):
         low = table_for(nvars, 1 + rng.below(degree + 1), order)
         lead = rng.below(len(low))
@@ -116,14 +114,10 @@ def _random_pack(rng, nvars, degree, order, nred, p):
         later = range(lead + 1, len(low))
         rows = sorted({later[rng.below(len(later))]
                        for _ in range(rng.below(6))}) if later else []
-        tail_keys.extend(low.keys[rows].tolist())
-        tail_coeffs.extend(_entry(rng, p) for _ in rows)
-        bounds.append(len(tail_keys))
-    lead_exps = np.array(lead_rows, dtype=np.int64)
-    return (tab, vec, lead_exps, lead_exps @ tab.weights,
-            np.array(tail_keys, dtype=np.int64),
-            np.array(tail_coeffs, dtype=np.int64),
-            np.array(bounds, dtype=np.int64))
+        tails.append((low.keys[rows] - low.keys[lead],
+                      np.array([_entry(rng, p) for _ in rows],
+                               dtype=np.int64)))
+    return tab, vec, np.array(lead_rows, dtype=np.int64), tails
 
 
 def _divisible_rows(table_exps, lead_exps):
@@ -142,7 +136,7 @@ def test_reduce_dense_matches_loop(order, p):
     rng = SplitMix64(404)
     above = 0
     for trial in range(20):
-        tab, vec, lexp, lkey, tkey, tcoef, bounds = _random_pack(
+        tab, vec, lexp, tails = _random_pack(
             rng, 3 + trial % 2, 2 + trial % 4, order, 1 + trial % 4, p)
         high = lexp[lexp.sum(axis=1) > tab.degree]
         above += len(high)
@@ -153,13 +147,12 @@ def test_reduce_dense_matches_loop(order, p):
         assert (_ChainedCover(tab.nvars, order, lexp).mask(tab.degree)
                 == reducible).all()
         loop = vec.copy()
-        _reduce_dense_loop(loop, tab.exps, tab.keys, lexp, lkey,
-                           tkey, tcoef, bounds, p)
+        _reduce_dense_loop(loop, tab.exps, tab.keys, lexp, tails, p)
         # a mask that marks every row only costs time
         for mask in (reducible, np.ones(len(tab), dtype=bool)):
             kernel = vec.copy()
             _kernels.reduce_dense(kernel, tab.exps, tab.keys, mask, lexp,
-                                  lkey, tkey, tcoef, bounds, p)
+                                  tails, p)
             assert (kernel == loop).all()
     assert above > 0
 

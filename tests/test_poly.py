@@ -309,6 +309,29 @@ def test_successors_survive_eviction_of_the_next_table(monkeypatch):
                           cubics.exps[:, None, :] + np.eye(3, dtype=np.int64))
 
 
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_dense_slice_round_trip(order):
+    rng = SplitMix64(606)
+    for nvars in range(1, 6):
+        for degree in range(6):
+            tab = table_for(nvars, degree, order)
+            zero = tab.polynomial(np.zeros(len(tab), dtype=np.int64), P)
+            assert zero.is_zero and zero.order is order
+            assert zero.exps.shape == (0, nvars)
+            for _ in range(5):
+                f = Polynomial.from_terms(
+                    [(tab.exps[rng.below(len(tab))], rng.below(P))
+                     for _ in range(1 + rng.below(8))], nvars, P, order)
+                vec = tab.dense(f)
+                assert vec.dtype == np.int64 and vec.shape == (len(tab),)
+                assert dict(zip(map(tuple, tab.exps[vec != 0].tolist()),
+                                vec[vec != 0].tolist())) == dict(f.terms())
+                back = tab.polynomial(vec, P)
+                assert back.order is order
+                assert np.array_equal(back.exps, f.exps)
+                assert np.array_equal(back.coeffs, f.coeffs)
+
+
 def test_prime_above_int64_bound_is_a_configuration_error():
     # residue products must fit in int64: p*p <= 2**63 - 1
     big = 3037000493
