@@ -7,7 +7,8 @@ Conventions shared by all kernels:
 
 * a "degree slice" is a dense int64 coefficient vector indexed by the rows of
   a monomial table (all monomials of one degree, sorted descending in the
-  active order);
+  active order), and "a block of degree slices" is an int64 array of shape
+  (slices, table rows), one slice per row;
 * ``table_keys`` is the matching int64 key array, strictly ascending, and
   keys are linear in exponents, so the key of a monomial product is the sum
   of the factor keys;
@@ -22,6 +23,11 @@ some reducer lead divides.  The caller keeps that mask: the Buchberger
 backend chains it from the degree below, as the rows x_i * m for each
 covered row m of degree d - 1 plus the degree-d leads.  So the kernel's
 work is one step per elimination, not one per nonzero row.
+
+``transvect`` moves a whole block of degree slices through one elementary
+substitution by a gather plan that the table builds once per variable pair,
+so the number of array operations per step depends neither on the degree
+nor on the number of slices.
 
 ``echelon_mod`` is the package's one Gaussian elimination mod p.  The
 Macaulay-matrix Hilbert function reads its rank through ``rank_mod``, and
@@ -90,26 +96,25 @@ def reduce_dense(vec, table_exps, table_keys, reducible, lead_exps, tails,
 # linear substitution building block
 # ---------------------------------------------------------------------------
 
-def transvect(vec, out, exp_col, table_keys, wdelta, binom_c, p):
-    """Accumulate the substitution x_i <- x_i + c*x_j into ``out``.
+def transvect(block, plan, binom_c, p):
+    """Substitute x_i <- x_i + c*x_j in every slice of a block, in place.
 
-    ``exp_col`` is the x_i exponent per table row, ``wdelta`` the key weight
-    difference w_j - w_i, ``binom_c[e, k] = C(e, k) * c**k mod p``.
+    ``plan`` is the table's gather plan of (i, j) (``sources``, ``cells``,
+    ``starts``, ``targets``; see ``poly.MonomialTable.transvection``) and
+    ``binom_c`` the C-contiguous (degree + 1)-square table of
+    C(e, k) * c^k mod p.  Row m of each slice sends C(e_i, k) c^k times its
+    coefficient to the row of m * (x_j/x_i)^k for every 1 <= k <= e_i; the
+    k = 0 term is the slice itself.
     """
-    nz = np.nonzero(vec)[0]
-    if nz.size == 0:
+    sources, cells, starts, targets = plan
+    if starts.shape[0] == 0:
         return
-    out[nz] = (out[nz] + vec[nz]) % p
-    maxe = int(exp_col[nz].max())
-    for k in range(1, maxe + 1):
-        sel = nz[exp_col[nz] >= k]
-        if sel.size == 0:
-            continue
-        # m -> m * (x_j/x_i)^k is injective for fixed k, so pos has no
-        # repeats; out stays in [0, p), so a sum is at most
-        # (p-1) + (p-1)^2 = p(p-1) < p^2 < 2^63 and cannot overflow
-        pos = np.searchsorted(table_keys, table_keys[sel] + k * wdelta)
-        out[pos] = (out[pos] + vec[sel] * binom_c[exp_col[sel], k]) % p
+    terms = block[:, sources] * binom_c.ravel()[cells] % p
+    # each term is below p and a target receives at most one term per k,
+    # so at most degree <= 255 of them: with the slice entry, every sum
+    # stays below 256 * p < 2^63 for p <= 3037000493
+    sums = np.add.reduceat(terms, starts, axis=1)
+    block[:, targets] = (block[:, targets] + sums) % p
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +174,10 @@ def warmup():
     tails = [(np.array([1], dtype=np.int64), np.array([1], dtype=np.int64))]
     reducible = np.array([True, True, False])
     reduce_dense(vec.copy(), exps, keys, reducible, lead, tails, 7)
-    out = np.zeros(3, dtype=np.int64)
-    binom = np.ones((3, 3), dtype=np.int64)
-    transvect(vec.copy(), out, exps[:, 0].copy(), keys, 1, binom, 7)
+    # x0 <- x0 + x1 on these rows: x0^2 feeds x0*x1 (k = 1) and x1^2
+    # (k = 2), x0*x1 feeds x1^2; cells index the 3 x 3 binomial table
+    plan = tuple(np.array(a, dtype=np.int32)
+                 for a in ([0, 0, 1], [7, 8, 4], [0, 1], [1, 2]))
+    binom = np.array([[1, 0, 0], [1, 1, 0], [1, 2, 1]], dtype=np.int64)
+    transvect(np.array([vec, vec[::-1]]), plan, binom, 7)
     rank_mod(np.eye(2, dtype=np.int64), 7)

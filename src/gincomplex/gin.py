@@ -64,7 +64,8 @@ class CoordinateChange:
     """Invertible substitution matrix with its seed and one factorization.
 
     ``ops`` multiply to ``matrix`` and ``inverse_ops`` to ``inverse`` (see
-    ``poly.factor_change``); both directions substitute with stored steps.
+    ``poly.factor_change``); both directions substitute with stored steps,
+    into a polynomial or, all generators in one move, an ideal.
     """
 
     matrix: tuple
@@ -91,8 +92,7 @@ class CoordinateChange:
         return apply_linear_change(f, self.inverted)
 
     def apply_ideal(self, ideal):
-        return Ideal([self.apply(g) for g in ideal.generators],
-                     ideal.nvars, ideal.p)
+        return apply_linear_change(ideal, self)
 
 
 def random_change(seed, nvars, p=DEFAULT_PRIME):
@@ -145,15 +145,14 @@ def saturate_irrelevant(ideal):
     if ideal.is_zero:
         return ideal
     change, gb = _saturation_basis(ideal)
-    gens = []
+    divided = []
     for g in gb.elements:
         exps = g.exps.copy()
         exps[:, -1] -= exps[:, -1].min()
         # dividing every term by one monomial keeps the term order
-        divided = Polynomial(exps, g.coeffs, g.nvars, g.p, g.order,
-                             _presorted=True)
-        gens.append(change.apply_inverse(divided))
-    return Ideal(gens, ideal.nvars, ideal.p)
+        divided.append(Polynomial(exps, g.coeffs, g.nvars, g.p, g.order,
+                                  _presorted=True))
+    return change.apply_inverse(Ideal(divided, ideal.nvars, ideal.p))
 
 
 def is_saturated(ideal):

@@ -13,8 +13,10 @@ sorted state by accident.
 A linear change of coordinates is factored once, by the package's one
 Gaussian elimination mod p (``_kernels.echelon_mod``), into permutation,
 transvection and scaling steps; the inverse's steps follow in closed form.
-Substitution applies the steps to each homogeneous component on its dense
-degree table.
+Substitution moves all homogeneous pieces of one degree and order -- an
+ideal's generators, a polynomial's components -- together, as one block of
+coefficient vectors on their dense degree table.  Each transvection is then
+one pass of a gather plan that the table builds once per (i, j) and keeps.
 """
 
 import itertools
@@ -187,10 +189,12 @@ class MonomialTable:
     the successor map (``successors``), which a table builds on first use
     and holds until it leaves the cache: the row of each x_i * m in the
     table of the next degree, even if that table is evicted and rebuilt.
+    The gather plans of the transvections (``transvection``) are held the
+    same way, one per (i, j) asked for.
     """
 
     __slots__ = ("nvars", "degree", "order", "exps", "keys", "weights",
-                 "_successors")
+                 "_successors", "_transvections")
 
     def __init__(self, nvars, degree, order):
         self.nvars = nvars
@@ -203,6 +207,7 @@ class MonomialTable:
         self.exps = np.ascontiguousarray(exps[idx])
         self.keys = np.ascontiguousarray(keys[idx])
         self._successors = None
+        self._transvections = {}
 
     def __len__(self):
         return self.exps.shape[0]
@@ -223,6 +228,28 @@ class MonomialTable:
         return Polynomial(self.exps[nz], vec[nz], self.nvars, p, self.order,
                           _presorted=True)
 
+    def dense_block(self, polys):
+        """Coefficient block of polynomials of this table's degree and order.
+
+        Row r of the int64 ``(len(polys), len(self))`` block is the
+        coefficient vector of ``polys[r]``.
+        """
+        block = np.zeros((len(polys), len(self)), dtype=np.int64)
+        rows = np.repeat(np.arange(len(polys)), [f.num_terms for f in polys])
+        exps = np.concatenate([f.exps for f in polys])
+        block[rows, self.positions(exps @ self.weights)] = np.concatenate(
+            [f.coeffs for f in polys])
+        return block
+
+    def polynomials(self, block, p):
+        """Polynomials mod p of the nonzero entries of each row of a block."""
+        rows, cols = np.nonzero(block)
+        ends = np.searchsorted(rows, np.arange(1, len(block) + 1)).tolist()
+        exps, coeffs = self.exps[cols], block[rows, cols]
+        return [Polynomial(exps[start:end], coeffs[start:end], self.nvars, p,
+                           self.order, _presorted=True)
+                for start, end in zip([0] + ends, ends)]
+
     def successors(self):
         """int32 array: entry [r, i] is the next degree's row of x_i * m_r."""
         if self._successors is None:
@@ -231,11 +258,46 @@ class MonomialTable:
                 self.keys[:, None] + self.weights).astype(np.int32)
         return self._successors
 
+    def transvection(self, i, j):
+        """Gather plan of x_i <- x_i + c * x_j on this table's rows.
+
+        One entry per row m and power 1 <= k <= e_i(m): its source row m,
+        its cell e_i(m) * (degree + 1) + k of a flattened (degree + 1)-square
+        table of C(e, k) * c^k, and its target, the row of m * (x_j/x_i)^k.
+        The plan is ``(sources, cells, starts, targets)``, all int32: the
+        entries' sources and cells sorted by target, the index at which each
+        target's run of entries starts, and that target's row, so one
+        reduceat over ``starts`` sums what each target receives (see
+        ``_kernels.transvect``).  A degree-0 table has an empty plan.
+        """
+        plan = self._transvections.get((i, j))
+        if plan is None:
+            e = self.exps[:, i]
+            sources = np.repeat(np.arange(len(self)), e)
+            # k runs 1..e_i(m) within each row's entries
+            k = (np.arange(len(sources))
+                 - np.repeat(np.cumsum(e) - e, e) + 1)
+            targets = self.positions(
+                self.keys[sources] + k * (self.weights[j] - self.weights[i]))
+            by_target = np.argsort(targets, kind="stable")
+            targets = targets[by_target]
+            first = np.ones(len(targets), dtype=bool)
+            first[1:] = targets[1:] != targets[:-1]
+            starts = np.flatnonzero(first)
+            cells = e[sources] * (self.degree + 1) + k
+            plan = tuple(a.astype(np.int32) for a in (
+                sources[by_target], cells[by_target], starts,
+                targets[starts]))
+            self._transvections[(i, j)] = plan
+        return plan
+
 
 # least recently used first; _table_rows is the total row count it holds.
 # A table whose successor map was built also carries nvars int32 entries
-# per row (about 1.1 MB over the acm4 graded-lex chain to degree 21); the
-# budget counts rows only.
+# per row (about 1.1 MB over the acm4 graded-lex chain to degree 21), and
+# each transvection plan about 2 * degree / nvars + 2 int32 entries per row
+# (up to nvars * (nvars - 1) plans on a table that coordinate changes
+# reach); the budget counts rows only.
 _TABLE_CACHE = {}
 _table_rows = 0
 _TABLE_ROW_BUDGET = 4_000_000
@@ -547,9 +609,9 @@ class Ideal:
 def _binomial_table(maxdeg, p):
     tab = np.zeros((maxdeg + 1, maxdeg + 1), dtype=np.int64)
     tab[:, 0] = 1
+    # Pascal's rule row by row; entries above the diagonal stay 0
     for n in range(1, maxdeg + 1):
-        for k in range(1, n + 1):
-            tab[n, k] = (tab[n - 1, k - 1] + tab[n - 1, k]) % p
+        tab[n, 1:] = (tab[n - 1, :-1] + tab[n - 1, 1:]) % p
     return tab
 
 
@@ -646,40 +708,49 @@ def _ops_product(ops, n, p):
     return tuple(zip(*cols))
 
 
-def _apply_ops_dense(component, ops, p):
-    order = component.order
-    nvars = component.nvars
-    degree = component.degree
-    tab = table_for(nvars, degree, order)
-    w = tab.weights
-    vec = tab.dense(component)
-    binom = _binomial_table(degree, p)
-    for op in ops:
-        if op[0] == "perm":
-            tau = op[1]
-            new_exps = np.empty_like(tab.exps)
-            for i in range(nvars):
-                new_exps[:, tau[i]] = tab.exps[:, i]
-            npos = tab.positions(new_exps @ w)
-            nvec = np.zeros_like(vec)
-            nvec[npos] = vec
-            vec = nvec
-            continue
-        c = op[-1]
-        cpow = np.ones(degree + 1, dtype=np.int64)
-        for k in range(1, degree + 1):
-            cpow[k] = (cpow[k - 1] * c) % p
-        if op[0] == "scale":
-            vec = (vec * cpow[tab.exps[:, op[1]]]) % p
-        else:
-            _, i, j, _ = op
-            binom_c = (binom * cpow[np.newaxis, :]) % p
-            out = np.zeros_like(vec)
-            _kernels.transvect(vec, out,
-                               np.ascontiguousarray(tab.exps[:, i]),
-                               tab.keys, int(w[j] - w[i]), binom_c, p)
-            vec = out
-    return tab.polynomial(vec, p)
+def _move_homogeneous(polys, ops, p):
+    """Substitution steps applied to homogeneous polynomials, in input order.
+
+    The polynomials of one degree and order move together, as the rows of
+    one coefficient block on their degree table; each step is then a fixed
+    number of array operations on the whole block.
+    """
+    groups = {}
+    for r, f in enumerate(polys):
+        groups.setdefault((f.degree, f.order), []).append(r)
+    # tables first: a degree above the cap fails before any work
+    blocks = [(table_for(polys[0].nvars, degree, order), rows)
+              for (degree, order), rows in groups.items()]
+    top = max(degree for degree, _ in groups)
+    binom = _binomial_table(top, p)
+    # c^k for k <= top, one row per step; a permutation's row is unused
+    cs = np.array([1 if op[0] == "perm" else op[-1] for op in ops],
+                  dtype=np.int64)
+    cpow = np.ones((len(ops), top + 1), dtype=np.int64)
+    for k in range(1, top + 1):
+        cpow[:, k] = cpow[:, k - 1] * cs % p
+    moved = [None] * len(polys)
+    for tab, rows in blocks:
+        size = tab.degree + 1
+        # C(e, k) * c^k of every step; each binom_c[t] is C-contiguous
+        binom_c = binom[:size, :size] * cpow[:, None, :size] % p
+        block = tab.dense_block([polys[r] for r in rows])
+        for t, op in enumerate(ops):
+            if op[0] == "perm":
+                # x_i goes to x_tau(i): the key of each moved row
+                dest = tab.positions(tab.exps @ tab.weights[list(op[1])])
+                moved_block = np.zeros_like(block)
+                moved_block[:, dest] = block
+                block = moved_block
+            elif op[0] == "scale":
+                block = block * cpow[t, tab.exps[:, op[1]]] % p
+            else:
+                _, i, j, _ = op
+                _kernels.transvect(block, tab.transvection(i, j), binom_c[t],
+                                   p)
+        for r, g in zip(rows, tab.polynomials(block, p)):
+            moved[r] = g
+    return moved
 
 
 def _apply_change_terms(f, matrix):
@@ -725,12 +796,16 @@ def _apply_change_terms(f, matrix):
 def apply_linear_change(f, change):
     """Substitute x_i <- sum_j m[i][j] * x_j and expand.
 
+    ``f`` is a polynomial or an ideal; an ideal comes back as the ideal of
+    its moved generators, in the same order, each keeping its term order.
     ``change`` is either a factored change -- an object with ``matrix``,
     ``ops`` and ``p`` attributes, such as ``gin.CoordinateChange`` -- whose
     stored steps are applied without any elimination, or a raw matrix (rows
-    of ints), which is factored on this call.  Each homogeneous component is
-    moved on its dense degree table.  Degree and homogeneity are preserved; a
-    singular raw matrix is rejected, also for the zero polynomial.
+    of ints), which is factored on this call.  All homogeneous pieces of one
+    degree and order -- an ideal's generators, a polynomial's components --
+    move together on their dense degree table.  Degree and homogeneity are
+    preserved; a singular raw matrix is rejected, also for the zero
+    polynomial.
     """
     matrix = getattr(change, "matrix", change)
     n = f.nvars
@@ -748,6 +823,10 @@ def apply_linear_change(f, change):
             f"change of coordinates mod {change.p} applied mod {f.p}")
     if f.is_zero or not ops:
         return f
-    parts = [_apply_ops_dense(component, ops, f.p)
-             for component in f.homogeneous_components()]
-    return sum(parts[1:], parts[0])
+    if isinstance(f, Ideal):
+        return Ideal(_move_homogeneous(f.generators, ops, f.p), n, f.p)
+    # components come highest degree first, so their terms just concatenate
+    parts = _move_homogeneous(f.homogeneous_components(), ops, f.p)
+    return Polynomial(np.concatenate([g.exps for g in parts]),
+                      np.concatenate([g.coeffs for g in parts]), n, f.p,
+                      f.order, _presorted=True)

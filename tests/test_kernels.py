@@ -4,18 +4,19 @@ The loops below compute in Python integers, so they cannot overflow; the
 primes run up to the largest one whose residue products fit in int64.
 """
 
+import math
 from bisect import bisect_left
 
 import numpy as np
 import pytest
 
 from gincomplex import _kernels
+from gincomplex import poly as poly_module
 from gincomplex.errors import GincomplexError
 from gincomplex.groebner import _ChainedCover
 from gincomplex.poly import (
     GLEX,
     GREVLEX,
-    _binomial_table,
     factor_change,
     table_for,
 )
@@ -47,18 +48,36 @@ def _reduce_dense_loop(vec, table_exps, table_keys, lead_exps, tails, p):
             vec[lo] = (int(vec[lo]) - c * cf) % p
 
 
-def _transvect_loop(vec, out, exp_col, table_keys, wdelta, binom_c, p):
-    """Reference for ``_kernels.transvect``: term by term, into ``out``."""
+def _transvect_loop(block, exp_col, table_keys, wdelta, binom_c, p):
+    """Reference for ``_kernels.transvect``: slice by slice, term by term.
+
+    Each term of a slice's old coefficients is added to the rows it moves
+    to, found by bisection on the keys; ``block`` is updated in place.
+    """
     keys = table_keys.tolist()
-    for idx in range(len(keys)):
-        v = int(vec[idx])
-        if v == 0:
-            continue
-        e = int(exp_col[idx])
-        out[idx] = (int(out[idx]) + v) % p
-        for k in range(1, e + 1):
-            lo = bisect_left(keys, keys[idx] + k * wdelta)
-            out[lo] = (int(out[lo]) + v * int(binom_c[e, k])) % p
+    for vec in block:
+        for idx, v in enumerate(vec.tolist()):
+            if v == 0:
+                continue
+            e = int(exp_col[idx])
+            for k in range(1, e + 1):
+                lo = bisect_left(keys, keys[idx] + k * wdelta)
+                vec[lo] = (int(vec[lo]) + v * int(binom_c[e, k])) % p
+
+
+def _transvection_by_search(tab, i, j):
+    """A table's transvection plan, one ``searchsorted`` per entry."""
+    shift = int(tab.weights[j] - tab.weights[i])
+    entries = sorted(
+        (int(np.searchsorted(tab.keys, tab.keys[r] + k * shift)), r,
+         e * (tab.degree + 1) + k)
+        for r, e in enumerate(tab.exps[:, i].tolist())
+        for k in range(1, e + 1))
+    targets = [t for t, _, _ in entries]
+    starts = [n for n, t in enumerate(targets)
+              if n == 0 or t != targets[n - 1]]
+    return ([r for _, r, _ in entries], [c for _, _, c in entries], starts,
+            [targets[n] for n in starts])
 
 
 def _echelon_mod_loop(mat, p):
@@ -203,6 +222,13 @@ def test_chained_cover_rejects_a_lead_below_a_chained_degree():
         cover.add((0, 2, 0))
 
 
+def _binom_c(degree, c, p):
+    """C(n, k) * c^k mod p for n, k <= degree."""
+    return np.array([[math.comb(n, k) * pow(c, k, p) % p
+                      for k in range(degree + 1)]
+                     for n in range(degree + 1)], dtype=np.int64)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_transvect_matches_loop(p):
     rng = SplitMix64(808)
@@ -216,17 +242,89 @@ def test_transvect_matches_loop(p):
         i = rng.below(nvars)
         j = (i + 1 + rng.below(nvars - 1)) % nvars
         c = 1 + _entry(rng, p - 1)
-        binom = _binomial_table(degree, p)
-        binom_c = np.array([[int(binom[n, k]) * pow(c, k, p) % p
-                             for k in range(degree + 1)]
-                            for n in range(degree + 1)], dtype=np.int64)
+        binom_c = _binom_c(degree, c, p)
         wdelta = int(tab.weights[j] - tab.weights[i])
         col = np.ascontiguousarray(tab.exps[:, i])
-        kernel = np.zeros_like(vec)
-        loop = np.zeros_like(vec)
-        _kernels.transvect(vec, kernel, col, tab.keys, wdelta, binom_c, p)
-        _transvect_loop(vec, loop, col, tab.keys, wdelta, binom_c, p)
+        kernel = vec[None, :].copy()
+        loop = kernel.copy()
+        _kernels.transvect(kernel, tab.transvection(i, j), binom_c, p)
+        _transvect_loop(loop, col, tab.keys, wdelta, binom_c, p)
         assert (kernel == loop).all()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_transvect_moves_a_block_of_slices(order, p):
+    # dense, sparse and zero slices side by side; each moves as it would
+    # alone
+    rng = SplitMix64(818)
+    for trial in range(12):
+        nvars = 2 + trial % 4
+        degree = 1 + trial % 6
+        tab = table_for(nvars, degree, order)
+        block = np.zeros((1 + rng.below(5), len(tab)), dtype=np.int64)
+        for row in block[1:]:
+            for _ in range(1 + rng.below(len(tab))):
+                row[rng.below(len(tab))] = _entry(rng, p)
+        i = rng.below(nvars)
+        j = (i + 1 + rng.below(nvars - 1)) % nvars
+        binom_c = _binom_c(degree, 1 + _entry(rng, p - 1), p)
+        plan = tab.transvection(i, j)
+        kernel = block.copy()
+        loop = block.copy()
+        _kernels.transvect(kernel, plan, binom_c, p)
+        _transvect_loop(loop, tab.exps[:, i], tab.keys,
+                        int(tab.weights[j] - tab.weights[i]), binom_c, p)
+        assert (kernel == loop).all()
+        assert not kernel[0].any()
+        for row, moved in zip(block, kernel):
+            alone = row[None, :].copy()
+            _kernels.transvect(alone, plan, binom_c, p)
+            assert (alone[0] == moved).all()
+
+
+def test_transvect_on_a_degree_zero_table_is_the_identity():
+    for nvars in (2, 4):
+        tab = table_for(nvars, 0, GREVLEX)
+        for i in range(nvars):
+            for j in range(nvars):
+                if i == j:
+                    continue
+                plan = tab.transvection(i, j)
+                assert all(a.dtype == np.int32 and a.shape == (0,)
+                           for a in plan)
+                block = np.array([[5], [0], [P - 1]], dtype=np.int64)
+                _kernels.transvect(block, plan, _binom_c(0, 3, P), P)
+                assert block.ravel().tolist() == [5, 0, P - 1]
+
+
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_transvection_plan_is_cached_and_matches_a_search(order,
+                                                          monkeypatch):
+    for nvars in range(2, 5):
+        for degree in range(5):
+            tab = table_for(nvars, degree, order)
+            for i in range(nvars):
+                for j in range(nvars):
+                    if i == j:
+                        continue
+                    plan = tab.transvection(i, j)
+                    assert tab.transvection(i, j) is plan
+                    assert all(a.dtype == np.int32 for a in plan)
+                    want = _transvection_by_search(tab, i, j)
+                    assert [a.tolist() for a in plan] == list(want)
+    # the plans live on the table: one rebuilt after eviction builds its own
+    monkeypatch.setattr(poly_module, "_TABLE_CACHE", {})
+    monkeypatch.setattr(poly_module, "_table_rows", 0)
+    monkeypatch.setattr(poly_module, "_TABLE_ROW_BUDGET", 20)
+    cubics = table_for(3, 3, GLEX)                  # 10 rows
+    plan = cubics.transvection(0, 2)
+    table_for(3, 4, GLEX)                           # 15: evicts the cubics
+    rebuilt = table_for(3, 3, GLEX)
+    assert rebuilt is not cubics
+    assert rebuilt.transvection(0, 2) is not plan
+    assert ([a.tolist() for a in rebuilt.transvection(0, 2)]
+            == [a.tolist() for a in plan])
 
 
 def _product(rng, rows, inner, cols, p):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -332,6 +333,29 @@ def test_dense_slice_round_trip(order):
                 assert np.array_equal(back.coeffs, f.coeffs)
 
 
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_dense_block_round_trip(order):
+    rng = SplitMix64(607)
+    for nvars in range(1, 6):
+        for degree in range(6):
+            tab = table_for(nvars, degree, order)
+            polys = [Polynomial.from_terms(
+                [(tab.exps[rng.below(len(tab))], rng.below(P))
+                 for _ in range(rng.below(8))], nvars, P, order)
+                for _ in range(1 + rng.below(4))]
+            block = tab.dense_block(polys)
+            assert block.dtype == np.int64
+            assert block.shape == (len(polys), len(tab))
+            for row, f in zip(block, polys):
+                assert np.array_equal(row, tab.dense(f))
+            back = tab.polynomials(block, P)
+            assert len(back) == len(polys)
+            for g, f in zip(back, polys):
+                assert g.order is order
+                assert np.array_equal(g.exps, f.exps)
+                assert np.array_equal(g.coeffs, f.coeffs)
+
+
 def test_prime_above_int64_bound_is_a_configuration_error():
     # residue products must fit in int64: p*p <= 2**63 - 1
     big = 3037000493
@@ -447,6 +471,68 @@ def test_factored_change_agrees_with_matrix_and_reference(p):
             assert moved == apply_linear_change(f, change.matrix)
             assert moved == _apply_change_terms(f, change.matrix)
             assert change.apply_inverse(moved) == f
+
+
+def _random_ideal(rng, nvars, p):
+    """Mixed degrees and orders, some generators sharing both; one constant."""
+    gens = []
+    for degree in (2, 0, 3, 2, 1, 2, 3):
+        f = _random_homogeneous(rng, nvars, degree, p)
+        gens.append(f.with_order(GREVLEX) if rng.below(2) else f)
+    return Ideal(gens, nvars, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, P, 3037000493])
+def test_moving_an_ideal_moves_each_generator(p):
+    rng = SplitMix64(1700 + p % 1000)
+    for nvars in range(1, 6):
+        for trial in range(3):
+            ideal = _random_ideal(rng, nvars, p)
+            change = random_change(70 * nvars + trial, nvars, p)
+            moved = change.apply_ideal(ideal)
+            assert (moved.nvars, moved.p) == (nvars, p)
+            assert len(moved.generators) == len(ideal.generators)
+            for f, g in zip(ideal.generators, moved.generators):
+                assert g.order is f.order
+                for want in (apply_linear_change(f, change.matrix),
+                             _apply_change_terms(f, change.matrix)):
+                    assert np.array_equal(g.exps, want.exps)
+                    assert np.array_equal(g.coeffs, want.coeffs)
+            back = change.apply_inverse(moved)
+            for f, g in zip(ideal.generators, back.generators):
+                assert g.order is f.order
+                assert np.array_equal(g.exps, f.exps)
+                assert np.array_equal(g.coeffs, f.coeffs)
+
+
+# sha256 over the moved generators of the five default corpus entries, for
+# change seeds 2024, 7 and 99, both orders and both directions; see
+# _moves_digest.  Any change to the coordinate change that moves a single
+# coefficient changes it.
+GOLDEN_MOVES_SHA256 = (
+    "eeb1f623dc5a2751e32e79794f542e21789c35a77cf90ada3817a5a47d8d3942")
+
+
+def _moves_digest(ideals):
+    digest = hashlib.sha256()
+    for ideal in ideals:
+        for order in (GLEX, GREVLEX):
+            start = ideal.with_order(order)
+            for seed in (2024, 7, 99):
+                change = random_change(seed, ideal.nvars, ideal.p)
+                for move in (change.apply, change.apply_inverse):
+                    for g in move(start).generators:
+                        digest.update(np.array(g.exps.shape,
+                                               dtype=np.int64).tobytes())
+                        digest.update(g.exps.astype(np.int64).tobytes())
+                        digest.update(g.coeffs.astype(np.int64).tobytes())
+    return digest.hexdigest()
+
+
+def test_coordinate_changes_are_pinned(store):
+    names = ("scroll", "ci22", "castelnuovo", "ci23", "acm4")
+    assert _moves_digest([store.ideal(name) for name in names]) \
+        == GOLDEN_MOVES_SHA256
 
 
 def test_factored_change_prime_mismatch_rejected():
