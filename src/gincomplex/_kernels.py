@@ -20,9 +20,12 @@ Conventions shared by all kernels:
 
 The reduction scan is driven by a boolean row mask of the slice: the rows
 some reducer lead divides.  The caller keeps that mask: the Buchberger
-backend chains it from the degree below, as the rows x_i * m for each
-covered row m of degree d - 1 plus the degree-d leads.  So the kernel's
-work is one step per elimination, not one per nonzero row.
+backend chains it from the degree below along the standard rows, which no
+lead divides.  A degree-d row is standard iff it is not a lead and every
+m / x_i is a standard row of degree d - 1, so the mask is the degree-d
+leads plus each row that the standard rows below reach fewer times than it
+has dividing variables.  So the kernel's work is one step per elimination,
+not one per nonzero row.
 
 ``transvect`` moves a whole block of degree slices through one elementary
 substitution by a gather plan that the table builds once per variable pair,
@@ -176,7 +179,7 @@ def warmup():
     reduce_dense(vec.copy(), exps, keys, reducible, lead, tails, 7)
     # x0 <- x0 + x1 on these rows: x0^2 feeds x0*x1 (k = 1) and x1^2
     # (k = 2), x0*x1 feeds x1^2; cells index the 3 x 3 binomial table
-    plan = tuple(np.array(a, dtype=np.int32)
+    plan = tuple(np.array(a, dtype=np.intp)
                  for a in ([0, 0, 1], [7, 8, 4], [0, 1], [1, 2]))
     binom = np.array([[1, 0, 0], [1, 1, 0], [1, 2, 1]], dtype=np.int64)
     transvect(np.array([vec, vec[::-1]]), plan, binom, 7)

@@ -13,10 +13,12 @@ Every ideal is homogeneous and both orders are graded, so there is one
 reduction path: each reduction is a forward scan over one dense degree
 slice, with the inner multiply-accumulate in a numpy kernel.  The scan
 visits only rows that some reducer lead divides.  The backend chains that
-mask over the degrees: a monomial of degree d is divisible by a lead iff it
-is a lead or x_i times a divisible monomial of degree d - 1, so each
-degree's mask is the one below gathered through the table's successor map,
-plus that degree's leads (see ``_ChainedCover``).
+mask over the degrees along the standard monomials, which no lead divides:
+a monomial of degree d is standard iff it is not a lead and each m / x_i is
+a standard monomial of degree d - 1.  So each degree's mask comes from the
+standard rows below it, counted through the table's successor map, plus
+that degree's leads (see ``_ChainedCover``).  The same chain, handed on by
+a graded-lex run, gives the Hilbert function of the initial ideal.
 ``normal_form`` divides by any list of homogeneous reducers on the same
 path, one homogeneous component at a time.
 
@@ -69,18 +71,30 @@ from .poly import (
 # monomial ideals
 # ---------------------------------------------------------------------------
 
+def _exponent_row(m):
+    """Tuple of the nonnegative integer exponents in the sequence ``m``."""
+    row = tuple(m)
+    if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in row):
+        raise GincomplexError(
+            f"exponents must be nonnegative integers, got {row}")
+    return tuple(map(int, row))
+
+
 class MonomialIdeal:
     """Minimal monomial generators, an antichain under divisibility.
 
-    The ideal is immutable, so it keeps the chained graded-lex masks of the
-    monomials it contains (``_ChainedCover``) once a query has built them;
-    the Hilbert function and the Borel test share them.
+    Exponents must be nonnegative integers; anything else raises
+    ``GincomplexError``.  The ideal is immutable, so it keeps the chained
+    graded-lex masks of the monomials it contains (``_ChainedCover``) once
+    a query has built them; the Hilbert function counts the standard rows
+    they leave.  The initial ideal of a graded-lex basis starts from the
+    cover its ``buchberger`` run already chained.
     """
 
     __slots__ = ("nvars", "gens", "_cover")
 
     def __init__(self, monomials, nvars):
-        mons = sorted({tuple(int(v) for v in m) for m in monomials},
+        mons = sorted(set(map(_exponent_row, monomials)),
                       key=lambda m: (sum(m), m))
         minimal = []
         for m in mons:
@@ -117,23 +131,20 @@ class MonomialIdeal:
     def is_borel_fixed(self):
         """Closed under swapping a dividing variable for any earlier one.
 
-        A move keeps the degree, so each moved generator is one key lookup
-        in the mask of its degree.
+        It suffices to move the minimal generators: each move x_j / x_i,
+        j < i, of a generator divisible by x_i must be divisible by some
+        generator, which is one broadcast comparison of the moved rows with
+        the generator array per variable x_i.
         """
-        # with one variable there is nothing to swap
-        if self.is_zero or self.nvars == 1:
-            return True
-        gens = np.array(self.gens, dtype=np.int64)
-        weights = GLEX.index_weights(self.nvars)
-        keys = gens @ weights
-        degrees = gens.sum(axis=1)
-        for degree in np.unique(degrees).tolist():
-            at = degrees == degree
-            moved = np.concatenate([
-                keys[at & (gens[:, i] > 0)] - weights[i] + weights[j]
-                for i in range(self.nvars) for j in range(i)])
-            tab = table_for(self.nvars, degree, GLEX)
-            if not self._covered(degree)[tab.positions(moved)].all():
+        gens = np.array(self.gens, dtype=np.int64).reshape(-1, self.nvars)
+        unit = np.eye(self.nvars, dtype=np.int64)
+        for i in range(1, self.nvars):
+            movable = gens[gens[:, i] > 0] - unit[i]
+            # every move x_j / x_i of every movable generator, j < i
+            moved = (movable[None, :, :] + unit[:i, None, :]).reshape(
+                -1, self.nvars)
+            if not (gens[None, :, :] <= moved[:, None, :]).all(
+                    axis=2).any(axis=1).all():
                 return False
         return True
 
@@ -169,12 +180,16 @@ class MonomialIdeal:
 class _ChainedCover:
     """Per-degree masks of the table rows that some lead divides.
 
-    A row of degree d is covered iff it is a lead or x_i times a covered row
-    of degree d - 1.  The mask of a degree is built once, from the mask
-    below it, by one gather through the lower table's successor map
-    (``MonomialTable.successors``), and is kept.  The chain starts at the
-    lowest lead degree; below it a mask is all False and nothing is built
-    or kept.
+    The chain follows the standard rows, those no lead divides: a row m of
+    degree d is standard iff it is not a lead and every m / x_i, one for
+    each variable x_i dividing m, is standard.  The mask of a degree is
+    built once, from the mask below it, and kept: the successors
+    (``MonomialTable.successors``) of the standard rows below are counted
+    per row, and a row that fewer of them reach than it has dividing
+    variables (``MonomialTable.supports``) is covered, as is each lead.  At
+    high degrees most rows are covered, so the work follows the few
+    standard ones.  The chain starts at the lowest lead degree; below it a
+    mask is all False and nothing is built or kept.
 
     Asking for a degree chains every degree up to it, so by then each lead
     below it must be known.  A lead may still come at the highest chained
@@ -218,10 +233,13 @@ class _ChainedCover:
             if below is None and waiting is None and d < degree:
                 continue
             tab = table_for(self.nvars, d, self.order)
-            mask = np.zeros(len(tab), dtype=bool)
-            if below is not None:
+            if below is None:
+                mask = np.zeros(len(tab), dtype=bool)
+            else:
                 succ = table_for(self.nvars, d - 1, self.order).successors()
-                mask[succ[below]] = True
+                reached = np.bincount(succ[np.flatnonzero(~below)].ravel(),
+                                      minlength=len(tab))
+                mask = reached < tab.supports()
             if waiting is not None:
                 mask[tab.positions(np.array(waiting, dtype=np.int64))] = True
             self._masks[d] = below = mask
@@ -247,10 +265,20 @@ class GroebnerBasis:
     new; ``pairs_pruned`` were dropped unreduced by the Hilbert-driven
     criterion.  The three count S-pairs only, not generators, and repeat
     exactly for a fixed input.
+
+    The run also leaves the lead cover it chained (``_cover``).  Its leads
+    are exactly the minimal generators of the initial ideal, so for a
+    graded-lex basis ``initial_ideal`` hands it on instead of chaining the
+    same masks again.  A graded-revlex cover is not handed on: a gin asks
+    for the Hilbert function of that initial ideal up to the top degree of
+    its graded-lex run, far above the graded-revlex run's, and chaining the
+    cover there would build graded-revlex tables and successor maps beside
+    the graded-lex ones.
     """
 
     __slots__ = ("elements", "order", "nvars", "p",
-                 "pairs_reduced", "reductions_to_zero", "pairs_pruned")
+                 "pairs_reduced", "reductions_to_zero", "pairs_pruned",
+                 "_cover")
 
     def __init__(self, elements, order, nvars, p,
                  pairs_reduced=0, reductions_to_zero=0, pairs_pruned=0):
@@ -261,12 +289,16 @@ class GroebnerBasis:
         self.pairs_reduced = pairs_reduced
         self.reductions_to_zero = reductions_to_zero
         self.pairs_pruned = pairs_pruned
+        self._cover = None
 
     def leading_monomials(self):
         return [g.leading_monomial() for g in self.elements]
 
     def initial_ideal(self):
-        return MonomialIdeal(self.leading_monomials(), self.nvars)
+        ideal = MonomialIdeal(self.leading_monomials(), self.nvars)
+        if self.order is GLEX:
+            ideal._cover = self._cover
+        return ideal
 
     def normal_form(self, f):
         return normal_form(f, self.elements, self.order)
@@ -590,8 +622,11 @@ def buchberger(ideal, order, hilbert=None):
 
     elements = sorted(basis, key=lambda g: order.key(g.leading_monomial()),
                       reverse=True)
-    return GroebnerBasis(elements, order, nvars, p, pairs_reduced=n_reduced,
-                         reductions_to_zero=n_zero, pairs_pruned=n_pruned)
+    gb = GroebnerBasis(elements, order, nvars, p, pairs_reduced=n_reduced,
+                       reductions_to_zero=n_zero, pairs_pruned=n_pruned)
+    # every lead of the basis is in the cover, and none will follow
+    gb._cover = backend._cover
+    return gb
 
 
 def is_groebner_basis(gb):

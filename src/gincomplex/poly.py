@@ -189,12 +189,15 @@ class MonomialTable:
     the successor map (``successors``), which a table builds on first use
     and holds until it leaves the cache: the row of each x_i * m in the
     table of the next degree, even if that table is evicted and rebuilt.
-    The gather plans of the transvections (``transvection``) are held the
-    same way, one per (i, j) asked for.
+    The lead cover walks the standard monomials up the degrees through that
+    map, and compares what reaches each row with the number of variables
+    dividing it (``supports``), which is held the same way.  So are the
+    gather plans of the transvections (``transvection``), one per (i, j)
+    asked for.
     """
 
     __slots__ = ("nvars", "degree", "order", "exps", "keys", "weights",
-                 "_successors", "_transvections")
+                 "_successors", "_supports", "_transvections")
 
     def __init__(self, nvars, degree, order):
         self.nvars = nvars
@@ -207,6 +210,7 @@ class MonomialTable:
         self.exps = np.ascontiguousarray(exps[idx])
         self.keys = np.ascontiguousarray(keys[idx])
         self._successors = None
+        self._supports = None
         self._transvections = {}
 
     def __len__(self):
@@ -258,13 +262,24 @@ class MonomialTable:
                 self.keys[:, None] + self.weights).astype(np.int32)
         return self._successors
 
+    def supports(self):
+        """int8 array: entry r is the number of variables dividing m_r.
+
+        That is the number of rows of the degree below whose successor map
+        reaches row r, one through each such x_i.
+        """
+        if self._supports is None:
+            self._supports = np.count_nonzero(self.exps, axis=1).astype(
+                np.int8)
+        return self._supports
+
     def transvection(self, i, j):
         """Gather plan of x_i <- x_i + c * x_j on this table's rows.
 
         One entry per row m and power 1 <= k <= e_i(m): its source row m,
         its cell e_i(m) * (degree + 1) + k of a flattened (degree + 1)-square
         table of C(e, k) * c^k, and its target, the row of m * (x_j/x_i)^k.
-        The plan is ``(sources, cells, starts, targets)``, all int32: the
+        The plan is ``(sources, cells, starts, targets)``, all intp: the
         entries' sources and cells sorted by target, the index at which each
         target's run of entries starts, and that target's row, so one
         reduceat over ``starts`` sums what each target receives (see
@@ -285,7 +300,8 @@ class MonomialTable:
             first[1:] = targets[1:] != targets[:-1]
             starts = np.flatnonzero(first)
             cells = e[sources] * (self.degree + 1) + k
-            plan = tuple(a.astype(np.int32) for a in (
+            # intp, numpy's index type, so no gather converts the plan
+            plan = tuple(a.astype(np.intp, copy=False) for a in (
                 sources[by_target], cells[by_target], starts,
                 targets[starts]))
             self._transvections[(i, j)] = plan
@@ -294,10 +310,11 @@ class MonomialTable:
 
 # least recently used first; _table_rows is the total row count it holds.
 # A table whose successor map was built also carries nvars int32 entries
-# per row (about 1.1 MB over the acm4 graded-lex chain to degree 21), and
-# each transvection plan about 2 * degree / nvars + 2 int32 entries per row
-# (up to nvars * (nvars - 1) plans on a table that coordinate changes
-# reach); the budget counts rows only.
+# per row (about 1.1 MB over the acm4 graded-lex chain to degree 21) and,
+# once the lead cover has climbed through it, one int8 support count per
+# row; each transvection plan holds about 2 * degree / nvars + 2 intp
+# (8-byte) entries per row (up to nvars * (nvars - 1) plans on a table
+# that coordinate changes reach).  The budget counts rows only.
 _TABLE_CACHE = {}
 _table_rows = 0
 _TABLE_ROW_BUDGET = 4_000_000

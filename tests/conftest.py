@@ -1,11 +1,32 @@
 import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import configuration, settings
 
 from gincomplex import _kernels, corpus
 from gincomplex.gin import gin as run_gin
 from gincomplex.poly import ORDERS
+
+# every property runs the same examples on every run and writes no example
+# database; a slow example is not a failure
+settings.register_profile("gincomplex", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("gincomplex")
+
+
+def pytest_configure(config):
+    # Hypothesis also caches the constants it finds in the imported sources,
+    # whatever the profile says; that cache lives and dies with the test run
+    config.hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    configuration.set_hypothesis_home_dir(config.hypothesis_home.name)
+
+
+def pytest_unconfigure(config):
+    configuration.set_hypothesis_home_dir(None)
+    config.hypothesis_home.cleanup()
+
 
 EXTENDED = os.environ.get("GINCOMPLEX_EXTENDED", "").strip() not in ("", "0")
 

@@ -70,7 +70,7 @@ def test_field_axioms_bulk():
             assert f.mul(a, f.inv(a)) == 1
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.integers(0, 32002), st.integers(0, 32002))
 def test_sub_inverts_add(a, b):
     f = PrimeField(32003)

@@ -230,6 +230,33 @@ def test_gin_certifies_hilbert_function_to_one_past_top_degree(store):
                 result.gin.max_generator_degree() + 1
 
 
+def test_glex_gin_certificate_reuses_the_run_cover(monkeypatch, store):
+    # the certificate reads the lead masks its graded-lex run chained: it
+    # may chain on above that run's top degree, but rebuilds none below it
+    runs = []
+    real = gin_mod.buchberger
+
+    def spy(moved, order, hilbert=None):
+        gb = real(moved, order, hilbert=hilbert)
+        runs.append((gb, dict(gb._cover._masks), gb._cover._top))
+        return gb
+
+    monkeypatch.setattr(gin_mod, "buchberger", spy)
+    result = gin(store.ideal("acm4"), GLEX)
+    assert result.gin == store.gin("acm4").gin
+    gb, masks, top = runs[-1]
+    assert gb is result.basis and gb.order is GLEX
+    cover = result.gin._cover
+    assert cover is gb._cover
+    assert top > 0 and masks
+    assert all(cover._masks[d] is mask for d, mask in masks.items())
+    assert all(d > top for d in cover._masks.keys() - masks.keys())
+    # a graded-revlex initial ideal chains its own graded-lex cover
+    grevlex = [basis for basis, _, _ in runs if basis.order is GREVLEX]
+    assert grevlex and all(basis.initial_ideal()._cover is None
+                           for basis in grevlex)
+
+
 def _pruning_hilbert(real, shift_at):
     """A buchberger stand-in whose pruning sees H shifted by shift_at(d)."""
     def run(moved, order, hilbert=None):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gincomplex.corpus import (
     golden_monomial_ideal,
@@ -585,6 +586,46 @@ def test_borel_fixed_matches_the_tuple_rule():
         assert verdict == _borel_fixed_reference(ideal)
         verdicts.append(verdict)
     assert 50 < sum(verdicts) < 150
+
+
+def _capped(exps, top=4):
+    """The exponents cut down, left to right, to total degree ``top``."""
+    out = []
+    for v in exps:
+        out.append(min(v, top - sum(out)))
+    return tuple(out)
+
+
+@st.composite
+def _monomial_ideals(draw):
+    """Up to four generators of degree <= 4 in 1-5 variables, half of them
+    closed under the Borel moves."""
+    nvars = draw(st.integers(1, 5))
+    exponent = st.lists(st.integers(0, 4), min_size=nvars,
+                        max_size=nvars).map(_capped)
+    gens = set(draw(st.lists(exponent, max_size=4)))
+    if draw(st.booleans()):
+        gens = _borel_closure(gens, nvars)
+    return MonomialIdeal(gens, nvars)
+
+
+@settings(max_examples=200)
+@given(_monomial_ideals(), st.integers(-1, 6))
+def test_monomial_ideal_queries_match_the_tuple_rules(ideal, m):
+    assert ideal.hilbert_function(m) == _brute_force_standard_count(
+        ideal.gens, ideal.nvars, m)
+    assert ideal.is_borel_fixed() == _borel_fixed_reference(ideal)
+
+
+def test_monomial_ideal_rejects_bad_exponents():
+    for gens, nvars in (([(1, -1, 2)], 3), ([(-1, 2)], 2), ([(0, 1.5)], 2),
+                        ([(2, 0), (0, "1")], 2), ([(0, None)], 2)):
+        with pytest.raises(GincomplexError, match="nonnegative integers"):
+            MonomialIdeal(gens, nvars)
+    # numpy integers are integers
+    ideal = MonomialIdeal([np.array([1, 0, 2]), (np.int64(0), 3, 0)], 3)
+    assert ideal.gens == ((1, 0, 2), (0, 3, 0))
+    assert all(type(v) is int for g in ideal.gens for v in g)
 
 
 def test_borel_regularity():

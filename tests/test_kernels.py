@@ -176,39 +176,52 @@ def test_reduce_dense_matches_loop(order, p):
     assert above > 0
 
 
+def _check_chained_cover(nvars, order, leads):
+    """Both ways of feeding ``leads`` give the divisibility masks."""
+    top = max(int(lead.sum()) for lead in leads)
+    # each degree's leads arrive in two halves, the second after that
+    # degree's mask was first read
+    cover = _ChainedCover(nvars, order)
+    for d in range(top + 3):
+        tab = table_for(nvars, d, order)
+        own = [lead for lead in leads if lead.sum() == d]
+        for lead in own[:1]:
+            cover.add(lead)
+        cover.mask(d)
+        for lead in own[1:]:
+            cover.add(lead)
+        known = np.array([lead for lead in leads if lead.sum() <= d],
+                         dtype=np.int64).reshape(-1, nvars)
+        assert (cover.mask(d) == _divisible_rows(tab.exps, known)).all()
+    # every lead known up front, degrees read from the top down
+    static = _ChainedCover(nvars, order, leads)
+    lead_exps = np.array(leads, dtype=np.int64)
+    for d in range(top + 2, -1, -1):
+        tab = table_for(nvars, d, order)
+        assert (static.mask(d) == _divisible_rows(tab.exps, lead_exps)).all()
+
+
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
 def test_chained_cover_matches_divisibility(order):
     # leads at a few scattered degrees, so some degrees in between and every
-    # degree below the lowest have none; each degree's leads arrive in two
-    # halves, the second after that degree's mask was first read
+    # degree below the lowest have none
     rng = SplitMix64(505)
-    for trial in range(30):
-        nvars = 2 + trial % 4
+    for trial in range(36):
+        nvars = 1 + trial % 6
         degrees = sorted({1 + rng.below(7) for _ in range(1 + rng.below(3))})
         leads = []
         for d in degrees:
             tab = table_for(nvars, d, order)
             leads.extend(tab.exps[rng.below(len(tab))]
                          for _ in range(1 + rng.below(3)))
-        cover = _ChainedCover(nvars, order)
-        for d in range(degrees[-1] + 3):
-            tab = table_for(nvars, d, order)
-            own = [lead for lead in leads if lead.sum() == d]
-            for lead in own[:1]:
-                cover.add(lead)
-            cover.mask(d)
-            for lead in own[1:]:
-                cover.add(lead)
-            known = np.array([lead for lead in leads if lead.sum() <= d],
-                             dtype=np.int64).reshape(-1, nvars)
-            assert (cover.mask(d) == _divisible_rows(tab.exps, known)).all()
-        # every lead known up front, degrees read from the top down
-        static = _ChainedCover(nvars, order, leads)
-        lead_exps = np.array(leads, dtype=np.int64)
-        for d in range(degrees[-1] + 2, -1, -1):
-            tab = table_for(nvars, d, order)
-            assert (static.mask(d)
-                    == _divisible_rows(tab.exps, lead_exps)).all()
+        _check_chained_cover(nvars, order, leads)
+    # the unit ideal: a degree-0 lead covers every row, with or without
+    # leads above it
+    for nvars in range(1, 7):
+        unit = np.zeros(nvars, dtype=np.int64)
+        _check_chained_cover(nvars, order, [unit])
+        _check_chained_cover(nvars, order,
+                             [unit, table_for(nvars, 2, order).exps[0]])
 
 
 def test_chained_cover_rejects_a_lead_below_a_chained_degree():
@@ -291,7 +304,7 @@ def test_transvect_on_a_degree_zero_table_is_the_identity():
                 if i == j:
                     continue
                 plan = tab.transvection(i, j)
-                assert all(a.dtype == np.int32 and a.shape == (0,)
+                assert all(a.dtype == np.intp and a.shape == (0,)
                            for a in plan)
                 block = np.array([[5], [0], [P - 1]], dtype=np.int64)
                 _kernels.transvect(block, plan, _binom_c(0, 3, P), P)
@@ -310,7 +323,7 @@ def test_transvection_plan_is_cached_and_matches_a_search(order,
                         continue
                     plan = tab.transvection(i, j)
                     assert tab.transvection(i, j) is plan
-                    assert all(a.dtype == np.int32 for a in plan)
+                    assert all(a.dtype == np.intp for a in plan)
                     want = _transvection_by_search(tab, i, j)
                     assert [a.tolist() for a in plan] == list(want)
     # the plans live on the table: one rebuilt after eviction builds its own

@@ -311,6 +311,36 @@ def test_successors_survive_eviction_of_the_next_table(monkeypatch):
 
 
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_supports_count_the_dividing_variables(order, monkeypatch):
+    for nvars in range(1, 7):
+        for degree in range(7):
+            tab = table_for(nvars, degree, order)
+            sup = tab.supports()
+            assert tab.supports() is sup
+            assert sup.dtype == np.int8
+            assert sup.tolist() == [sum(v > 0 for v in row)
+                                    for row in tab.exps.tolist()]
+            # one row below reaches m through each variable dividing m
+            if degree:
+                lower = table_for(nvars, degree - 1, order)
+                assert np.array_equal(
+                    np.bincount(lower.successors().ravel(),
+                                minlength=len(tab)), sup)
+    # the counts live on the table: one rebuilt after eviction counts again
+    monkeypatch.setattr(poly_module, "_TABLE_CACHE", {})
+    monkeypatch.setattr(poly_module, "_table_rows", 0)
+    monkeypatch.setattr(poly_module, "_TABLE_ROW_BUDGET", 20)
+    cubics = table_for(3, 3, order)                 # 10 rows
+    sup = cubics.supports()
+    table_for(3, 4, order)                          # 15: evicts the cubics
+    assert cubics.supports() is sup
+    rebuilt = table_for(3, 3, order)
+    assert rebuilt is not cubics
+    assert rebuilt.supports() is not sup
+    assert np.array_equal(rebuilt.supports(), sup)
+
+
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
 def test_dense_slice_round_trip(order):
     rng = SplitMix64(606)
     for nvars in range(1, 6):
