@@ -55,8 +55,10 @@ class NonBorelGinError(GincomplexError):
 class InvariantError(GincomplexError, ValueError):
     """Numeric invariants are inconsistent.
 
-    Either surface invariants (e.g. a negative node count), or a stabilized
-    gin whose Hilbert function differs from the ideal's.
+    Surface invariants (e.g. a negative node count), a stabilized gin whose
+    Hilbert function differs from the ideal's, a Hilbert function that a
+    Groebner run's leading monomials contradict, or a partial elimination
+    stratum that its strict extraction does not generate.
     """
 
 

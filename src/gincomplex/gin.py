@@ -21,6 +21,16 @@ itself -- an H one too large where a new leading monomial is due would drop
 a productive pair and certify the result -- so H is always read off a basis
 computed without pruning.
 
+The one exception is a partial elimination stratum K_i (see ``pei``).  Its H
+comes from the relaxed extraction of the stabilized graded-lex basis, which
+is a Groebner basis of K_i in any coordinates (Green, *Generic initial
+ideals*, 1998), and ``reduced_grevlex`` prunes with it the basis of the
+strict extraction J, which lies in K_i.  The leads of J never leave fewer
+standard monomials than H allows, and pruning fires only where they leave
+exactly H(d), which forces J_d = (K_i)_d.  Where J is smaller than K_i --
+coordinates not generic for the stratum -- a disagreeing strict extraction
+raises ``InvariantError`` instead of returning the basis of J.
+
 ``check_surface`` is the paper's test of one surface ideal: both gins, M and
 m, and with the surface's invariants the closed-form prediction and its
 witness monomials.
@@ -111,16 +121,19 @@ def random_change(seed, nvars, p=DEFAULT_PRIME):
                                     inverse_ops)
 
 
-def reduced_grevlex(ideal):
+def reduced_grevlex(ideal, hilbert=None):
     """The ideal generated by its reduced grevlex basis, in its own coordinates.
 
     In generic coordinates that basis has the lowest degrees of any term
     order (Bayer-Stillman), so later coordinate changes and Groebner runs
-    carry the fewest and smallest generators.
+    carry the fewest and smallest generators.  ``hilbert`` goes to
+    ``buchberger`` unchanged: a Hilbert function to prune with, and one the
+    leading monomials contradict raises ``InvariantError``.
     """
     if ideal.is_zero:
         return ideal
-    return Ideal(buchberger(ideal, GREVLEX).elements, ideal.nvars, ideal.p)
+    gb = buchberger(ideal, GREVLEX, hilbert=hilbert)
+    return Ideal(gb.elements, ideal.nvars, ideal.p)
 
 
 def _saturation_basis(ideal):

@@ -53,12 +53,18 @@ import math
 import numpy as np
 
 from . import _kernels
-from .errors import GincomplexError, RingMismatchError, ZeroPolynomialError
+from .errors import (
+    GincomplexError,
+    InvariantError,
+    RingMismatchError,
+    ZeroPolynomialError,
+)
 from .poly import (
     GLEX,
     GREVLEX,
     Ideal,
     Polynomial,
+    _exponent_row,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
@@ -70,15 +76,6 @@ from .poly import (
 # ---------------------------------------------------------------------------
 # monomial ideals
 # ---------------------------------------------------------------------------
-
-def _exponent_row(m):
-    """Tuple of the nonnegative integer exponents in the sequence ``m``."""
-    row = tuple(m)
-    if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in row):
-        raise GincomplexError(
-            f"exponents must be nonnegative integers, got {row}")
-    return tuple(map(int, row))
-
 
 class MonomialIdeal:
     """Minimal monomial generators, an antichain under divisibility.
@@ -558,7 +555,8 @@ def buchberger(ideal, order, hilbert=None):
     changing the result.  A Hilbert function that the leading monomials
     contradict -- more of them in some degree than it allows, or fewer once
     every pair and generator of that degree is done -- raises
-    ``GincomplexError``.
+    ``InvariantError``.  Only visited degrees are checked: a degree with
+    no waiting generator or pair is never compared with it.
     """
     if ideal.is_zero:
         raise ZeroPolynomialError("the zero ideal has no generators")
@@ -584,7 +582,7 @@ def buchberger(ideal, order, hilbert=None):
             mask = backend.covered(degree)
             missing = len(mask) - int(mask.sum()) - hilbert(degree)
             if missing < 0:
-                raise GincomplexError(
+                raise InvariantError(
                     f"Hilbert function contradicted: it predicts "
                     f"{hilbert(degree)} standard monomials in degree "
                     f"{degree}, but the leading monomials leave only "
@@ -615,7 +613,7 @@ def buchberger(ideal, order, hilbert=None):
             if hilbert is not None:
                 missing -= 1
         if hilbert is not None and missing > 0:
-            raise GincomplexError(
+            raise InvariantError(
                 f"Hilbert function contradicted in degree {degree}: every "
                 f"pair and generator is done, and {missing} of the leading "
                 f"monomials it predicts are still missing")

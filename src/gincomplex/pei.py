@@ -6,11 +6,19 @@ the images fbar in the ring without x0.  Extraction with the strict filter
 t == i is only a Groebner basis in generic coordinates, which is why the
 non-generic monomial counterexample ships as a permanent regression target;
 the relaxed filter t <= i works in any coordinates.
+
+So the leading monomials of the relaxed extraction, x0^t stripped, give the
+Hilbert function of K_i exactly, whatever the coordinates.  The pipeline
+works with the strict extraction J of a gin result, which lies in K_i, and
+its reduced grevlex basis is pruned with that Hilbert function.  The same
+Hilbert function checks the basis: a J smaller than K_i -- coordinates that
+are not generic for the stratum -- raises ``InvariantError`` and never
+stands in for K_i.
 """
 
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, NonBorelGinError
+from .errors import ConfigurationError, InvariantError, NonBorelGinError
 from .gin import (
     DEFAULT_MIN_AGREE,
     DEFAULT_SEED_BASE,
@@ -97,8 +105,33 @@ def _stratum(result, index):
     return result._strata[key]
 
 
+def _stratum_hilbert(result, index):
+    """The initial ideal of stratum ``index``, once per result.
+
+    Its ``hilbert_function`` is d -> dim (Rbar/K_index)_d.  The elements of
+    the graded-lex basis with leading x0-power t <= ``index`` extract to a
+    Groebner basis of K_index in any coordinates (the relaxed filter), and
+    each one's leading monomial is the element's own with x0^t stripped.
+    Kept in ``result._strata`` under ``(index, "hilbert")``.
+    """
+    key = (index, "hilbert")
+    if key not in result._strata:
+        gb = result.basis
+        leads = [f.leading_monomial()[1:] for f in gb.elements
+                 if f.d0() <= index]
+        result._strata[key] = MonomialIdeal(leads, gb.nvars - 1)
+    return result._strata[key]
+
+
 def _stratum_basis(result, index):
     """The ideal of stratum ``index``'s reduced grevlex basis, once per result.
+
+    The basis is that of the strict extraction J, pruned with K_index's
+    Hilbert function from ``_stratum_hilbert``; J lies in K_index, so its
+    basis is K_index's exactly when the two Hilbert functions agree up to
+    the top generator degree of K_index's initial ideal.  A contradiction
+    during the run or a disagreement after it means the coordinates are not
+    generic for the stratum and raises ``InvariantError``.
 
     Kept in ``result._strata`` under ``(index, "grevlex")``;
     ``reduced_grevlex`` is looked up as a module global, like
@@ -106,8 +139,30 @@ def _stratum_basis(result, index):
     """
     key = (index, "grevlex")
     if key not in result._strata:
-        result._strata[key] = reduced_grevlex(_stratum(result, index).ideal)
+        lead_ideal = _stratum_hilbert(result, index)
+        hilbert = lead_ideal.hilbert_function
+        ideal = _stratum(result, index).ideal
+        try:
+            basis = reduced_grevlex(ideal, hilbert=hilbert)
+        except InvariantError as exc:
+            raise _not_generic(result, index, exc) from None
+        got = MonomialIdeal([g.leading_monomial() for g in basis.generators],
+                            ideal.nvars)
+        for d in range(lead_ideal.max_generator_degree() + 1):
+            if got.hilbert_function(d) != hilbert(d):
+                raise _not_generic(
+                    result, index,
+                    f"{got.hilbert_function(d)} standard monomials in degree "
+                    f"{d}, {hilbert(d)} expected")
+        result._strata[key] = basis
     return result._strata[key]
+
+
+def _not_generic(result, index, detail):
+    return InvariantError(
+        f"stratum {index}: the strict extraction does not generate K_{index}, "
+        f"so the coordinates are not generic for it (prime {result.prime}, "
+        f"seeds {result.seeds}): {detail}")
 
 
 def beta(gb):
@@ -145,8 +200,9 @@ def recombine_m(ideal, seed_base=DEFAULT_SEED_BASE,
     only on the ideal, so every result is the same, and ``Stratum.data``
     keeps the extracted generators.  Strata and their grevlex bases come
     from the gin result's memo, which ``hilbert_identity_check`` and
-    ``k1_saturation_check`` share.  Must agree with the direct graded-lex
-    degree complexity.
+    ``k1_saturation_check`` share; a stratum that its strict extraction
+    does not generate raises ``InvariantError`` (see ``_stratum_basis``).
+    Must agree with the direct graded-lex degree complexity.
     """
     result = gin_result
     if result is None:

@@ -59,6 +59,14 @@ def monomial_lcm(a, b):
 def unit_exponent(nvars, i):
     return tuple(1 if j == i else 0 for j in range(nvars))
 
+def _exponent_row(m):
+    """Tuple of the nonnegative integer exponents in the sequence ``m``."""
+    row = tuple(m)
+    if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in row):
+        raise GincomplexError(
+            f"exponents must be nonnegative integers, got {row}")
+    return tuple(map(int, row))
+
 
 # ---------------------------------------------------------------------------
 # monomial orders
@@ -375,17 +383,21 @@ class Polynomial:
         """Build from (exponent sequence, coefficient) pairs.
 
         Coefficients reduce mod p, duplicate monomials merge, zeros drop.
-        A modulus whose residue products overflow int64 is rejected.
+        Exponents must be nonnegative integers and coefficients integers,
+        Python or numpy; anything else, a float even when integral, raises
+        ``GincomplexError``.  A modulus whose residue products overflow
+        int64 is rejected.
         """
         check_int64_prime(p)
         acc = {}
         for e, c in terms:
-            e = tuple(int(v) for v in e)
+            e = _exponent_row(e)
             if len(e) != nvars:
                 raise RingMismatchError(
                     f"exponent length {len(e)} != nvars {nvars}")
-            if any(v < 0 for v in e):
-                raise GincomplexError(f"negative exponent in {e}")
+            if not isinstance(c, (int, np.integer)):
+                raise GincomplexError(
+                    f"coefficients must be integers, got {c!r}")
             acc[e] = (acc.get(e, 0) + int(c)) % p
         items = [(e, c) for e, c in acc.items() if c]
         items.sort(key=lambda t: order.key(t[0]), reverse=True)

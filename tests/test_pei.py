@@ -1,15 +1,17 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 import gincomplex.pei
 from gincomplex.corpus import default_names, entry, remark_counterexample
-from gincomplex.errors import ConfigurationError
-from gincomplex.gin import DEFAULT_SEED_BASE, gin
+from gincomplex.errors import ConfigurationError, InvariantError
+from gincomplex.gin import DEFAULT_SEED_BASE, GinResult, gin, reduced_grevlex
 from gincomplex.groebner import (
     MonomialIdeal,
     buchberger,
+    hilbert_function_macaulay,
     ideals_equal,
     normal_form,
 )
@@ -270,7 +272,7 @@ def test_pipeline_builds_each_stratum_basis_once(store, monkeypatch):
         real = getattr(gincomplex.pei, name)
 
         def counting(*args, _real=real, _seen=seen, **kwargs):
-            _seen.append(args)
+            _seen.append((args, kwargs))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(gincomplex.pei, name, counting)
@@ -282,8 +284,13 @@ def test_pipeline_builds_each_stratum_basis_once(store, monkeypatch):
               if not (data.is_full_ring or data.ideal.is_zero)]
     # K_1 is proper, so the saturation check reuses recombine_m's basis
     assert 1 in proper
-    assert [a[1] for a in calls["partial_elimination"]] == list(range(b + 1))
+    assert [a[1] for a, _ in calls["partial_elimination"]] \
+        == list(range(b + 1))
     assert len(calls["reduced_grevlex"]) == len(proper)
+    # every stratum basis is pruned with its stratum's Hilbert function
+    assert [kwargs["hilbert"] for _, kwargs in calls["reduced_grevlex"]] \
+        == [gincomplex.pei._stratum_hilbert(fresh, i).hilbert_function
+            for i in proper]
     assert got == _pipeline(ideal, second)
 
 
@@ -295,3 +302,111 @@ def test_stratum_memo_leaves_equality_and_hash(store):
     assert filled._strata and not empty._strata
     assert filled == empty and hash(filled) == hash(empty)
     assert repr(filled) == repr(empty)
+
+
+CORPUS = ("scroll", "ci22", "castelnuovo", "ci23", "acm4")
+
+# sha256 over the reduced grevlex bases of every proper stratum of the five
+# default corpus entries' glex gins (default seed base), strata in index
+# order; see _strata_digest.  Computed from the unpruned bases.
+GOLDEN_STRATA_SHA256 = (
+    "67965e3150edec0a9165d308863d1a31af26160a2bfa38de4e7eadd94b876f8d")
+
+
+def _strata_digest(bases):
+    digest = hashlib.sha256()
+    for basis in bases:
+        for g in basis.generators:
+            digest.update(np.array(g.exps.shape, dtype=np.int64).tobytes())
+            digest.update(g.exps.astype(np.int64).tobytes())
+            digest.update(g.coeffs.astype(np.int64).tobytes())
+    return digest.hexdigest()
+
+
+def _proper_indices(result):
+    return [i for i in range(beta(result.basis) + 1)
+            if not (gincomplex.pei._stratum(result, i).is_full_ring
+                    or gincomplex.pei._stratum(result, i).ideal.is_zero)]
+
+
+def test_stratum_bases_equal_the_unpruned_bases(store):
+    driven = []
+    for name in CORPUS:
+        result = dataclasses.replace(store.gin(name))
+        for i in _proper_indices(result):
+            basis = gincomplex.pei._stratum_basis(result, i)
+            plain = reduced_grevlex(gincomplex.pei._stratum(result, i).ideal)
+            assert len(basis.generators) == len(plain.generators), (name, i)
+            for g, w in zip(basis.generators, plain.generators):
+                assert g.order is w.order
+                assert np.array_equal(g.exps, w.exps), (name, i)
+                assert np.array_equal(g.coeffs, w.coeffs), (name, i)
+            driven.append(basis)
+    assert len(driven) == 10
+    assert _strata_digest(driven) == GOLDEN_STRATA_SHA256
+
+
+def test_acm4_k1_basis_is_pruned(store):
+    # 26 extracted generators of degree 3-19, a grevlex basis of 4 of
+    # degree <= 5: with K_1's Hilbert function every S-pair is pruned
+    result = dataclasses.replace(store.gin("acm4"))
+    ideal = gincomplex.pei._stratum(result, 1).ideal
+    hilbert = gincomplex.pei._stratum_hilbert(result, 1).hilbert_function
+    counts = [(gb.pairs_reduced, gb.reductions_to_zero, gb.pairs_pruned)
+              for gb in (buchberger(ideal, GREVLEX, hilbert=hilbert),
+                         buchberger(ideal, GREVLEX))]
+    assert counts == [(0, 0, 3), (3, 3, 0)]
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_stratum_hilbert_matches_the_macaulay_oracle(store, name):
+    # the relaxed extraction's leads give K_i's Hilbert function; in the
+    # gin's generic coordinates the strict extraction has the same one
+    result = dataclasses.replace(store.gin(name))
+    gb = result.basis
+    for i in range(beta(gb) + 1):
+        hilbert = gincomplex.pei._stratum_hilbert(result, i).hilbert_function
+        relaxed = partial_elimination(gb, i, MODE_UPTO).ideal
+        strict = partial_elimination(gb, i, MODE_EQUAL, generic=True).ideal
+        for m in range(7):
+            assert hilbert(m) == hilbert_function_macaulay(relaxed, m) \
+                == hilbert_function_macaulay(strict, m), (i, m)
+
+
+def _stratum_ideal(result, index):
+    return gincomplex.pei._stratum(result, index).ideal
+
+
+def _wrapped(gb):
+    """A glex basis dressed as a gin result, coordinates as they are."""
+    return GinResult(gin=gb.initial_ideal(), order=GLEX, trials_agreed=1,
+                     seeds=(7,), borel=False,
+                     prime=gb.p, basis=gb, hilbert_checked_to=0)
+
+
+def test_non_generic_stratum_basis_raises():
+    # the strict K_1 of the counterexample is (x1, x2), K_1 is (x1, x2, x3):
+    # the pruned run ends degree 1 with a leading monomial missing
+    result = _wrapped(buchberger(remark_counterexample(), GLEX))
+    with pytest.raises(InvariantError,
+                       match=r"stratum 1.*prime 32003, seeds \(7,\)"):
+        gincomplex.pei._stratum_basis(result, 1)
+    assert (1, "grevlex") not in result._strata
+    # the stratum it would have returned is the smaller ideal
+    assert len(reduced_grevlex(_stratum_ideal(result, 1)).generators) == 2
+
+
+def test_non_generic_stratum_caught_in_a_degree_the_run_skips():
+    # K_1 of (x0*x1^2, x2^3) is (x1^2, x2^3), its strict extraction (x1^2);
+    # that run has nothing in degree 3, so only the check after it sees
+    # the missing cubic
+    gens = [Polynomial.from_terms([(e, 1)], 4, P) for e in
+            ((1, 2, 0, 0), (0, 0, 3, 0))]
+    result = _wrapped(buchberger(Ideal(gens, 4, P), GLEX))
+    hilbert = gincomplex.pei._stratum_hilbert(result, 1).hilbert_function
+    assert [hilbert(d) for d in range(4)] == [1, 3, 5, 6]
+    # buchberger alone accepts the smaller ideal
+    strict = _stratum_ideal(result, 1)
+    assert len(buchberger(strict, GREVLEX, hilbert=hilbert).elements) == 1
+    with pytest.raises(InvariantError, match="stratum 1.*degree 3"):
+        gincomplex.pei._stratum_basis(result, 1)

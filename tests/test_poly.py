@@ -440,6 +440,24 @@ def test_from_terms_merges_and_drops_zeros():
     assert g.terms() == [((1, 0, 0, 0, 0), 2)]
 
 
+def test_from_terms_rejects_non_integral_exponents_and_coefficients():
+    # nothing is truncated: x1^1.5 used to become x1, 2.5 used to become 2
+    for terms in ([((0, 1.5), 1)], [((0, 1.0), 1)], [((0, -1), 1)],
+                  [((0, 1), 2.5)], [((0, 1), 1.0)], [((0, 1), "1")],
+                  [((0, 1), np.float64(3))]):
+        with pytest.raises(GincomplexError):
+            Polynomial.from_terms(terms, 2, 7)
+    with pytest.raises(GincomplexError):
+        Polynomial.monomial((1.5, 0), 2, 7)
+    with pytest.raises(GincomplexError):
+        Polynomial.constant(0.5, 2, 7)
+    # Python and numpy integers of any width stay accepted
+    for e, c in (((0, 2), 9), ((np.int64(0), np.int32(2)), np.int64(9)),
+                 ((np.uint8(0), 2), np.int16(-5))):
+        assert Polynomial.from_terms([(e, c)], 2, 7).terms() \
+            == [((0, 2), 2)]
+
+
 def test_homogeneity_flag():
     assert poly([((1, 0, 0, 0, 0), 1), ((0, 1, 0, 0, 0), 2)]).is_homogeneous
     assert not poly([((1, 0, 0, 0, 0), 1), ((2, 0, 0, 0, 0), 2)]).is_homogeneous
