@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     UnstableGinError,
 )
-from .field import DEFAULT_PRIME, is_prime
+from .field import DEFAULT_PRIME, check_int64_prime, is_prime
 from .gin import (
     DEFAULT_MIN_AGREE,
     DEFAULT_SEED_BASE,
@@ -256,6 +256,8 @@ def parse_ideal_file(text, prime=None):
     nvars, file_prime, header_line = scan_header(text)
     p = prime if prime is not None else (file_prime if file_prime is not None
                                          else DEFAULT_PRIME)
+    # the size check first: trial division of a huge p never returns
+    check_int64_prime(p)
     if not is_prime(p):
         raise ParseError(f"modulus {p} is not prime", header_line)
     polys = []
@@ -291,6 +293,7 @@ class RunConfig:
     m_max: int = 6
 
     def __post_init__(self):
+        check_int64_prime(self.prime)
         if not is_prime(self.prime):
             raise ConfigurationError(f"prime {self.prime} is not prime")
         if self.min_agree < 1:

@@ -188,21 +188,22 @@ class _ChainedCover:
     standard ones.  The chain starts at the lowest lead degree; below it a
     mask is all False and nothing is built or kept.
 
-    Asking for a degree chains every degree up to it, so by then each lead
-    below it must be known.  A lead may still come at the highest chained
-    degree, where it marks its own row, or above it, where it waits for the
-    chain.  One below that degree would leave a kept mask stale, and rows
-    it divides unreduced, so it raises ``GincomplexError``.
+    Leads are exponent rows, and each finds its row through
+    ``MonomialTable.rows``.  Asking for a degree chains every degree up to
+    it, so by then each lead below it must be known.  A lead may still come
+    at the highest chained degree, where it marks its own row, or above it,
+    where it waits for the chain.  One below that degree would leave a kept
+    mask stale, and rows it divides unreduced, so it raises
+    ``GincomplexError``.
     """
 
-    __slots__ = ("nvars", "order", "weights", "_masks", "_waiting", "_top")
+    __slots__ = ("nvars", "order", "_masks", "_waiting", "_top")
 
     def __init__(self, nvars, order, leads=()):
         self.nvars = nvars
         self.order = order
-        self.weights = order.index_weights(nvars)
         self._masks = {}
-        # degree -> packed keys of the leads the chain has not reached
+        # degree -> exponent rows of the leads the chain has not reached
         self._waiting = {}
         self._top = -1
         for lead in leads:
@@ -210,13 +211,13 @@ class _ChainedCover:
 
     def add(self, lead):
         """Mark the exponent row ``lead`` as a lead."""
-        degree = int(sum(lead))
-        key = int(np.asarray(lead, dtype=np.int64) @ self.weights)
+        lead = np.asarray(lead, dtype=np.int64)
+        degree = int(lead.sum())
         if degree > self._top:
-            self._waiting.setdefault(degree, []).append(key)
+            self._waiting.setdefault(degree, []).append(lead)
         elif degree == self._top:
             tab = table_for(self.nvars, degree, self.order)
-            self._masks[degree][tab.positions(key)] = True
+            self._masks[degree][tab.rows(lead)] = True
         else:
             raise GincomplexError(
                 f"internal: a lead of degree {degree} arrived after the "
@@ -238,7 +239,7 @@ class _ChainedCover:
                                       minlength=len(tab))
                 mask = reached < tab.supports()
             if waiting is not None:
-                mask[tab.positions(np.array(waiting, dtype=np.int64))] = True
+                mask[tab.rows(np.array(waiting))] = True
             self._masks[d] = below = mask
         self._top = max(self._top, degree)
         mask = self._masks.get(degree)
@@ -406,8 +407,11 @@ class _DenseBackend:
     may be replaced by others with the same leading monomial.  Next to the
     list it keeps, row for row, what the kernel reads: ``leads``, the lead
     exponents as one int64 array, and ``tails``, each reducer's tail as
-    (keys relative to its lead key, coefficients).  ``add`` appends to
-    both; ``replace`` keeps the lead and recomputes that one tail.  Per
+    (keys relative to its lead key, coefficients).  Those relative keys are
+    the kernel's input format and the only packed keys computed outside
+    ``MonomialTable``; every other row is found by exponent, through
+    ``MonomialTable.rows``.  ``add`` appends to both lists; ``replace``
+    keeps the lead and recomputes that one tail.  Per
     degree it keeps the mask of table rows some reducer lead divides, each
     chained from the mask of the degree below (``_ChainedCover``).  So once
     a degree's mask is used, no reducer may be added below that degree:
@@ -428,7 +432,7 @@ class _DenseBackend:
             self.add(h)
 
     def _tail(self, h):
-        keys = h.weighted_keys(self.weights)
+        keys = h.exps @ self.weights
         return keys[1:] - keys[0], h.coeffs[1:]
 
     def add(self, h):
@@ -464,13 +468,11 @@ class _DenseBackend:
     def spoly_reduce(self, fi, fj, lcm):
         """Full normal form of the monic S-polynomial of fi and fj at lcm."""
         tab = table_for(self.nvars, sum(lcm), self.order)
-        lcm_key = int(np.array(lcm, dtype=np.int64) @ self.weights)
+        lcm = np.array(lcm, dtype=np.int64)
         vec = np.zeros(len(tab), dtype=np.int64)
-        ki = lcm_key - int(fi.exps[0] @ self.weights)
-        kj = lcm_key - int(fj.exps[0] @ self.weights)
         # the rows of one polynomial are distinct
-        pos_i = tab.positions(fi.weighted_keys(self.weights) + ki)
-        pos_j = tab.positions(fj.weighted_keys(self.weights) + kj)
+        pos_i = tab.rows(fi.exps + (lcm - fi.exps[0]))
+        pos_j = tab.rows(fj.exps + (lcm - fj.exps[0]))
         vec[pos_i] = fi.coeffs
         vec[pos_j] = (vec[pos_j] - fj.coeffs) % self.p
         return self._reduce_vec(tab, vec)
@@ -480,15 +482,13 @@ class _DenseBackend:
 
         One subtraction on the shared degree slice; g itself when c is 0.
         """
-        keys = g.weighted_keys(self.weights)
-        key = int(h.exps[0] @ self.weights)
-        at = int(np.searchsorted(keys, key))
-        if at == keys.shape[0] or keys[at] != key:
+        at = np.flatnonzero((g.exps == h.exps[0]).all(axis=1))
+        if not at.size:
             return g
         tab = table_for(self.nvars, g.degree, self.order)
         vec = tab.dense(g)
-        pos = tab.positions(h.weighted_keys(self.weights))
-        vec[pos] = (vec[pos] - int(g.coeffs[at]) * h.coeffs) % self.p
+        pos = tab.rows(h.exps)
+        vec[pos] = (vec[pos] - int(g.coeffs[at[0]]) * h.coeffs) % self.p
         return tab.polynomial(vec, self.p)
 
 
@@ -661,9 +661,7 @@ def hilbert_function_macaulay(ideal, m):
         if d > m:
             continue
         mu = table_for(ideal.nvars, m - d, GLEX)
-        gkeys = g.weighted_keys(tab.weights)
-        pos = np.searchsorted(tab.keys, mu.keys[:, None] + gkeys[None, :])
-        blocks.append((pos, g.coeffs))
+        blocks.append((tab.rows(mu.exps[:, None] + g.exps[None]), g.coeffs))
         total += len(mu)
     if total == 0:
         return ncols

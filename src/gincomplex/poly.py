@@ -10,6 +10,12 @@ the order it is tagged with; switching orders is an explicit resort, never an
 implicit conversion, so graded-lex and graded-revlex pipelines cannot share
 sorted state by accident.
 
+The monomials of one degree and order form a ``MonomialTable``: exponent
+rows, descending, each with a packed int64 key.  The keys are the table's
+own format.  Code outside the table finds rows by exponent, through
+``MonomialTable.rows``; the one other use of keys is the reduction kernel's
+input, where each reducer tail is given as keys relative to its lead key.
+
 A linear change of coordinates is factored once, by the package's one
 Gaussian elimination mod p (``_kernels.echelon_mod``), into permutation,
 transvection and scaling steps; the inverse's steps follow in closed form.
@@ -193,9 +199,12 @@ class MonomialTable:
 
     The rows come in closed form from ``_enumerate_degree`` and are sorted
     by packed key, which is injective within one degree, so a table does not
-    depend on the order its rows were enumerated in.  That also keeps valid
-    the successor map (``successors``), which a table builds on first use
-    and holds until it leaves the cache: the row of each x_i * m in the
+    depend on the order its rows were enumerated in.  The keys are the
+    table's own format: code outside it finds rows by exponent, through
+    ``rows``, and only the reduction kernel reads ``keys``, beside reducer
+    tails given as keys relative to their lead key.  Sorting by key keeps
+    valid the successor map (``successors``), which a table builds on first
+    use and holds until it leaves the cache: the row of each x_i * m in the
     table of the next degree, even if that table is evicted and rebuilt.
     The lead cover walks the standard monomials up the degrees through that
     map, and compares what reaches each row with the number of variables
@@ -224,14 +233,18 @@ class MonomialTable:
     def __len__(self):
         return self.exps.shape[0]
 
-    def positions(self, keys):
-        """Row indices for packed keys that are known to be in the table."""
-        return np.searchsorted(self.keys, keys)
+    def rows(self, exps):
+        """Row indices of exponent rows known to be in the table.
+
+        ``exps`` has any leading shape and a last axis of length nvars; the
+        result has the leading shape.
+        """
+        return np.searchsorted(self.keys, exps @ self.weights)
 
     def dense(self, f):
         """Coefficient vector of f, of this table's degree and order."""
         vec = np.zeros(len(self), dtype=np.int64)
-        vec[self.positions(f.weighted_keys(self.weights))] = f.coeffs
+        vec[self.rows(f.exps)] = f.coeffs
         return vec
 
     def polynomial(self, vec, p):
@@ -240,34 +253,12 @@ class MonomialTable:
         return Polynomial(self.exps[nz], vec[nz], self.nvars, p, self.order,
                           _presorted=True)
 
-    def dense_block(self, polys):
-        """Coefficient block of polynomials of this table's degree and order.
-
-        Row r of the int64 ``(len(polys), len(self))`` block is the
-        coefficient vector of ``polys[r]``.
-        """
-        block = np.zeros((len(polys), len(self)), dtype=np.int64)
-        rows = np.repeat(np.arange(len(polys)), [f.num_terms for f in polys])
-        exps = np.concatenate([f.exps for f in polys])
-        block[rows, self.positions(exps @ self.weights)] = np.concatenate(
-            [f.coeffs for f in polys])
-        return block
-
-    def polynomials(self, block, p):
-        """Polynomials mod p of the nonzero entries of each row of a block."""
-        rows, cols = np.nonzero(block)
-        ends = np.searchsorted(rows, np.arange(1, len(block) + 1)).tolist()
-        exps, coeffs = self.exps[cols], block[rows, cols]
-        return [Polynomial(exps[start:end], coeffs[start:end], self.nvars, p,
-                           self.order, _presorted=True)
-                for start, end in zip([0] + ends, ends)]
-
     def successors(self):
         """int32 array: entry [r, i] is the next degree's row of x_i * m_r."""
         if self._successors is None:
             up = table_for(self.nvars, self.degree + 1, self.order)
-            self._successors = up.positions(
-                self.keys[:, None] + self.weights).astype(np.int32)
+            self._successors = np.searchsorted(
+                up.keys, self.keys[:, None] + self.weights).astype(np.int32)
         return self._successors
 
     def supports(self):
@@ -300,7 +291,8 @@ class MonomialTable:
             # k runs 1..e_i(m) within each row's entries
             k = (np.arange(len(sources))
                  - np.repeat(np.cumsum(e) - e, e) + 1)
-            targets = self.positions(
+            targets = np.searchsorted(
+                self.keys,
                 self.keys[sources] + k * (self.weights[j] - self.weights[i]))
             by_target = np.argsort(targets, kind="stable")
             targets = targets[by_target]
@@ -467,9 +459,6 @@ class Polynomial:
         best = max(range(self.num_terms),
                    key=lambda i: GLEX.key(tuple(self.exps[i])))
         return int(self.exps[best, 0])
-
-    def weighted_keys(self, weights):
-        return self.exps @ weights
 
     # -- ring checks -------------------------------------------------------
 
@@ -740,9 +729,9 @@ def _ops_product(ops, n, p):
 def _move_homogeneous(polys, ops, p):
     """Substitution steps applied to homogeneous polynomials, in input order.
 
-    The polynomials of one degree and order move together, as the rows of
-    one coefficient block on their degree table; each step is then a fixed
-    number of array operations on the whole block.
+    The polynomials of one degree and order move together, as the stacked
+    coefficient vectors of one block on their degree table; each step is
+    then a fixed number of array operations on the whole block.
     """
     groups = {}
     for r, f in enumerate(polys):
@@ -763,11 +752,12 @@ def _move_homogeneous(polys, ops, p):
         size = tab.degree + 1
         # C(e, k) * c^k of every step; each binom_c[t] is C-contiguous
         binom_c = binom[:size, :size] * cpow[:, None, :size] % p
-        block = tab.dense_block([polys[r] for r in rows])
+        block = np.stack([tab.dense(polys[r]) for r in rows])
         for t, op in enumerate(ops):
             if op[0] == "perm":
-                # x_i goes to x_tau(i): the key of each moved row
-                dest = tab.positions(tab.exps @ tab.weights[list(op[1])])
+                # x_i goes to x_tau(i): exponent k of a moved row is the
+                # exponent tau^{-1}(k) of its source
+                dest = tab.rows(tab.exps[:, _inverse_perm(op[1])])
                 moved_block = np.zeros_like(block)
                 moved_block[:, dest] = block
                 block = moved_block
@@ -777,8 +767,8 @@ def _move_homogeneous(polys, ops, p):
                 _, i, j, _ = op
                 _kernels.transvect(block, tab.transvection(i, j), binom_c[t],
                                    p)
-        for r, g in zip(rows, tab.polynomials(block, p)):
-            moved[r] = g
+        for r, vec in zip(rows, block):
+            moved[r] = tab.polynomial(vec, p)
     return moved
 
 

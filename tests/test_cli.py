@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import gincomplex.cli as cli_module
 from gincomplex.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -475,6 +476,38 @@ def test_basis_degree_above_cap_is_a_usage_error(tmp_path, capsys):
 def test_prime_above_int64_bound_is_a_usage_error(scroll_file, capsys):
     assert main(["gin", scroll_file, "--prime", "4294967311"]) == EXIT_USAGE
     assert "3037000493" in capsys.readouterr().err
+
+
+def test_oversized_prime_is_rejected_before_the_primality_test(
+        tmp_path, monkeypatch, capsys):
+    # trial division up to sqrt(p) would run for minutes on these primes
+    def spy(n):
+        assert n <= 3037000493, f"is_prime reached with {n}"
+        return True
+
+    monkeypatch.setattr(cli_module, "is_prime", spy)
+    big = "1000000000000000003"
+    body = SCROLL_TEXT.split("\n", 1)[1]
+    plain = tmp_path / "plain.ideal"
+    plain.write_text(SCROLL_TEXT)
+    header = tmp_path / "header.ideal"
+    header.write_text(f"ring 5 {big}\n" + body)
+    config = tmp_path / "big.cfg"
+    config.write_text(f"prime = {big}\n")
+    runs = [
+        ({}, ["gin", str(plain), "--prime", big]),
+        ({}, ["gin", str(header)]),
+        ({}, ["gin", str(plain), "--config", str(config)]),
+        ({"GINCOMPLEX_PRIME": big}, ["gin", str(plain)]),
+    ]
+    for env, argv in runs:
+        with monkeypatch.context() as m:
+            for key, value in env.items():
+                m.setenv(key, value)
+            assert main(argv) == EXIT_USAGE
+        assert "3037000493" in capsys.readouterr().err
+    with pytest.raises(ConfigurationError, match="3037000493"):
+        parse_ideal_file(f"ring 5 {big}\n" + body)
 
 
 def test_missing_file_exit_code(capsys):

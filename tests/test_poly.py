@@ -293,6 +293,8 @@ def test_successors_are_the_rows_of_each_variable_multiple(order):
             up = table_for(nvars, degree + 1, order)
             assert np.array_equal(up.exps[succ],
                                   tab.exps[:, None, :] + unit)
+            # the exponent lookup finds the same rows
+            assert np.array_equal(up.rows(tab.exps[:, None, :] + unit), succ)
 
 
 def test_successors_survive_eviction_of_the_next_table(monkeypatch):
@@ -361,29 +363,6 @@ def test_dense_slice_round_trip(order):
                 assert back.order is order
                 assert np.array_equal(back.exps, f.exps)
                 assert np.array_equal(back.coeffs, f.coeffs)
-
-
-@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
-def test_dense_block_round_trip(order):
-    rng = SplitMix64(607)
-    for nvars in range(1, 6):
-        for degree in range(6):
-            tab = table_for(nvars, degree, order)
-            polys = [Polynomial.from_terms(
-                [(tab.exps[rng.below(len(tab))], rng.below(P))
-                 for _ in range(rng.below(8))], nvars, P, order)
-                for _ in range(1 + rng.below(4))]
-            block = tab.dense_block(polys)
-            assert block.dtype == np.int64
-            assert block.shape == (len(polys), len(tab))
-            for row, f in zip(block, polys):
-                assert np.array_equal(row, tab.dense(f))
-            back = tab.polynomials(block, P)
-            assert len(back) == len(polys)
-            for g, f in zip(back, polys):
-                assert g.order is order
-                assert np.array_equal(g.exps, f.exps)
-                assert np.array_equal(g.coeffs, f.coeffs)
 
 
 def test_prime_above_int64_bound_is_a_configuration_error():
