@@ -18,14 +18,17 @@ Conventions shared by all kernels:
   (key - lead key, coefficient) arrays in term order, so each tail's keys
   ascend and a tail lands on the rows of the lead's multiple by one shift.
 
-The reduction scan is driven by a boolean row mask of the slice: the rows
+``reduce_dense`` is driven by a boolean row mask of the slice: the rows
 some reducer lead divides.  The caller keeps that mask: the Buchberger
 backend chains it from the degree below along the standard rows, which no
 lead divides.  A degree-d row is standard iff it is not a lead and every
 m / x_i is a standard row of degree d - 1, so the mask is the degree-d
 leads plus each row that the standard rows below reach fewer times than it
-has dividing variables.  So the kernel's work is one step per elimination,
-not one per nonzero row.
+has dividing variables.  The kernel first collects every marked row the
+reduction can reach (symbolic preprocessing, as in Faugere's F4, JPAA 139,
+1999), then solves for the multiple of each such row's reducer in one
+triangular pass and subtracts all the scaled tails at once.  So its array
+work is a few calls per round of that closure, not per elimination.
 
 ``transvect`` moves a whole block of degree slices through one elementary
 substitution by a gather plan that the table builds once per variable pair,
@@ -50,49 +53,85 @@ USING_NUMBA = False
 
 def reduce_dense(vec, table_exps, table_keys, reducible, lead_exps, tails,
                  p):
-    """Full normal form of a degree slice against monic reducers.
+    """Full normal form of a degree slice against monic reducers, in place.
 
-    ``reducible`` marks the rows divisible by some reducer lead.  The scan
-    jumps from one nonzero marked row to the next and never visits a
-    standard monomial.  Every elimination touches only strictly later rows,
-    because keys ascend as monomials descend, so the rows still ahead sit in
-    one sorted queue, and an elimination queues the marked rows it turns
-    from zero to nonzero; a queued row that cancelled to zero is skipped.
-    A marked row that no lead divides is left alone, so a mask that marks
-    too much costs time, never correctness; one that misses a divisible row
-    leaves that row unreduced.
-
+    ``reducible`` marks the rows divisible by some reducer lead, and
     ``tails[r]`` is reducer r's tail as (keys relative to its lead key,
-    coefficients), so the row's own key shifts it onto the slice.
+    coefficients), so a row's own key shifts it onto the slice.  A tail
+    lands only on later rows, because keys ascend as monomials descend.
+    The reduction runs in three phases:
+
+    * closure: from the marked nonzero rows, round by round, each row takes
+      the first reducer in list order whose lead divides it (one broadcast
+      per round), and every marked row its tail lands on joins the next
+      round.  A marked row that no lead divides is left alone, so a mask
+      that marks too much costs time, never correctness; one that misses a
+      divisible row leaves that row unreduced;
+    * solve: one forward pass in row order, in Python integers, over only
+      the tail terms that land on closure rows gives the multiple of each
+      closure row's reducer;
+    * scatter: every scaled tail is subtracted at once and the closure rows
+      are cleared.
+
+    A closure row that cancels before its turn gets multiple 0, so the
+    result is that of eliminating row after row.
     """
     if lead_exps.shape[0] == 0:
         return
-    ahead = np.flatnonzero(reducible & (vec != 0))
-    k = 0
-    while k < ahead.shape[0]:
-        idx = int(ahead[k])
-        k += 1
-        c = int(vec[idx])
-        if c == 0:
-            continue
-        hits = np.all(lead_exps <= table_exps[idx], axis=1)
-        red = int(hits.argmax())
-        if not hits[red]:
-            continue
-        vec[idx] = 0
-        rel_keys, coeffs = tails[red]
-        if rel_keys.shape[0] == 0:
-            continue
-        # one reducer's tail monomials are distinct and ascend in key, so
-        # their rows are distinct and ascend too
-        pos = np.searchsorted(table_keys, rel_keys + table_keys[idx])
-        before = vec[pos]
-        vec[pos] = (before - c * coeffs) % p
-        new = pos[(before == 0) & reducible[pos]]
-        if new.size:
-            ahead = ahead[k:]
-            k = 0
-            ahead = np.insert(ahead, np.searchsorted(ahead, new), new)
+    nonzero = vec != 0
+    rows = np.flatnonzero(reducible & nonzero)
+    # marked rows that no round has taken yet
+    waiting = reducible > nonzero
+    closure, sizes, coeffs, landing = [], [], [], []
+    while rows.size:
+        hits = (lead_exps <= table_exps[rows, None]).all(axis=2)
+        red = hits.argmax(axis=1)
+        divisible = hits[np.arange(rows.size), red]
+        if not divisible.all():
+            rows, red = rows[divisible], red[divisible]
+            if not rows.size:
+                break
+        picked = [tails[r] for r in red.tolist()]
+        round_sizes = [keys.shape[0] for keys, _ in picked]
+        pos = np.searchsorted(
+            table_keys,
+            np.concatenate([keys for keys, _ in picked])
+            + np.repeat(table_keys[rows], round_sizes))
+        closure.append(rows)
+        sizes.extend(round_sizes)
+        coeffs.extend(cf for _, cf in picked)
+        landing.append(pos)
+        rows = pos[waiting[pos]]
+        if rows.size:
+            # two tails may land on one row; it joins once
+            rows.sort()
+            rows = rows[np.diff(rows, prepend=-1) > 0]
+            waiting[rows] = False
+    if not closure:
+        return
+    closure = np.concatenate(closure)
+    pos = np.concatenate(landing)
+    coeffs = np.concatenate(coeffs)
+    scale = vec[closure]
+    # tail terms that land on a row some round took: a closure row, or a
+    # marked row that no lead divides, which the solve skips
+    inner = np.flatnonzero(reducible[pos] > waiting[pos])
+    if inner.size:
+        multiple = dict(zip(closure.tolist(), scale.tolist()))
+        src = np.repeat(closure, sizes)[inner]
+        # in source row order: a row's multiple is final once every term
+        # landing on it, all from earlier rows, is in
+        for s, t, cf in sorted(zip(src.tolist(), pos[inner].tolist(),
+                                   coeffs[inner].tolist())):
+            if t in multiple:
+                multiple[t] = (multiple[t] - multiple[s] * cf) % p
+        scale = np.fromiter(multiple.values(), dtype=np.int64,
+                            count=closure.shape[0])
+    # each product is below p*p < 2^63; reduced, a row receives at most one
+    # term per closure row, far fewer than 2^63 / p of them
+    np.subtract.at(vec, pos, np.repeat(scale, sizes) * coeffs % p)
+    vec[pos] %= p
+    vec[closure] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +215,8 @@ def warmup():
     lead = np.array([[1, 0]], dtype=np.int64)
     tails = [(np.array([1], dtype=np.int64), np.array([1], dtype=np.int64))]
     reducible = np.array([True, True, False])
+    # x0^2 -> x0*x1 -> x1^2 by x0 + x1: x0*x1 joins the closure in a second
+    # round, and the tail term of x0^2 that lands on it runs the solve
     reduce_dense(vec.copy(), exps, keys, reducible, lead, tails, 7)
     # x0 <- x0 + x1 on these rows: x0^2 feeds x0*x1 (k = 1) and x1^2
     # (k = 2), x0*x1 feeds x1^2; cells index the 3 x 3 binomial table

@@ -51,7 +51,11 @@ class PrimeField:
     p: int = DEFAULT_PRIME
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not is_prime(self.p):
+        if not isinstance(self.p, int):
+            raise ConfigurationError(f"modulus {self.p!r} is not prime")
+        # the bound first, so an oversized modulus fails before trial division
+        check_int64_prime(self.p)
+        if not is_prime(self.p):
             raise ConfigurationError(f"modulus {self.p!r} is not prime")
         if self.p < 3:
             raise ConfigurationError("modulus must be an odd prime (p >= 3)")

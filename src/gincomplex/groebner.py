@@ -10,10 +10,12 @@ Determinism matters more than raw speed here, so both the sequence of
 reductions and the reducer order are fixed.
 
 Every ideal is homogeneous and both orders are graded, so there is one
-reduction path: each reduction is a forward scan over one dense degree
-slice, with the inner multiply-accumulate in a numpy kernel.  The scan
-visits only rows that some reducer lead divides.  The backend chains that
-mask over the degrees along the standard monomials, which no lead divides:
+reduction path: each reduction is one numpy kernel call on one dense degree
+slice.  The kernel collects the rows to eliminate, the nonzero rows that
+some reducer lead divides and every such row a reducer tail reaches from
+them, then solves for all their multiples at once (symbolic preprocessing,
+see ``_kernels.reduce_dense``).  The backend chains the mask of divisible
+rows over the degrees along the standard monomials, which no lead divides:
 a monomial of degree d is standard iff it is not a lead and each m / x_i is
 a standard monomial of degree d - 1.  So each degree's mask comes from the
 standard rows below it, counted through the table's successor map, plus
@@ -403,6 +405,11 @@ def exact_divide(h, f):
 class _DenseBackend:
     """Homogeneous reduction on dense degree slices via ``reduce_dense``.
 
+    Each reduction is one kernel call: from the slice's nonzero rows that
+    some lead divides, the kernel closes over the rows the chosen reducers'
+    tails reach, solves for every multiple in one triangular pass and
+    subtracts the scaled tails together.
+
     The backend holds the reducers: a list that only grows, whose members
     may be replaced by others with the same leading monomial.  Next to the
     list it keeps, row for row, what the kernel reads: ``leads``, the lead
@@ -411,12 +418,13 @@ class _DenseBackend:
     the kernel's input format and the only packed keys computed outside
     ``MonomialTable``; every other row is found by exponent, through
     ``MonomialTable.rows``.  ``add`` appends to both lists; ``replace``
-    keeps the lead and recomputes that one tail.  Per
-    degree it keeps the mask of table rows some reducer lead divides, each
-    chained from the mask of the degree below (``_ChainedCover``).  So once
-    a degree's mask is used, no reducer may be added below that degree:
-    ``buchberger`` adds its elements in nondecreasing degree, and
-    ``normal_form`` and ``is_groebner_basis`` know every reducer up front.
+    keeps the lead and recomputes that one tail.  Per degree it keeps the
+    mask of table rows some reducer lead divides, each chained from the
+    mask of the degree below (``_ChainedCover``); the kernel's closure
+    starts from it.  So once a degree's mask is used, no reducer may be
+    added below that degree: ``buchberger`` adds its elements in
+    nondecreasing degree, and ``normal_form`` and ``is_groebner_basis``
+    know every reducer up front.
     """
 
     def __init__(self, nvars, p, order, reducers=()):

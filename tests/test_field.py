@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -51,6 +53,17 @@ def test_bad_modulus_rejected():
     for bad in (1, 4, 32001, 2):
         with pytest.raises(ConfigurationError):
             PrimeField(bad)
+
+
+def test_modulus_above_the_int64_bound_rejected_at_once():
+    # the smallest prime above the bound, and a prime whose trial division
+    # alone would run for minutes
+    for big in (3037000507, 1000000000000000003):
+        started = time.perf_counter()
+        with pytest.raises(ConfigurationError, match="too large"):
+            PrimeField(big)
+        assert time.perf_counter() - started < 1
+    assert PrimeField(3037000493).p == 3037000493
 
 
 def test_field_axioms_bulk():

@@ -9,11 +9,13 @@ from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gincomplex import _kernels
 from gincomplex import poly as poly_module
 from gincomplex.errors import GincomplexError
-from gincomplex.groebner import _ChainedCover
+from gincomplex.gin import random_change
+from gincomplex.groebner import _ChainedCover, buchberger
 from gincomplex.poly import (
     GLEX,
     GREVLEX,
@@ -174,6 +176,176 @@ def test_reduce_dense_matches_loop(order, p):
                                   tails, p)
             assert (kernel == loop).all()
     assert above > 0
+
+
+def _check_reduce_dense(tab, vec, lead_exps, tails, p):
+    """Check the kernel against the loop under the exact and the all-True
+    mask, and return the loop's result; ``vec`` is left as it was."""
+    loop = vec.copy()
+    _reduce_dense_loop(loop, tab.exps, tab.keys, lead_exps, tails, p)
+    for mask in (_divisible_rows(tab.exps, lead_exps),
+                 np.ones(len(tab), dtype=bool)):
+        kernel = vec.copy()
+        _kernels.reduce_dense(kernel, tab.exps, tab.keys, mask, lead_exps,
+                              tails, p)
+        assert (kernel == loop).all()
+    return loop
+
+
+def _hand_pack(nvars, degree, reducers, entries, p):
+    """A graded-lex pack from exponent tuples.
+
+    ``reducers`` lists (lead, [(tail monomial, coefficient)]), tails in
+    term order, and ``entries`` maps monomials of the slice to residues.
+    """
+    tab = table_for(nvars, degree, GLEX)
+    weights = GLEX.index_weights(nvars)
+    vec = np.zeros(len(tab), dtype=np.int64)
+    for mono, value in entries.items():
+        vec[tab.rows(np.array(mono, dtype=np.int64))] = value % p
+    leads = np.array([lead for lead, _ in reducers],
+                     dtype=np.int64).reshape(-1, nvars)
+    tails = []
+    for lead, tail in reducers:
+        monos = np.array([m for m, _ in tail],
+                         dtype=np.int64).reshape(-1, nvars)
+        tails.append((monos @ weights - np.dot(lead, weights),
+                      np.array([c % p for _, c in tail], dtype=np.int64)))
+    return tab, vec, leads, tails
+
+
+def _only(tab, entries, p):
+    """The slice holding ``entries`` and zeros elsewhere."""
+    return _hand_pack(tab.nvars, tab.degree, [], entries, p)[1]
+
+
+# x0 - x1 and x1 - x2, in three variables
+X0_X1 = ((1, 0, 0), [((0, 1, 0), -1)])
+X1_X2 = ((0, 1, 0), [((0, 0, 1), -1)])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_reduce_dense_closure_takes_a_zero_row_in_a_later_round(p):
+    # x0^3 -> x0^2 x1 -> x0 x1^2 -> x1^3: each step lands on a marked row
+    # that was zero, so the closure grows over three rounds
+    tab, vec, leads, tails = _hand_pack(3, 3, [X0_X1], {(3, 0, 0): 5}, p)
+    got = _check_reduce_dense(tab, vec, leads, tails, p)
+    assert (got == _only(tab, {(0, 3, 0): 5}, p)).all()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_reduce_dense_solve_carries_a_multiple_forward(p):
+    # x0^2 and x0 x1 are both nonzero, and the tail of x0^2's reducer lands
+    # on x0 x1, whose multiple becomes 3 + 4
+    tab, vec, leads, tails = _hand_pack(
+        3, 2, [X0_X1], {(2, 0, 0): 3, (1, 1, 0): 4, (0, 0, 2): 1}, p)
+    got = _check_reduce_dense(tab, vec, leads, tails, p)
+    assert (got == _only(tab, {(0, 2, 0): 7, (0, 0, 2): 1}, p)).all()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_reduce_dense_takes_a_row_two_tails_land_on_once(p):
+    # x0 x2 (by x0 - x1) and x1^2 (by x1 - x2) both land on x1 x2, which
+    # was zero and joins the next round once, with multiple 2 + 1
+    tab, vec, leads, tails = _hand_pack(
+        3, 2, [X0_X1, X1_X2], {(1, 0, 1): 2, (0, 2, 0): 1}, p)
+    got = _check_reduce_dense(tab, vec, leads, tails, p)
+    assert (got == _only(tab, {(0, 0, 2): 3}, p)).all()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_reduce_dense_closure_of_one_row(p):
+    # x0^2 + 2 x2^2: one elimination, whose tail lands on an unmarked row
+    tab, vec, leads, tails = _hand_pack(
+        3, 2, [((2, 0, 0), [((0, 0, 2), 2)])],
+        {(2, 0, 0): 3, (0, 1, 1): 4, (0, 0, 2): 1}, p)
+    got = _check_reduce_dense(tab, vec, leads, tails, p)
+    assert (got == _only(tab, {(0, 1, 1): 4, (0, 0, 2): 1 - 6}, p)).all()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_reduce_dense_leaves_a_slice_with_no_marked_nonzero_row(p):
+    for entries in ({(0, 1, 1): p - 1, (0, 0, 2): 2}, {}):
+        tab, vec, leads, tails = _hand_pack(3, 2, [X0_X1], entries, p)
+        before = vec.copy()
+        assert (_check_reduce_dense(tab, vec, leads, tails, p)
+                == before).all()
+    # and no reducer at all
+    tab, vec, leads, tails = _hand_pack(3, 2, [], {(2, 0, 0): 1}, p)
+    kernel = vec.copy()
+    _kernels.reduce_dense(kernel, tab.exps, tab.keys,
+                          np.ones(len(tab), dtype=bool), leads, tails, p)
+    assert (kernel == vec).all()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_reduce_dense_all_true_mask_leaves_indivisible_rows(p):
+    # every row is marked, but only the rows x0 or x1 divides are reduced;
+    # x1 - x2 comes first, so x0 x1 takes it
+    tab, vec, leads, tails = _hand_pack(
+        3, 2, [X1_X2, X0_X1],
+        {(2, 0, 0): 1, (1, 1, 0): p - 2, (0, 0, 2): 6}, p)
+    got = _check_reduce_dense(tab, vec, leads, tails, p)
+    # x0^2 -> x0 x1, whose multiple p - 1 goes to x0 x2 -> x1 x2 -> x2^2
+    assert (got == _only(tab, {(0, 0, 2): 5}, p)).all()
+
+
+@st.composite
+def _packs(draw):
+    """A degree slice, 1-6 monic reducers and a prime, as hand-built packs.
+
+    Each tail monomial comes after its lead, so every shifted tail lands on
+    a later row; the residues lean towards p - 1, whose products are the
+    largest.
+    """
+    nvars = draw(st.integers(2, 5))
+    degree = draw(st.integers(0, 6))
+    order = draw(st.sampled_from([GLEX, GREVLEX]))
+    p = draw(st.sampled_from(PRIMES))
+    residue = st.one_of(st.integers(1, p - 1), st.integers(max(1, p - 3),
+                                                           p - 1))
+    tab = table_for(nvars, degree, order)
+    vec = np.zeros(len(tab), dtype=np.int64)
+    entries = draw(st.dictionaries(st.integers(0, len(tab) - 1), residue))
+    vec[list(entries)] = list(entries.values())
+    leads, tails = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        low = table_for(nvars, draw(st.integers(1, degree + 1)), order)
+        lead = draw(st.integers(0, len(low) - 1))
+        rows = sorted(draw(st.sets(st.integers(lead + 1, len(low) - 1),
+                                   max_size=6))) if lead + 1 < len(low) else []
+        leads.append(low.exps[lead])
+        tails.append((low.keys[rows] - low.keys[lead],
+                      np.array([draw(residue) for _ in rows],
+                               dtype=np.int64)))
+    return tab, vec, np.array(leads, dtype=np.int64), tails, p
+
+
+@given(_packs())
+def test_reduce_dense_matches_loop_property(pack):
+    _check_reduce_dense(*pack)
+
+
+def test_reduce_dense_matches_loop_on_a_buchberger_run(store, monkeypatch):
+    ideal = store.ideal("ci23")
+    moved = random_change(2024, ideal.nvars, ideal.p).apply_ideal(ideal)
+    calls = []
+    kernel = _kernels.reduce_dense
+
+    def recording(vec, table_exps, table_keys, reducible, lead_exps, tails,
+                  p):
+        # the backend replaces tails and extends masks as the run goes on
+        before = (vec.copy(), table_exps, table_keys, lead_exps, list(tails),
+                  p)
+        kernel(vec, table_exps, table_keys, reducible, lead_exps, tails, p)
+        calls.append((before, vec.copy()))
+
+    monkeypatch.setattr(_kernels, "reduce_dense", recording)
+    buchberger(moved, GLEX)
+    assert len(calls) > 20
+    for (vec, *pack), after in calls:
+        _reduce_dense_loop(vec, *pack)
+        assert (vec == after).all()
 
 
 def _check_chained_cover(nvars, order, leads):
