@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gincomplex import poly as poly_module
 from gincomplex.corpus import (
     golden_monomial_ideal,
     remark_counterexample,
     scroll,
 )
 from gincomplex.errors import (
+    ConfigurationError,
     GincomplexError,
     InvariantError,
     RingMismatchError,
@@ -24,6 +26,8 @@ from gincomplex.gin import (
 from gincomplex.groebner import (
     MonomialIdeal,
     _DenseBackend,
+    _PackedExponents,
+    _gm_update,
     buchberger,
     hilbert_function_macaulay,
     ideal_quotient,
@@ -35,6 +39,7 @@ from gincomplex.groebner import (
 )
 from gincomplex.pei import MODE_EQUAL, partial_elimination
 from gincomplex.poly import (
+    DEGREE_CAP,
     GLEX,
     GREVLEX,
     Ideal,
@@ -378,9 +383,15 @@ def test_pair_reduction_sequence_is_pinned(store, monkeypatch, name):
     seen = []
     spoly_reduce = _DenseBackend.spoly_reduce
 
-    def recording(backend, fi, fj, lcm):
-        seen.append(tuple(lcm))
-        return spoly_reduce(backend, fi, fj, lcm)
+    def recording(backend, tab, i, j, key):
+        # the key is the table key of the two leads' lcm
+        row = np.searchsorted(tab.keys, key)
+        assert tab.keys[row] == key
+        lcm = tab.exps[row]
+        assert np.array_equal(lcm, np.maximum(backend.exps[i][0],
+                                              backend.exps[j][0]))
+        seen.append(tuple(int(v) for v in lcm))
+        return spoly_reduce(backend, tab, i, j, key)
 
     monkeypatch.setattr(_DenseBackend, "spoly_reduce", recording)
     buchberger(moved, GLEX)
@@ -388,16 +399,20 @@ def test_pair_reduction_sequence_is_pinned(store, monkeypatch, name):
 
 
 def _assert_backend_in_step(backend):
-    """``leads`` and ``tails`` equal arrays rebuilt from the reducers."""
-    reducers = backend.reducers
-    want = np.array([r.exps[0] for r in reducers], dtype=np.int64)
+    """Leads, relative keys and tails match the stored terms."""
+    exps, coeffs = backend.exps, backend.coeffs
+    assert len(coeffs) == len(backend.keys) == len(backend.tails) == len(exps)
+    want = np.array([e[0] for e in exps], dtype=np.int64)
     assert np.array_equal(backend.leads,
-                          want.reshape(len(reducers), backend.nvars))
-    assert len(backend.tails) == len(reducers)
-    for (rel_keys, coeffs), r in zip(backend.tails, reducers):
-        keys = r.exps @ backend.weights
-        assert np.array_equal(rel_keys, keys[1:] - keys[0])
-        assert np.array_equal(coeffs, r.coeffs[1:])
+                          want.reshape(len(exps), backend.nvars))
+    for e, c, rel, (tail_keys, tail_coeffs) in zip(
+            exps, coeffs, backend.keys, backend.tails):
+        keys = e @ backend.weights
+        assert (np.diff(keys) > 0).all()
+        assert np.array_equal(rel, keys - keys[0])
+        assert np.array_equal(tail_keys, rel[1:])
+        assert np.array_equal(tail_coeffs, c[1:])
+        assert c[0] == 1 and ((0 < c) & (c < backend.p)).all()
 
 
 @pytest.mark.parametrize("use_hilbert", [False, True],
@@ -412,9 +427,9 @@ def test_backend_arrays_stay_in_step_with_its_reducers(store, monkeypatch,
         init(backend, *args, **kwargs)
         backends.append(backend)
 
-    def counting(backend, i, g):
-        replaced.append(i)
-        replace(backend, i, g)
+    def counting(backend, k, tab, vec):
+        replaced.append(k)
+        replace(backend, k, tab, vec)
 
     monkeypatch.setattr(_DenseBackend, "__init__", capturing)
     monkeypatch.setattr(_DenseBackend, "replace", counting)
@@ -422,7 +437,8 @@ def test_backend_arrays_stay_in_step_with_its_reducers(store, monkeypatch,
     [backend] = backends
     # some tails changed after their element was added
     assert replaced
-    assert ({tuple(g.terms()) for g in backend.reducers}
+    assert ({tuple(zip(map(tuple, e.tolist()), c.tolist()))
+             for e, c in zip(backend.exps, backend.coeffs)}
             == {tuple(g.terms()) for g in gb})
     _assert_backend_in_step(backend)
     # built with every reducer up front, as normal_form and
@@ -440,6 +456,120 @@ def test_gebauer_moeller_deletes_an_older_pair(order):
     gens = [mono((2, 0, 1)), mono((0, 2, 1)), mono((1, 1, 1))]
     gb = buchberger(Ideal(gens), order)
     assert (gb.pairs_reduced, gb.reductions_to_zero) == (2, 2)
+
+
+def _gm_update_reference(pairs, leads, order):
+    """Gebauer-Moeller update for the newest lead, on exponent tuples.
+
+    The reference for ``groebner._gm_update``: ``pairs`` maps (i, j) to
+    (lcm, its degree, ``order.key`` of it).  Coprime-lead pairs never enter,
+    and pairs whose lcm strictly factors through the new lead drop out.
+    """
+    m = len(leads) - 1
+    lmh = leads[m]
+    for key in list(pairs):
+        i, j = key
+        lcm_ij = pairs[key][0]
+        if (monomial_divides(lmh, lcm_ij)
+                and monomial_lcm(leads[i], lmh) != lcm_ij
+                and monomial_lcm(leads[j], lmh) != lcm_ij):
+            del pairs[key]
+    groups = {}
+    for i in range(m):
+        groups.setdefault(monomial_lcm(leads[i], lmh), []).append(i)
+    kept = []
+    for lcm in sorted(groups, key=order.key):
+        if not any(monomial_divides(prev, lcm) for prev in kept):
+            kept.append(lcm)
+    for lcm in kept:
+        members = groups[lcm]
+        if any(monomial_lcm(leads[i], lmh) == monomial_mul(leads[i], lmh)
+               for i in members):
+            continue
+        pairs[(min(members), m)] = (lcm, sum(lcm), order.key(lcm))
+
+
+# exponents 0..255, with 255 = DEGREE_CAP drawn often
+_EXPONENT = st.one_of(st.just(DEGREE_CAP), st.integers(0, DEGREE_CAP))
+
+
+@st.composite
+def _monomial_pairs(draw):
+    nvars = draw(st.integers(1, 8))
+    row = st.tuples(*[_EXPONENT] * nvars)
+    return nvars, draw(row), draw(row)
+
+
+@given(_monomial_pairs())
+def test_packed_exponents_match_the_tuple_rules(pair):
+    nvars, a, b = pair
+    for order in (GLEX, GREVLEX):
+        packed = _PackedExponents(nvars, order)
+        pa, pb = packed.pack(a), packed.pack(b)
+        assert packed.unpack(pa) == a
+        assert packed.divides(pa, pb) == monomial_divides(a, b)
+        assert packed.divides(pa, pa)
+        assert packed.unpack(packed.lcm(pa, pb)) == monomial_lcm(a, b)
+        assert packed.coprime(pa, pb) == (
+            monomial_lcm(a, b) == monomial_mul(a, b))
+        assert packed.degree(pa) == sum(a)
+        assert packed.key(pa) == sum(
+            w * e for w, e in zip(order.index_weights(nvars).tolist(), a))
+
+
+@st.composite
+def _lead_sequences(draw):
+    nvars = draw(st.integers(1, 8))
+    # small exponents make divisibility and shared lcms common
+    cap = draw(st.sampled_from([2, 4, DEGREE_CAP]))
+    exponent = (st.integers(0, cap) if cap < DEGREE_CAP else _EXPONENT)
+    leads = draw(st.lists(st.tuples(*[exponent] * nvars), min_size=1,
+                          max_size=12))
+    return nvars, leads
+
+
+@given(_lead_sequences())
+def test_packed_pair_update_matches_the_tuple_reference(sequence):
+    nvars, leads = sequence
+    for order in (GLEX, GREVLEX):
+        packed = _PackedExponents(nvars, order)
+        weights = order.index_weights(nvars).tolist()
+        want, got, packed_leads = {}, {}, []
+        for k, lead in enumerate(leads):
+            packed_leads.append(packed.pack(lead))
+            _gm_update_reference(want, leads[:k + 1], order)
+            _gm_update(got, packed_leads, packed)
+            assert got.keys() == want.keys()
+            by_degree = {}
+            for ij, (lcm, degree, _) in want.items():
+                assert got[ij] == (packed.pack(lcm), degree,
+                                   sum(w * e for w, e in zip(weights, lcm)))
+                by_degree.setdefault(degree, []).append(ij)
+            # within a degree, the negated table key ranks as the order key
+            for ijs in by_degree.values():
+                assert (sorted(ijs, key=lambda ij: (-got[ij][2], ij))
+                        == sorted(ijs, key=lambda ij: (want[ij][2], ij)))
+
+
+def test_cold_glex_run_builds_the_same_tables(store, monkeypatch):
+    # a basis element keeps its relative keys, so an S-pair is placed on the
+    # lcm's table alone: the run builds exactly the tables of the degrees
+    # it visits and of the lead cover's chain, none twice
+    moved, _ = _moved_with_hilbert(store.ideal("acm4"))
+    built = []
+
+    class Counting(poly_module.MonomialTable):
+        __slots__ = ()
+
+        def __init__(self, nvars, degree, order):
+            super().__init__(nvars, degree, order)
+            built.append(degree)
+
+    monkeypatch.setattr(poly_module, "MonomialTable", Counting)
+    monkeypatch.setattr(poly_module, "_TABLE_CACHE", {})
+    monkeypatch.setattr(poly_module, "_table_rows", 0)
+    buchberger(moved, GLEX)
+    assert sorted(built) == list(range(2, 22))
 
 
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
@@ -627,6 +757,15 @@ def test_monomial_ideal_rejects_bad_exponents():
     ideal = MonomialIdeal([np.array([1, 0, 2]), (np.int64(0), 3, 0)], 3)
     assert ideal.gens == ((1, 0, 2), (0, 3, 0))
     assert all(type(v) is int for g in ideal.gens for v in g)
+
+
+def test_hilbert_function_names_the_degree_above_the_key_cap():
+    ideal = MonomialIdeal([(1, 0)], 2)
+    assert ideal.hilbert_function(DEGREE_CAP) == 1
+    with pytest.raises(ConfigurationError, match="degree 300 exceeds"):
+        ideal.hilbert_function(300)
+    # below the lowest generator degree no table is needed
+    assert MonomialIdeal([(300, 0)], 2).hilbert_function(299) == 300
 
 
 def test_borel_regularity():
