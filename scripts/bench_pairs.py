@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Alternated benchmark pairs of two checkouts, with medians and wins.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/bench_pairs.py --base DIR [--change DIR] \
+        --workload glex-gin|pipeline|regularity --seed N \
+        [--pairs 10] [--seconds 8] [--json FILE]
+
+Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, one
+fresh process per run, with the run's working directory in its checkout.
+Which side runs first alternates: the base leads in odd pairs, the change
+in even ones, so a drift in machine speed falls on both sides alike.  The
+change defaults to the checkout this script is in; the base is typically a
+copy of the parent commit (``git worktree add`` or ``git archive``).
+
+For each end-to-end metric of the change's ``BENCHMARK.json`` the script
+prints every pair, then per side the median and quartiles, the change of
+the medians, the number of pairs the change won (strictly better in the
+metric's own direction), and whether the medians differ by more than the
+base's interquartile range.  A run that fails, or reports
+``"correct": false``, stops the script with exit status 1.  ``--json``
+also writes every value.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_once(checkout, workload, seed, seconds):
+    """The JSON result of one benchmark run in ``checkout``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise RuntimeError(f"{checkout}: exit {done.returncode}\n"
+                           f"{done.stderr.strip()}")
+    result = json.loads(lines[-1])
+    if not result.get("correct"):
+        raise RuntimeError(f"{checkout}: run not correct "
+                           f"({result.get('failed')} failed items)")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def quartiles(values):
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def summarize(metrics, base, change):
+    """Per-metric lines: medians, quartiles, wins and the IQR test."""
+    lines = []
+    pairs = len(base)
+    for spec in metrics:
+        name, lower = spec["name"], spec["better"] == "lower"
+        b = [run[name] for run in base]
+        c = [run[name] for run in change]
+        bq, cq = quartiles(b), quartiles(c)
+        wins = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
+        diff = cq[1] - bq[1]
+        rel = diff / bq[1] if bq[1] else float("nan")
+        lines.append(
+            f"{name:12s} base {bq[1]:.6g} [{bq[0]:.6g}, {bq[2]:.6g}]  "
+            f"change {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}]  "
+            f"{100 * rel:+.1f}%  change better in {wins}/{pairs}  "
+            f"|median diff| {'>' if abs(diff) > bq[2] - bq[0] else '<='} "
+            f"base IQR {bq[2] - bq[0]:.6g}")
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, type=Path)
+    parser.add_argument("--change", type=Path, default=ROOT)
+    parser.add_argument("--workload", required=True,
+                        choices=("glex-gin", "pipeline", "regularity"))
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--json", type=Path)
+    args = parser.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = spec["end_to_end"]
+    names = [m["name"] for m in metrics]
+    sides = {"base": args.base.resolve(), "change": args.change.resolve()}
+    runs = {"base": [], "change": []}
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of "
+          f"{args.seconds:g} s; base {sides['base']}, change "
+          f"{sides['change']}", flush=True)
+    for pair in range(args.pairs):
+        order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+        for side in order:
+            try:
+                runs[side].append(run_once(sides[side], args.workload,
+                                           args.seed, args.seconds))
+            except RuntimeError as exc:
+                print(f"pair {pair + 1}, {side}: {exc}", file=sys.stderr)
+                return 1
+        print(f"pair {pair + 1} ({order[0]} first): " + "  ".join(
+            f"{n} {runs['base'][-1][n]:.6g} -> {runs['change'][-1][n]:.6g}"
+            for n in names), flush=True)
+    for line in summarize(metrics, runs["base"], runs["change"]):
+        print(line)
+    if args.json:
+        args.json.write_text(json.dumps(
+            {"workload": args.workload, "seed": args.seed,
+             "seconds": args.seconds, "checkouts": {
+                 k: str(v) for k, v in sides.items()},
+             "runs": runs}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

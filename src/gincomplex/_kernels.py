@@ -7,16 +7,19 @@ Conventions shared by all kernels:
 
 * a "degree slice" is a dense int64 coefficient vector indexed by the rows of
   a monomial table (all monomials of one degree, sorted descending in the
-  active order), and "a block of degree slices" is an int64 array of shape
-  (slices, table rows), one slice per row;
+  active order), and "a block of degree slices" holds one slice per row of
+  a C-contiguous int64 array of shape (slices, table rows).
+  ``reduce_dense`` takes the transpose of such a block: shape (table rows,
+  trials), stored trial-major, one slice per column;
 * ``table_keys`` is the matching int64 key array, strictly ascending, and
   keys are linear in exponents, so the key of a monomial product is the sum
   of the factor keys;
 * coefficients stay in [0, p) with p*p < 2**63 (``field.check_int64_prime``),
   so products fit in int64;
 * reducers are monic: one lead exponent row each, and a tail of
-  (key - lead key, coefficient) arrays in term order, so each tail's keys
+  (key - lead key, coefficients) arrays in term order, so each tail's keys
   ascend and a tail lands on the rows of the lead's multiple by one shift.
+  ``reduce_dense`` takes one row of coefficients per trial.
 
 ``reduce_dense`` is driven by a boolean row mask of the slice: the rows
 some reducer lead divides.  The caller keeps that mask: the Buchberger
@@ -28,7 +31,9 @@ has dividing variables.  The kernel first collects every marked row the
 reduction can reach (symbolic preprocessing, as in Faugere's F4, JPAA 139,
 1999), then solves for the multiple of each such row's reducer in one
 triangular pass and subtracts all the scaled tails at once.  So its array
-work is a few calls per round of that closure, not per elimination.
+work is a few calls per round of that closure, not per elimination, and
+trials that share their leads (see ``groebner.buchberger_trials``) share
+the closure too: only the solve and the scatter run once per trial.
 
 ``transvect`` moves a whole block of degree slices through one elementary
 substitution by a gather plan that the table builds once per variable pair,
@@ -51,52 +56,61 @@ USING_NUMBA = False
 # dense normal form
 # ---------------------------------------------------------------------------
 
-def reduce_dense(vec, table_exps, table_keys, reducible, lead_exps, tails,
+def reduce_dense(block, table_exps, table_keys, reducible, lead_exps, tails,
                  p):
-    """Full normal form of a degree slice against monic reducers, in place.
+    """Full normal form of a block of degree slices against monic reducers.
 
-    ``reducible`` marks the rows divisible by some reducer lead, and
-    ``tails[r]`` is reducer r's tail as (keys relative to its lead key,
-    coefficients), so a row's own key shifts it onto the slice.  A tail
-    lands only on later rows, because keys ascend as monomials descend.
-    The reduction runs in three phases:
+    ``block`` has shape (table rows, trials) and is stored trial-major
+    (Fortran order), so ``block[:, t]``, the slice of trial t, is
+    contiguous; it is reduced in place.  The trials share the table, the
+    mask and the reducer leads and tail keys, and differ only in
+    coefficients: ``tails[r]`` is reducer r's tail as (keys relative to its
+    lead key, coefficients of shape (trials, tail terms), or (tail terms,)
+    for one trial), so a row's own key shifts it onto the slice.  A trial
+    whose reducer lacks a tail term has coefficient 0 there.  A tail lands
+    only on later rows, because keys ascend as monomials descend.
+    ``reducible`` marks the rows divisible by some reducer lead.  The
+    reduction runs in three phases:
 
-    * closure: from the marked nonzero rows, round by round, each row takes
-      the first reducer in list order whose lead divides it (one broadcast
-      per round), and every marked row its tail lands on joins the next
-      round.  A marked row that no lead divides is left alone, so a mask
-      that marks too much costs time, never correctness; one that misses a
-      divisible row leaves that row unreduced;
-    * solve: one forward pass in row order, in Python integers, over only
-      the tail terms that land on closure rows gives the multiple of each
-      closure row's reducer;
+    * closure: from the rows marked and nonzero in some trial, round by
+      round, each row takes the first reducer in list order whose lead
+      divides it (one broadcast per round), and every marked row its tail
+      lands on joins the next round.  A marked row that no lead divides is
+      left alone, so a mask that marks too much costs time, never
+      correctness; one that misses a divisible row leaves that row
+      unreduced;
+    * solve: one forward pass in row order per trial, in Python integers,
+      over only the tail terms that land on closure rows gives the
+      multiple of each closure row's reducer;
     * scatter: every scaled tail is subtracted at once and the closure rows
       are cleared.
 
-    A closure row that cancels before its turn gets multiple 0, so the
-    result is that of eliminating row after row.
+    A closure row that cancels before its turn, or is zero in a trial, gets
+    multiple 0, so each trial's result is that of eliminating row after row
+    in its own slice.
     """
     if lead_exps.shape[0] == 0:
         return
-    nonzero = vec != 0
-    rows = np.flatnonzero(reducible & nonzero)
+    # one C-contiguous row per trial
+    slices = block.T
+    nonzero = slices[0] != 0 if len(slices) == 1 else slices.any(axis=0)
+    rows = (reducible & nonzero).nonzero()[0]
     # marked rows that no round has taken yet
     waiting = reducible > nonzero
     closure, sizes, coeffs, landing = [], [], [], []
     while rows.size:
         hits = (lead_exps <= table_exps[rows, None]).all(axis=2)
         red = hits.argmax(axis=1)
-        divisible = hits[np.arange(rows.size), red]
+        divisible = hits.any(axis=1)
         if not divisible.all():
             rows, red = rows[divisible], red[divisible]
             if not rows.size:
                 break
         picked = [tails[r] for r in red.tolist()]
         round_sizes = [keys.shape[0] for keys, _ in picked]
-        pos = np.searchsorted(
-            table_keys,
+        pos = table_keys.searchsorted(
             np.concatenate([keys for keys, _ in picked])
-            + np.repeat(table_keys[rows], round_sizes))
+            + table_keys[rows].repeat(round_sizes))
         closure.append(rows)
         sizes.extend(round_sizes)
         coeffs.extend(cf for _, cf in picked)
@@ -105,33 +119,37 @@ def reduce_dense(vec, table_exps, table_keys, reducible, lead_exps, tails,
         if rows.size:
             # two tails may land on one row; it joins once
             rows.sort()
-            rows = rows[np.diff(rows, prepend=-1) > 0]
+            rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
             waiting[rows] = False
     if not closure:
         return
     closure = np.concatenate(closure)
     pos = np.concatenate(landing)
-    coeffs = np.concatenate(coeffs)
-    scale = vec[closure]
+    coeffs = np.concatenate(coeffs, axis=-1).reshape(len(slices), -1)
     # tail terms that land on a row some round took: a closure row, or a
     # marked row that no lead divides, which the solve skips
-    inner = np.flatnonzero(reducible[pos] > waiting[pos])
+    inner = (reducible[pos] > waiting[pos]).nonzero()[0]
     if inner.size:
-        multiple = dict(zip(closure.tolist(), scale.tolist()))
-        src = np.repeat(closure, sizes)[inner]
-        # in source row order: a row's multiple is final once every term
-        # landing on it, all from earlier rows, is in
-        for s, t, cf in sorted(zip(src.tolist(), pos[inner].tolist(),
-                                   coeffs[inner].tolist())):
-            if t in multiple:
-                multiple[t] = (multiple[t] - multiple[s] * cf) % p
-        scale = np.fromiter(multiple.values(), dtype=np.int64,
-                            count=closure.shape[0])
-    # each product is below p*p < 2^63; reduced, a row receives at most one
-    # term per closure row, far fewer than 2^63 / p of them
-    np.subtract.at(vec, pos, np.repeat(scale, sizes) * coeffs % p)
-    vec[pos] %= p
-    vec[closure] = 0
+        rows = closure.tolist()
+        src = closure.repeat(sizes)[inner].tolist()
+        dst = pos[inner].tolist()
+    for vec, vec_coeffs in zip(slices, coeffs):
+        scale = vec[closure]
+        if inner.size:
+            multiple = dict(zip(rows, scale.tolist()))
+            # in source row order: a row's multiple is final once every
+            # term landing on it, all from earlier rows, is in
+            for s, d, cf in sorted(zip(src, dst,
+                                       vec_coeffs[inner].tolist())):
+                if d in multiple:
+                    multiple[d] = (multiple[d] - multiple[s] * cf) % p
+            scale = np.fromiter(multiple.values(), dtype=np.int64,
+                                count=closure.shape[0])
+        # each product is below p*p < 2^63; reduced, a row receives at most
+        # one term per closure row, far fewer than 2^63 / p of them
+        np.subtract.at(vec, pos, scale.repeat(sizes) * vec_coeffs % p)
+        vec[pos] %= p
+        vec[closure] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +231,15 @@ def warmup():
     exps = np.array([[2, 0], [1, 1], [0, 2]], dtype=np.int64)
     keys = np.array([-2, -1, 0], dtype=np.int64)
     lead = np.array([[1, 0]], dtype=np.int64)
-    tails = [(np.array([1], dtype=np.int64), np.array([1], dtype=np.int64))]
+    tail = np.array([1], dtype=np.int64)
     reducible = np.array([True, True, False])
     # x0^2 -> x0*x1 -> x1^2 by x0 + x1: x0*x1 joins the closure in a second
-    # round, and the tail term of x0^2 that lands on it runs the solve
-    reduce_dense(vec.copy(), exps, keys, reducible, lead, tails, 7)
+    # round, and the tail term of x0^2 that lands on it runs the solve; once
+    # for one trial, once for two
+    reduce_dense(vec[:, None].copy(order="F"), exps, keys, reducible, lead,
+                 [(tail, tail)], 7)
+    reduce_dense(np.array([vec, vec[::-1]]).T, exps, keys, reducible, lead,
+                 [(tail, np.array([tail, tail]))], 7)
     # x0 <- x0 + x1 on these rows: x0^2 feeds x0*x1 (k = 1) and x1^2
     # (k = 2), x0*x1 feeds x1^2; cells index the 3 x 3 binomial table
     plan = tuple(np.array(a, dtype=np.intp)

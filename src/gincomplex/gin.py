@@ -21,6 +21,15 @@ itself -- an H one too large where a new leading monomial is due would drop
 a productive pair and certify the result -- so H is always read off a basis
 computed without pruning.
 
+In generic coordinates every trial has the gin as its initial ideal, so
+the trials' runs make the same pairs and leads on different coefficients.
+A graded-lex gin therefore computes the graded-lex bases of its first
+``min_agree`` trials in one lockstep run (``buchberger_trials``), which
+shares all work on leading monomials and falls back to separate runs when
+a special draw makes the trials part; trials after those run one at a
+time.  A grevlex gin runs its trials one at a time: the second needs the H
+that the first trial's unpruned run supplies.
+
 The one exception is a partial elimination stratum K_i (see ``pei``).  Its H
 comes from the relaxed extraction of the stabilized graded-lex basis, which
 is a Groebner basis of K_i in any coordinates (Green, *Generic initial
@@ -48,7 +57,12 @@ from .errors import (
 )
 from .field import DEFAULT_PRIME
 from .geometry import Prediction, surface_complexity_on_quadric
-from .groebner import GroebnerBasis, MonomialIdeal, buchberger
+from .groebner import (
+    GroebnerBasis,
+    MonomialIdeal,
+    buchberger,
+    buchberger_trials,
+)
 from .poly import (
     GLEX,
     GREVLEX,
@@ -239,7 +253,10 @@ def gin(ideal, order, seed_base=DEFAULT_SEED_BASE,
     Trials run with seeds seed_base, seed_base+1, ...; the result is accepted
     once ``min_agree`` consecutive trials produce identical monomial ideals,
     and its Hilbert function must match the ideal's up to degree M + 1, M
-    the largest generator degree (``InvariantError`` otherwise).
+    the largest generator degree (``InvariantError`` otherwise).  Under a
+    graded-lex order the first ``min_agree`` trials are drawn together and
+    their bases computed in lockstep (see the module docstring); results
+    and errors are those of running them one by one.
     """
     if min_agree < 1:
         raise ConfigurationError("min_agree must be at least 1")
@@ -247,21 +264,27 @@ def gin(ideal, order, seed_base=DEFAULT_SEED_BASE,
         raise ConfigurationError("trial budget smaller than min_agree")
     # sorted once: each moved generator keeps this order into buchberger
     ideal = ideal.with_order(order)
+
+    def move(k):
+        change = random_change(seed_base + k, ideal.nvars, ideal.p)
+        return change.apply_ideal(ideal)
+
+    # trial 1's unpruned grevlex basis gives H; a graded-lex gin then runs
+    # its first min_agree trials in lockstep
+    moved = move(0)
+    bases = [buchberger(moved, GREVLEX)]
+    hilbert = hilbert_function_of(bases[0])
+    if order is not GREVLEX:
+        bases = buchberger_trials(
+            [moved] + [move(k) for k in range(1, min_agree)], order,
+            hilbert=hilbert)
     trials = []
     streak = 0
     prev = None
-    hilbert = None
     for k in range(trial_budget):
         seed = seed_base + k
-        change = random_change(seed, ideal.nvars, ideal.p)
-        moved = change.apply_ideal(ideal)
-        if hilbert is None:
-            gb = buchberger(moved, GREVLEX)
-            hilbert = hilbert_function_of(gb)
-            if order is not GREVLEX:
-                gb = buchberger(moved, order, hilbert=hilbert)
-        else:
-            gb = buchberger(moved, order, hilbert=hilbert)
+        gb = (bases[k] if k < len(bases)
+              else buchberger(move(k), order, hilbert=hilbert))
         current = gb.initial_ideal()
         trials.append((seed, current))
         if prev is not None and current == prev:

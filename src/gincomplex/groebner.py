@@ -33,6 +33,22 @@ become ``Polynomial``s only in the result.  The pair queue and the
 Gebauer-Moeller update work on leads packed into Python ints, one guarded
 bit field per variable (``_PackedExponents``).
 
+One engine serves several trials at once (``buchberger_trials``): the
+images of one ideal under the random coordinate changes of a gin.  In
+generic coordinates they all have the gin as initial ideal (Galligo;
+Bayer-Stillman), and their runs are one run on different coefficients, as
+in Traverso's Groebner trace algorithms (ISSAC 1988).  So everything that
+depends only on leading monomials is done once for all trials: the pair
+queue and its update, the lead cover and the Hilbert-driven count, the
+placement of a multiple and the kernel's closure.  Each element keeps the
+union of the trials' supports, with one row of coefficients per trial, and
+each reduction works on a block with one slice per trial.  The trials stay
+in lockstep while every reduction leaves the same leading row in each
+trial, or zero in all of them.  When they part -- a special draw, with
+probability about deg/p -- the run stops and each trial is run again on
+its own, so the bases, counts and errors are always those of separate runs.
+A single ``buchberger`` run is the engine with one trial.
+
 Generators wait by degree and enter at their own degree, before that
 degree's pairs, so elements arrive in nondecreasing degree and each arrives
 fully reduced.  A new lead then divides no older lead, so every pair it
@@ -115,6 +131,16 @@ class MonomialIdeal:
         self.nvars = nvars
         self.gens = tuple(sorted(minimal, key=GLEX.key, reverse=True))
         self._cover = None
+
+    @classmethod
+    def _of_antichain(cls, gens, nvars):
+        """The ideal of ``gens``, an antichain of exponent tuples already
+        sorted descending in graded-lex: no check, no sort."""
+        ideal = cls.__new__(cls)
+        ideal.nvars = nvars
+        ideal.gens = tuple(gens)
+        ideal._cover = None
+        return ideal
 
     @property
     def is_zero(self):
@@ -258,7 +284,7 @@ class _ChainedCover:
                 mask = np.zeros(len(tab), dtype=bool)
             else:
                 succ = table_for(self.nvars, d - 1, self.order).successors()
-                reached = np.bincount(succ[np.flatnonzero(~below)].ravel(),
+                reached = np.bincount(succ[~below].ravel(),
                                       minlength=len(tab))
                 mask = reached < tab.supports()
             if waiting is not None:
@@ -287,8 +313,9 @@ class GroebnerBasis:
     criterion.  The three count S-pairs only, not generators, and repeat
     exactly for a fixed input.
 
-    The run also leaves the lead cover it chained (``_cover``).  Its leads
-    are exactly the minimal generators of the initial ideal, so for a
+    The run also leaves the lead cover it chained (``_cover``), shared by
+    the bases of trials run in lockstep, whose leads agree.  Its leads are
+    exactly the minimal generators of the initial ideal, so for a
     graded-lex basis ``initial_ideal`` hands it on instead of chaining the
     same masks again.  A graded-revlex cover is not handed on: a gin asks
     for the Hilbert function of that initial ideal up to the top degree of
@@ -316,7 +343,18 @@ class GroebnerBasis:
         return [g.leading_monomial() for g in self.elements]
 
     def initial_ideal(self):
-        ideal = MonomialIdeal(self.leading_monomials(), self.nvars)
+        """The monomial ideal of the leads, its minimal generators.
+
+        The basis is reduced, so no lead divides another: the leads are the
+        minimal generators as they stand.  A graded-lex basis already lists
+        them descending in graded-lex; any other is sorted once.
+        """
+        leads = np.array([g.exps[0] for g in self.elements],
+                         dtype=np.int64).reshape(-1, self.nvars)
+        gens = map(tuple, leads.tolist())
+        if self.order is not GLEX:
+            gens = sorted(gens, key=GLEX.key, reverse=True)
+        ideal = MonomialIdeal._of_antichain(gens, self.nvars)
         if self.order is GLEX:
             ideal._cover = self._cover
         return ideal
@@ -431,38 +469,44 @@ class _DenseBackend:
     tails reach, solves for every multiple in one triangular pass and
     subtracts the scaled tails together.
 
-    The backend holds each reducer once, in the form the kernel reads:
-    ``exps`` and ``coeffs``, its exponent rows and monic coefficients in
-    term order, and ``keys``, the table keys of its terms relative to its
-    lead key.  ``tails[r]`` views reducer r's keys and coefficients without
-    the lead, and ``leads`` is a view of the first rows of a lead array
-    with spare capacity, so adding a reducer copies neither.  Relative keys
-    place a multiple on any table: the terms of m * lm(r) lie at the keys
-    ``keys[r]`` plus the key of m * lm(r) (``spoly_reduce``).
+    A backend serves ``trials`` runs that share their leads and differ only
+    in coefficients (see ``buchberger_trials``); every other caller has one
+    trial.  Each slice is a block with one column per trial (``_slice``),
+    and each reducer is held once, in the form the kernel reads: ``exps``,
+    the exponent rows of the union of the trials' supports in term order,
+    ``coeffs``, its monic coefficients with one row per trial (0 where a
+    trial lacks the term), and ``keys``, the table keys of its terms
+    relative to its lead key.  ``tails[r]`` views reducer r's keys and
+    coefficients without the lead, and ``leads`` is a view of the first
+    rows of a lead array with spare capacity, so adding a reducer copies
+    neither.  Relative keys place a multiple on any table: the terms of
+    m * lm(r) lie at the keys ``keys[r]`` plus the key of m * lm(r)
+    (``spoly_reduce``).
 
     ``normal_form`` and ``is_groebner_basis`` know every reducer up front
-    and ``add`` them as polynomials.  ``buchberger`` builds its basis a
-    degree at a time: ``begin_degree`` fetches that degree's lead mask, and
-    ``insert`` turns each reduced slice into an element, reading its rows
-    off the degree table in hand and marking its lead row in the mask.  It
-    keeps the table rows of this degree's elements, and only theirs, to
+    and ``add`` them as polynomials.  ``buchberger_trials`` builds its basis
+    a degree at a time: ``begin_degree`` fetches that degree's lead mask,
+    and ``insert`` turns each reduced slice into an element, reading its
+    rows off the degree table in hand and marking its lead row in the mask.
+    It keeps the table rows of this degree's elements, and only theirs, to
     clear a new lead from them (``replace``); no table of a finished degree
     is looked up again.  Placing, reducing and clearing all work on one
-    dense slice per table (``_slice``), which ``begin_degree`` drops before
+    dense block per table (``_slice``), which ``begin_degree`` drops before
     the next degree's table is chained, so a degree's peak memory holds no
-    slice of the degree before.
+    block of the degree before.
 
     Per degree the lead mask is chained from the mask of the degree below
     (``_ChainedCover``); the kernel's closure starts from it.  So once a
     degree's mask is used, no reducer may be added below that degree:
-    ``buchberger`` adds its elements in nondecreasing degree, and the other
-    callers add every reducer before the first reduction.
+    ``buchberger_trials`` adds its elements in nondecreasing degree, and the
+    other callers add every reducer before the first reduction.
     """
 
-    def __init__(self, nvars, p, order, reducers=()):
+    def __init__(self, nvars, p, order, reducers=(), trials=1):
         self.nvars = nvars
         self.p = p
         self.order = order
+        self.trials = trials
         self.weights = order.index_weights(nvars)
         self.exps = []
         self.coeffs = []
@@ -483,13 +527,15 @@ class _DenseBackend:
         return self._leads[:len(self.exps)]
 
     def _put(self, k, exps, coeffs, keys):
-        """Store reducer k from its terms and their table keys.
+        """Store reducer k from its terms, coefficients and table keys.
 
-        A k equal to the reducer count appends; any other k replaces a
-        reducer with the same lead.
+        ``coeffs`` has one row per trial.  A k equal to the reducer count
+        appends; any other k replaces a reducer with the same lead.
         """
         keys = keys - keys[0]
-        tail = (keys[1:], coeffs[1:])
+        # one trial hands the kernel 1D tail coefficients, which it joins
+        # faster than rows of one
+        tail = (keys[1:], coeffs[0, 1:] if len(coeffs) == 1 else coeffs[:, 1:])
         if k < len(self.exps):
             self.exps[k], self.coeffs[k] = exps, coeffs
             self.keys[k], self.tails[k] = keys, tail
@@ -504,7 +550,8 @@ class _DenseBackend:
 
     def add(self, h):
         """Append the monic reducer h, a polynomial in the backend's order."""
-        self._put(len(self.exps), h.exps, h.coeffs, h.exps @ self.weights)
+        self._put(len(self.exps), h.exps, h.coeffs[None],
+                  h.exps @ self.weights)
         self._cover.add(h.exps[0])
 
     def covered(self, degree):
@@ -517,7 +564,7 @@ class _DenseBackend:
         """Start inserting elements of ``degree``; returns its lead mask.
 
         The elements of the degree before are final from here on, so their
-        table rows are dropped, and so is the slice kept for that degree,
+        table rows are dropped, and so is the block kept for that degree,
         before chaining the mask may build the next table.
         """
         self._rows.clear()
@@ -525,76 +572,100 @@ class _DenseBackend:
         return self.covered(degree)
 
     def _slice(self, tab):
-        """The all-zero slice of tab, one vector kept for every reduction.
+        """The all-zero block of tab, one kept for every reduction.
 
-        Each use leaves it zero again, so the reductions on one table share
-        one slice instead of allocating one each.
+        It has one column per trial, stored trial-major as the kernel
+        reads it.  Each use leaves it zero again, so the reductions on one
+        table share one block instead of allocating one each.
         """
         if self._work is None or len(self._work) != len(tab):
-            self._work = np.zeros(len(tab), dtype=np.int64)
+            self._work = np.zeros((len(tab), self.trials), dtype=np.int64,
+                                  order="F")
         return self._work
 
-    def _reduce_slice(self, tab, vec):
-        """Full normal form of the slice vec on tab, as its terms.
+    def _reduce_slice(self, tab, block):
+        """Full normal form of the block on tab, as its terms.
 
-        Returns the nonzero rows and their coefficients, and leaves vec
-        zero.
+        Returns the rows nonzero in some trial and their coefficients, one
+        row per trial, and leaves the block zero.
         """
-        _kernels.reduce_dense(vec, tab.exps, tab.keys,
+        _kernels.reduce_dense(block, tab.exps, tab.keys,
                               self.covered(tab.degree), self.leads,
                               self.tails, self.p)
-        rows = vec.nonzero()[0]
-        coeffs = vec[rows]
-        vec[rows] = 0
+        return self._take(block)
+
+    @staticmethod
+    def _take(block):
+        """Rows nonzero in some trial and their coefficients, one row per
+        trial; leaves the block zero."""
+        slices = block.T
+        if len(slices) == 1:
+            # on small tables three 1D calls cost a third of the 2D ones
+            vec = slices[0]
+            rows = vec.nonzero()[0]
+            coeffs = vec[rows][None]
+            vec[rows] = 0
+        else:
+            rows = slices.any(axis=0).nonzero()[0]
+            coeffs = slices[:, rows]
+            slices[:, rows] = 0
         return rows, coeffs
 
-    def reduce_terms(self, tab, f):
-        """Full normal form of f, homogeneous of tab's degree, as its terms.
+    def reduce_terms(self, tab, fs):
+        """Full normal forms of fs, one polynomial per trial, as terms.
 
-        Returns its nonzero rows of tab and their coefficients.
+        Each is homogeneous of tab's degree.  Returns what
+        ``_reduce_slice`` does.
         """
-        vec = self._slice(tab)
-        vec[tab.rows(f.exps)] = f.coeffs
-        return self._reduce_slice(tab, vec)
+        block = self._slice(tab)
+        for vec, f in zip(block.T, fs):
+            vec[tab.rows(f.exps)] = f.coeffs
+        return self._reduce_slice(tab, block)
 
     def reduce(self, f):
-        """Full normal form of the homogeneous f, or None when it is zero."""
+        """Full normal form of the homogeneous f, or None when it is zero.
+
+        For a backend of one trial.
+        """
         if f.is_zero:
             return None
         tab = table_for(self.nvars, f.degree, self.order)
-        rows, coeffs = self.reduce_terms(tab, f)
+        rows, coeffs = self.reduce_terms(tab, (f,))
         if not rows.size:
             return None
-        return Polynomial(tab.exps[rows], coeffs, self.nvars, self.p,
+        return Polynomial(tab.exps[rows], coeffs[0], self.nvars, self.p,
                           self.order, _presorted=True)
 
     def spoly_reduce(self, tab, i, j, key):
-        """Reduced monic S-polynomial of reducers i and j, as its terms.
+        """Reduced monic S-polynomials of reducers i and j, as their terms.
 
         ``key`` is the key of their leads' lcm in ``tab``, the table of its
         degree: both multiples are placed by one ``searchsorted`` of their
-        relative keys shifted by it.  Returns what ``reduce_terms`` does.
+        relative keys shifted by it.  Returns what ``_reduce_slice`` does.
         """
         ki = self.keys[i]
         pos = tab.keys.searchsorted(np.concatenate([ki, self.keys[j]]) + key)
-        vec = self._slice(tab)
-        # the rows of one polynomial are distinct
-        vec[pos[:len(ki)]] = self.coeffs[i]
-        pos = pos[len(ki):]
-        vec[pos] = (vec[pos] - self.coeffs[j]) % self.p
-        return self._reduce_slice(tab, vec)
+        block = self._slice(tab)
+        pi, pj = pos[:len(ki)], pos[len(ki):]
+        for vec, ci, cj in zip(block.T, self.coeffs[i], self.coeffs[j]):
+            # the rows of one polynomial are distinct
+            vec[pi] = ci
+            vec[pj] = (vec[pj] - cj) % self.p
+        return self._reduce_slice(tab, block)
 
     def insert(self, tab, rows, coeffs):
         """Append a reduced polynomial of the degree in progress, made monic.
 
-        It is given by its nonzero rows of ``tab`` and their coefficients,
-        the first its lead.  That lead can occur only in the tails of this
-        degree's elements, since no element has a higher degree; one
-        same-slice subtraction clears it from each.  Returns the lead
-        exponent row.
+        It is given by its rows of ``tab`` and their coefficients, one row
+        per trial; the first row, its lead, is nonzero in every trial.  That
+        lead can occur only in the tails of this degree's elements, since no
+        element has a higher degree; one same-slice subtraction clears it
+        from each.  Returns the lead exponent row.
         """
-        if coeffs[0] != 1:
-            coeffs = coeffs * pow(int(coeffs[0]), self.p - 2, self.p) % self.p
+        for c in coeffs:
+            if c[0] != 1:
+                c *= pow(int(c[0]), self.p - 2, self.p)
+                c %= self.p
         for k in self._rows:
             self._clear_lead(k, tab, rows, coeffs)
         k = len(self.exps)
@@ -608,20 +679,39 @@ class _DenseBackend:
         krows = self._rows[k]
         at = int(krows.searchsorted(rows[0]))
         if at < len(krows) and krows[at] == rows[0]:
-            vec = self._slice(tab)
-            vec[krows] = self.coeffs[k]
-            vec[rows] = (vec[rows] - self.coeffs[k][at] * coeffs) % self.p
-            self.replace(k, tab, vec)
+            block = self._slice(tab)
+            for vec, kc, c in zip(block.T, self.coeffs[k], coeffs):
+                vec[krows] = kc
+                vec[rows] = (vec[rows] - kc[at] * c) % self.p
+            self.replace(k, tab, block)
 
-    def replace(self, k, tab, vec):
-        """Swap element k for the slice vec on tab, which has the same lead.
+    def replace(self, k, tab, block):
+        """Swap element k for the block on tab, which has the same lead.
 
-        Leaves vec zero.
+        Leaves the block zero.
         """
-        rows = vec.nonzero()[0]
-        self._put(k, tab.exps[rows], vec[rows], tab.keys[rows])
+        rows, coeffs = self._take(block)
+        self._put(k, tab.exps[rows], coeffs, tab.keys[rows])
         self._rows[k] = rows
-        vec[rows] = 0
+
+    def polynomials(self, ranked):
+        """Elements ``ranked`` as polynomials, one list per trial.
+
+        Each trial's element keeps its own support: the terms where its
+        coefficient is nonzero.
+        """
+        bases = [[] for _ in range(self.trials)]
+        for k in ranked:
+            exps, coeffs = self.exps[k], self.coeffs[k]
+            shared = self.trials == 1 or coeffs.all()
+            for basis, vec in zip(bases, coeffs):
+                own = exps
+                if not shared:
+                    nonzero = vec != 0
+                    own, vec = exps[nonzero], vec[nonzero]
+                basis.append(Polynomial(own, vec, self.nvars, self.p,
+                                        self.order, _presorted=True))
+        return bases
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +850,7 @@ def buchberger(ideal, order, hilbert=None):
     The elements live in the backend as table rows, keys and coefficients
     while the run lasts, and become polynomials only in the result; the
     pair queue and its update work on packed exponents
-    (``_PackedExponents``).
+    (``_PackedExponents``).  This is ``buchberger_trials`` with one trial.
 
     ``hilbert``, when given, is the Hilbert function d -> dim (R/I)_d of the
     ideal; it prunes pairs and generators (see the module docstring) without
@@ -770,13 +860,54 @@ def buchberger(ideal, order, hilbert=None):
     ``InvariantError``.  Only visited degrees are checked: a degree with
     no waiting generator or pair is never compared with it.
     """
-    if ideal.is_zero:
+    return _buchberger_run([ideal], order, hilbert)[0]
+
+
+def buchberger_trials(ideals, order, hilbert=None):
+    """``[buchberger(I, order, hilbert) for I in ideals]``, run in lockstep.
+
+    Meant for the trials of a gin: images of one ideal under random
+    coordinate changes.  In generic coordinates they have the same initial
+    ideal, and their Buchberger runs make the same pairs, reductions and
+    leads on different coefficients, so one run serves them all (see the
+    module docstring).  Ideals that differ in ring or in the degree of some
+    generator, and trials that part during the run, are computed one at a
+    time by the same engine.  Either way the result, every count and any
+    error are those of the separate runs.
+    """
+    ideals = list(ideals)
+    if len(ideals) > 1 and _same_shape(ideals):
+        bases = _buchberger_run(ideals, order, hilbert)
+        if bases is not None:
+            return bases
+    return [_buchberger_run([ideal], order, hilbert)[0] for ideal in ideals]
+
+
+def _same_shape(ideals):
+    """True when the ideals share a ring and their generators' degrees."""
+    first = ideals[0]
+    degrees = [g.degree for g in first.generators]
+    return all(ideal.nvars == first.nvars and ideal.p == first.p
+               and [g.degree for g in ideal.generators] == degrees
+               for ideal in ideals[1:])
+
+
+def _buchberger_run(ideals, order, hilbert):
+    """The engine: reduced bases of ideals of one shape, one per trial.
+
+    Returns None when the trials part: some reduction leaves different
+    leading rows, or zero in some trials only.  One trial never parts.
+    """
+    first = ideals[0]
+    if first.is_zero:
         raise ZeroPolynomialError("the zero ideal has no generators")
-    nvars, p = ideal.nvars, ideal.p
+    nvars, p = first.nvars, first.p
+    trials = len(ideals)
     waiting = {}
-    for g in ideal.generators:
-        waiting.setdefault(g.degree, []).append(g)
-    backend = _DenseBackend(nvars, p, order)
+    # one job per generator position: its polynomial in every trial
+    for gens in zip(*(ideal.generators for ideal in ideals)):
+        waiting.setdefault(gens[0].degree, []).append(gens)
+    backend = _DenseBackend(nvars, p, order, trials=trials)
     packed = _PackedExponents(nvars, order)
     leads = []
     pairs = {}
@@ -785,8 +916,8 @@ def buchberger(ideal, order, hilbert=None):
         degree = min([*waiting, *(val[1] for val in pairs.values())])
         ranked = sorted((-val[2], ij) for ij, val in pairs.items()
                         if val[1] == degree)
-        # (None, generator) first, then ((i, j), lcm table key) per S-pair
-        jobs = [(None, g) for g in waiting.pop(degree, [])]
+        # (None, generators) first, then ((i, j), lcm table key) per S-pair
+        jobs = [(None, gens) for gens in waiting.pop(degree, [])]
         jobs += [(ij, pairs.pop(ij)[2]) for _, ij in ranked]
         mask = backend.begin_degree(degree)
         tab = table_for(nvars, degree, order)
@@ -812,6 +943,8 @@ def buchberger(ideal, order, hilbert=None):
             if not rows.size:
                 n_zero += ij is not None
                 continue
+            if trials > 1 and not coeffs[:, 0].all():
+                return None
             lead = backend.insert(tab, rows, coeffs)
             leads.append(packed.pack(lead.tolist()))
             _gm_update(pairs, leads, packed)
@@ -824,14 +957,16 @@ def buchberger(ideal, order, hilbert=None):
                 f"monomials it predicts are still missing")
 
     # the leads are distinct, so sorting them orders the elements
-    elements = [Polynomial(backend.exps[k], backend.coeffs[k], nvars, p,
-                           order, _presorted=True)
-                for k in order.descending(backend.leads).tolist()]
-    gb = GroebnerBasis(elements, order, nvars, p, pairs_reduced=n_reduced,
-                       reductions_to_zero=n_zero, pairs_pruned=n_pruned)
-    # every lead of the basis is in the cover, and none will follow
-    gb._cover = backend._cover
-    return gb
+    bases = []
+    for elements in backend.polynomials(
+            order.descending(backend.leads).tolist()):
+        gb = GroebnerBasis(elements, order, nvars, p,
+                           pairs_reduced=n_reduced,
+                           reductions_to_zero=n_zero, pairs_pruned=n_pruned)
+        # every lead of the basis is in the cover, and none will follow
+        gb._cover = backend._cover
+        bases.append(gb)
+    return bases
 
 
 def is_groebner_basis(gb):

@@ -239,7 +239,7 @@ class MonomialTable:
         ``exps`` has any leading shape and a last axis of length nvars; the
         result has the leading shape.
         """
-        return np.searchsorted(self.keys, exps @ self.weights)
+        return self.keys.searchsorted(exps @ self.weights)
 
     def dense(self, f):
         """Coefficient vector of f, of this table's degree and order."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 gin_mod = importlib.import_module("gincomplex.gin")
+groebner_mod = importlib.import_module("gincomplex.groebner")
 from gincomplex.corpus import golden_monomial_ideal, scroll
 from gincomplex.errors import (
     ConfigurationError,
@@ -161,6 +162,13 @@ def test_config_validation(store):
         gin(store.ideal("scroll"), GLEX, min_agree=3, trial_budget=2)
 
 
+def _each_trial(run):
+    """A lockstep stand-in that gives each ideal to ``run`` in turn."""
+    def trials(ideals, order, hilbert=None):
+        return [run(ideal, order, hilbert=hilbert) for ideal in ideals]
+    return trials
+
+
 def test_unstable_gin_error(monkeypatch, store):
     ideal = store.ideal("scroll")
     fake = [MonomialIdeal([(2, 0, 0, 0, 0)], 5),
@@ -180,7 +188,10 @@ def test_unstable_gin_error(monkeypatch, store):
         wobble.elements = gb.elements
         return wobble
 
+    # the first trials of a graded-lex gin come from the lockstep entry,
+    # the later ones from buchberger
     monkeypatch.setattr(gin_mod, "buchberger", flipflop)
+    monkeypatch.setattr(gin_mod, "buchberger_trials", _each_trial(flipflop))
     with pytest.raises(UnstableGinError) as err:
         gin(ideal, GLEX, trial_budget=4)
     assert len(err.value.trials) == 4
@@ -200,6 +211,32 @@ def test_gin_sorts_its_input_once(monkeypatch, store):
     result = gin(store.ideal("scroll"), GREVLEX)
     assert seen and all(o is GREVLEX for o in seen)
     assert result.gin == store.gin("scroll", "grevlex").gin
+
+
+@pytest.mark.parametrize("min_agree", [1, 2, 3])
+def test_glex_gin_runs_its_first_trials_in_lockstep(monkeypatch, store,
+                                                    min_agree):
+    # trial 1's grevlex run gives H; the first min_agree graded-lex runs go
+    # through one lockstep call, and agreeing they end the gin
+    seen = []
+    real, real_trials = gin_mod.buchberger, gin_mod.buchberger_trials
+
+    def spy(moved, order, hilbert=None):
+        seen.append(("buchberger", order, hilbert is None))
+        return real(moved, order, hilbert=hilbert)
+
+    def spy_trials(moves, order, hilbert=None):
+        seen.append(("trials", order, len(moves)))
+        return real_trials(moves, order, hilbert=hilbert)
+
+    golden = store.gin("ci23").gin
+    monkeypatch.setattr(gin_mod, "buchberger", spy)
+    monkeypatch.setattr(gin_mod, "buchberger_trials", spy_trials)
+    result = gin(store.ideal("ci23"), GLEX, min_agree=min_agree)
+    assert seen == [("buchberger", GREVLEX, True),
+                    ("trials", GLEX, min_agree)]
+    assert result.gin == golden
+    assert len(result.seeds) == result.trials_agreed == min_agree
 
 
 @pytest.mark.parametrize("saturation", [saturate_irrelevant, is_saturated])
@@ -234,16 +271,25 @@ def test_glex_gin_certificate_reuses_the_run_cover(monkeypatch, store):
     # the certificate reads the lead masks its graded-lex run chained: it
     # may chain on above that run's top degree, but rebuilds none below it
     runs = []
-    real = gin_mod.buchberger
+    real, real_trials = gin_mod.buchberger, gin_mod.buchberger_trials
 
     def spy(moved, order, hilbert=None):
         gb = real(moved, order, hilbert=hilbert)
         runs.append((gb, dict(gb._cover._masks), gb._cover._top))
         return gb
 
+    def spy_trials(moves, order, hilbert=None):
+        bases = real_trials(moves, order, hilbert=hilbert)
+        runs.extend((gb, dict(gb._cover._masks), gb._cover._top)
+                    for gb in bases)
+        return bases
+
+    # the golden run first, so that no run of the store's lands in runs
+    golden = store.gin("acm4").gin
     monkeypatch.setattr(gin_mod, "buchberger", spy)
+    monkeypatch.setattr(gin_mod, "buchberger_trials", spy_trials)
     result = gin(store.ideal("acm4"), GLEX)
-    assert result.gin == store.gin("acm4").gin
+    assert result.gin == golden
     gb, masks, top = runs[-1]
     assert gb is result.basis and gb.order is GLEX
     cover = result.gin._cover
@@ -258,12 +304,20 @@ def test_glex_gin_certificate_reuses_the_run_cover(monkeypatch, store):
 
 
 def _pruning_hilbert(real, shift_at):
-    """A buchberger stand-in whose pruning sees H shifted by shift_at(d)."""
+    """A buchberger (or lockstep) stand-in whose pruning sees H shifted by
+    shift_at(d)."""
     def run(moved, order, hilbert=None):
         if hilbert is None:
             return real(moved, order)
         return real(moved, order, hilbert=lambda d: hilbert(d) + shift_at(d))
     return run
+
+
+def _patch_pruning(monkeypatch, shift_at):
+    """Shift H inside both Groebner entries of ``gin`` by shift_at(d)."""
+    for name in ("buchberger", "buchberger_trials"):
+        monkeypatch.setattr(gin_mod, name, _pruning_hilbert(
+            getattr(groebner_mod, name), shift_at))
 
 
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
@@ -273,19 +327,17 @@ def test_gin_rejects_pruning_with_off_by_one_hilbert(monkeypatch, store,
     # a defect in the pruning looks like a wrong H inside buchberger only;
     # at every degree the criterion consults, gin must fail, not return
     ideal = store.ideal("ci23")
-    real = gin_mod.buchberger
     consulted = set()
 
     def record(d):
         consulted.add(d)
         return 0
 
-    monkeypatch.setattr(gin_mod, "buchberger", _pruning_hilbert(real, record))
+    _patch_pruning(monkeypatch, record)
     assert gin(ideal, order).gin == store.gin("ci23", order.name).gin
     assert consulted
     for degree in sorted(consulted):
-        monkeypatch.setattr(gin_mod, "buchberger", _pruning_hilbert(
-            real, lambda d: shift * (d == degree)))
+        _patch_pruning(monkeypatch, lambda d: shift * (d == degree))
         with pytest.raises(GincomplexError) as err:
             gin(ideal, order)
         assert (isinstance(err.value, InvariantError)

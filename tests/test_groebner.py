@@ -23,12 +23,14 @@ from gincomplex.gin import (
     reduced_grevlex,
     saturate_irrelevant,
 )
+from gincomplex import groebner as groebner_module
 from gincomplex.groebner import (
     MonomialIdeal,
     _DenseBackend,
     _PackedExponents,
     _gm_update,
     buchberger,
+    buchberger_trials,
     hilbert_function_macaulay,
     ideal_quotient,
     ideals_equal,
@@ -399,7 +401,12 @@ def test_pair_reduction_sequence_is_pinned(store, monkeypatch, name):
 
 
 def _assert_backend_in_step(backend):
-    """Leads, relative keys and tails match the stored terms."""
+    """Leads, relative keys and tails match the stored terms.
+
+    Each trial's coefficient row is checked as a 1D element of its own:
+    monic, in [0, p), nonzero on its own support, and the tail row is that
+    row without the lead.  Every stored term belongs to some trial.
+    """
     exps, coeffs = backend.exps, backend.coeffs
     assert len(coeffs) == len(backend.keys) == len(backend.tails) == len(exps)
     want = np.array([e[0] for e in exps], dtype=np.int64)
@@ -411,8 +418,14 @@ def _assert_backend_in_step(backend):
         assert (np.diff(keys) > 0).all()
         assert np.array_equal(rel, keys - keys[0])
         assert np.array_equal(tail_keys, rel[1:])
-        assert np.array_equal(tail_coeffs, c[1:])
-        assert c[0] == 1 and ((0 < c) & (c < backend.p)).all()
+        assert c.shape == (backend.trials, len(e))
+        assert (c != 0).any(axis=0).all()
+        # one trial's tail coefficients may come as one 1D row
+        for row, tail_row in zip(c, np.atleast_2d(tail_coeffs)):
+            assert np.array_equal(tail_row, row[1:])
+            assert row[0] == 1 and ((0 <= row) & (row < backend.p)).all()
+        if backend.trials == 1:
+            assert (c > 0).all()
 
 
 @pytest.mark.parametrize("use_hilbert", [False, True],
@@ -437,7 +450,7 @@ def test_backend_arrays_stay_in_step_with_its_reducers(store, monkeypatch,
     [backend] = backends
     # some tails changed after their element was added
     assert replaced
-    assert ({tuple(zip(map(tuple, e.tolist()), c.tolist()))
+    assert ({tuple(zip(map(tuple, e.tolist()), c[0].tolist()))
              for e, c in zip(backend.exps, backend.coeffs)}
             == {tuple(g.terms()) for g in gb})
     _assert_backend_in_step(backend)
@@ -597,6 +610,215 @@ def test_work_counters_are_deterministic(store):
         first = buchberger(moved, GLEX, **kwargs)
         assert first.pairs_reduced > 0
         assert _counts(first) == _counts(buchberger(moved, GLEX, **kwargs))
+
+
+# -- lockstep trials ----------------------------------------------------------
+
+PRIMES = [7, 32003, 3037000493]
+
+
+def _outcome(run):
+    """What a Groebner run gives: each basis with its counts, or the error.
+
+    A basis is compared by its elements' terms, order, ring and the three
+    work counts; an error by its type and message.
+    """
+    try:
+        bases = run()
+    except GincomplexError as err:
+        return type(err), str(err)
+    return [([g.terms() for g in gb], gb.order, gb.nvars, gb.p, _counts(gb))
+            for gb in bases]
+
+
+def _assert_lockstep_equals_separate_runs(ideals, order, hilbert=None):
+    assert (_outcome(lambda: buchberger_trials(ideals, order, hilbert))
+            == _outcome(lambda: [buchberger(ideal, order, hilbert)
+                                 for ideal in ideals]))
+
+
+def _lockstep_runs(monkeypatch):
+    """Record the trial count of every engine run, and whether it parted."""
+    runs = []
+    real = groebner_module._buchberger_run
+
+    def recording(ideals, order, hilbert):
+        bases = real(ideals, order, hilbert)
+        runs.append((len(ideals), bases is None))
+        return bases
+
+    monkeypatch.setattr(groebner_module, "_buchberger_run", recording)
+    return runs
+
+
+@st.composite
+def _ideals_of_one_shape(draw):
+    """1-3 homogeneous ideals sharing a ring and generator degrees.
+
+    A random base ideal has n = 2..5 variables and 1-4 generators of degree
+    1..4 with 1-3 terms each.  Each trial is mostly a random coordinate
+    change of it, as in a gin, which keeps the runs in lockstep unless the
+    change is special; sometimes it is another random ideal of the same
+    degrees, which usually parts them.  Also drawn: the order, and no
+    Hilbert function, the base ideal's, or that one shifted by one in one
+    degree, which makes the runs raise.
+    """
+    nvars = draw(st.integers(2, 5))
+    p = draw(st.sampled_from(PRIMES))
+    order = draw(st.sampled_from([GLEX, GREVLEX]))
+    residue = st.integers(1, p - 1)
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+
+    def random_ideal():
+        gens = []
+        for d in degrees:
+            tab = table_for(nvars, d, order)
+            rows = draw(st.sets(st.integers(0, len(tab) - 1), min_size=1,
+                                max_size=3))
+            gens.append(Polynomial.from_terms(
+                [(tuple(tab.exps[r]), draw(residue)) for r in sorted(rows)],
+                nvars, p, order))
+        return Ideal(gens, nvars, p)
+
+    base = random_ideal()
+    ideals = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 7)):
+            seed = draw(st.integers(0, 2 ** 16))
+            ideals.append(random_change(seed, nvars, p).apply_ideal(base))
+        else:
+            ideals.append(random_ideal())
+    hilbert = None
+    kind = draw(st.sampled_from(["none", "true", "shifted"]))
+    if kind != "none":
+        truth = buchberger(base, GREVLEX).initial_ideal().hilbert_function
+        if kind == "true":
+            hilbert = truth
+        else:
+            at, shift = draw(st.integers(0, 8)), draw(st.sampled_from([-1, 1]))
+            hilbert = lambda d: truth(d) + shift * (d == at)  # noqa: E731
+    return ideals, order, hilbert
+
+
+@settings(max_examples=80)
+@given(_ideals_of_one_shape())
+def test_lockstep_equals_separate_runs_property(case):
+    _assert_lockstep_equals_separate_runs(*case)
+
+
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_lockstep_trials_part_and_rerun_one_at_a_time(store, monkeypatch,
+                                                      order):
+    # the unmoved scroll and a moved copy have different initial ideals
+    ideal = store.ideal("scroll").with_order(order)
+    moved = random_change(2024, ideal.nvars, ideal.p).apply_ideal(ideal)
+    runs = _lockstep_runs(monkeypatch)
+    _assert_lockstep_equals_separate_runs([ideal, moved], order)
+    assert runs[0] == (2, True)
+    assert runs[1:3] == [(1, False), (1, False)]
+
+
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_lockstep_keeps_a_coefficient_that_vanishes_in_one_trial(
+        monkeypatch, order):
+    # the second ideal lacks the x2^2 term of the first generator; the
+    # leads agree throughout, so one run holds both, with a stored 0
+    first = Ideal([poly([((2, 0, 0), 1), ((0, 1, 1), 3), ((0, 0, 2), 5)],
+                        nvars=3),
+                   poly([((1, 1, 0), 1), ((0, 0, 2), 2)], nvars=3)])
+    second = Ideal([poly([((2, 0, 0), 1), ((0, 1, 1), 3)], nvars=3),
+                    first.generators[1]])
+    backends = []
+    init = _DenseBackend.__init__
+
+    def capturing(backend, *args, **kwargs):
+        init(backend, *args, **kwargs)
+        backends.append(backend)
+
+    monkeypatch.setattr(_DenseBackend, "__init__", capturing)
+    runs = _lockstep_runs(monkeypatch)
+    bases = buchberger_trials([first, second], order)
+    assert runs == [(2, False)]
+    [backend] = backends
+    assert any((c == 0).any() for c in backend.coeffs)
+    _assert_backend_in_step(backend)
+    # each trial's element keeps only its own nonzero terms
+    assert all((g.coeffs != 0).all() for gb in bases for g in gb)
+    monkeypatch.undo()
+    _assert_lockstep_equals_separate_runs([first, second], order)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_lockstep_unit_ideal(p):
+    for extra in ([], [((1, 1, 0), 1)]):
+        ideals = [Ideal([Polynomial.constant(c, 3, p),
+                         *([Polynomial.from_terms(extra, 3, p)]
+                           if extra else [])])
+                  for c in (1, p - 1, 5 % p)]
+        _assert_lockstep_equals_separate_runs(ideals, GLEX)
+        [gb, *_] = buchberger_trials(ideals, GLEX)
+        assert [g.terms() for g in gb] == [[((0, 0, 0), 1)]]
+
+
+def test_lockstep_single_trial_and_no_trial(store):
+    moved, hilbert = _moved_with_hilbert(store.ideal("ci23"))
+    for order in (GLEX, GREVLEX):
+        _assert_lockstep_equals_separate_runs([moved], order, hilbert)
+    assert buchberger_trials([], GLEX) == []
+    with pytest.raises(ZeroPolynomialError):
+        buchberger_trials([Ideal([], 5, P), Ideal([], 5, P)], GLEX)
+
+
+def test_lockstep_backend_stays_in_step(store, monkeypatch):
+    # two moved acm4 copies in one run: each trial's coefficient rows are
+    # checked like a basis of their own, against the separate runs
+    ideal = store.ideal("acm4")
+    moves = [random_change(2024 + t, ideal.nvars, ideal.p).apply_ideal(ideal)
+             for t in range(2)]
+    backends = []
+    init = _DenseBackend.__init__
+
+    def capturing(backend, *args, **kwargs):
+        init(backend, *args, **kwargs)
+        backends.append(backend)
+
+    monkeypatch.setattr(_DenseBackend, "__init__", capturing)
+    bases = buchberger_trials(moves, GLEX)
+    [backend] = backends
+    assert backend.trials == 2
+    _assert_backend_in_step(backend)
+    monkeypatch.undo()
+    for t, gb in enumerate(bases):
+        separate = buchberger(moves[t], GLEX)
+        assert [g.terms() for g in gb] == [g.terms() for g in separate]
+        assert ({tuple((tuple(e), c) for e, c in zip(exps.tolist(),
+                                                       coeffs[t].tolist())
+                       if c)
+                 for exps, coeffs in zip(backend.exps, backend.coeffs)}
+                == {tuple(g.terms()) for g in separate})
+
+
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+@pytest.mark.parametrize("name",
+                         ["scroll", "ci22", "castelnuovo", "ci23", "acm4"])
+def test_initial_ideal_is_the_monomial_ideal_of_the_leads(store, name, order):
+    # the reduced basis's leads are the minimal generators as they stand
+    moved, hilbert = _moved_with_hilbert(store.ideal(name))
+    for kwargs in ({}, {"hilbert": hilbert}):
+        gb = buchberger(moved, order, **kwargs)
+        ideal = gb.initial_ideal()
+        want = MonomialIdeal(gb.leading_monomials(), gb.nvars)
+        assert ideal == want and ideal.gens == want.gens
+        assert all(type(v) is int for g in ideal.gens for v in g)
+    rng = SplitMix64(99)
+    for _ in range(30):
+        gb = buchberger(Ideal(_random_small_ideal(rng)), order)
+        assert gb.initial_ideal() == MonomialIdeal(gb.leading_monomials(),
+                                                   gb.nvars)
+    # x1^2 > x0*x2 under grevlex but not under glex: the generators of the
+    # initial ideal are listed descending in graded-lex whatever the order
+    gb = buchberger(Ideal([mono((1, 0, 1)), mono((0, 2, 0))]), order)
+    assert gb.initial_ideal().gens == ((1, 0, 1), (0, 2, 0))
 
 
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])

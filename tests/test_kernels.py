@@ -15,7 +15,7 @@ from gincomplex import _kernels
 from gincomplex import poly as poly_module
 from gincomplex.errors import GincomplexError
 from gincomplex.gin import random_change
-from gincomplex.groebner import _ChainedCover, buchberger
+from gincomplex.groebner import _ChainedCover, buchberger_trials
 from gincomplex.poly import (
     GLEX,
     GREVLEX,
@@ -116,17 +116,21 @@ def _entry(rng, p):
     return p - 1 - rng.below(min(p, 3))
 
 
-def _random_pack(rng, nvars, degree, order, nred, p):
-    """A degree slice plus monic reducers of degree <= ``degree`` + 1.
+def _random_pack(rng, nvars, degree, order, nred, p, trials=1):
+    """Degree slices plus monic reducers of degree <= ``degree`` + 1.
 
-    Each tail monomial comes after its lead in the order, as in a basis, so
-    every shifted tail lands on a later row of the slice.  A reducer of
-    degree ``degree`` + 1 divides no row of the slice.
+    There are ``trials`` slices, one per row, and each tail has one row of
+    coefficients per trial over shared keys; a trial lacks a tail term
+    where its coefficient is 0.  Each tail monomial comes after its lead in
+    the order, as in a basis, so every shifted tail lands on a later row of
+    the slice.  A reducer of degree ``degree`` + 1 divides no row of the
+    slice.
     """
     tab = table_for(nvars, degree, order)
-    vec = np.zeros(len(tab), dtype=np.int64)
-    for _ in range(len(tab) // 2 + 1):
-        vec[rng.below(len(tab))] = _entry(rng, p)
+    vecs = np.zeros((trials, len(tab)), dtype=np.int64)
+    for vec in vecs:
+        for _ in range(len(tab) // 2 + 1):
+            vec[rng.below(len(tab))] = _entry(rng, p)
     lead_rows, tails = [], []
     for _ in range(nred):
         low = table_for(nvars, 1 + rng.below(degree + 1), order)
@@ -135,10 +139,11 @@ def _random_pack(rng, nvars, degree, order, nred, p):
         later = range(lead + 1, len(low))
         rows = sorted({later[rng.below(len(later))]
                        for _ in range(rng.below(6))}) if later else []
+        coeffs = [[_entry(rng, p) if t == 0 or rng.below(4) else 0
+                   for _ in rows] for t in range(trials)]
         tails.append((low.keys[rows] - low.keys[lead],
-                      np.array([_entry(rng, p) for _ in rows],
-                               dtype=np.int64)))
-    return tab, vec, np.array(lead_rows, dtype=np.int64), tails
+                      np.array(coeffs, dtype=np.int64).reshape(trials, -1)))
+    return tab, vecs, np.array(lead_rows, dtype=np.int64), tails
 
 
 def _divisible_rows(table_exps, lead_exps):
@@ -151,14 +156,25 @@ def _divisible_rows(table_exps, lead_exps):
 
 # -- kernel against loop ------------------------------------------------------
 
+def _block(vecs):
+    """Slices, one per row, as the kernel's trial-major block (a copy)."""
+    return vecs.T.copy(order="F")
+
+
+def _trial_tails(tails, trial):
+    """The 1D tails of one trial, as the loop reads them."""
+    return [(keys, np.atleast_2d(coeffs)[trial]) for keys, coeffs in tails]
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
 def test_reduce_dense_matches_loop(order, p):
     rng = SplitMix64(404)
     above = 0
     for trial in range(20):
-        tab, vec, lexp, tails = _random_pack(
-            rng, 3 + trial % 2, 2 + trial % 4, order, 1 + trial % 4, p)
+        tab, vecs, lexp, tails = _random_pack(
+            rng, 3 + trial % 2, 2 + trial % 4, order, 1 + trial % 4, p,
+            trials=1 + trial % 3)
         high = lexp[lexp.sum(axis=1) > tab.degree]
         above += len(high)
         assert not _ChainedCover(tab.nvars, order, high).mask(
@@ -167,29 +183,42 @@ def test_reduce_dense_matches_loop(order, p):
         # the chained cover behind the backend's masks marks the same rows
         assert (_ChainedCover(tab.nvars, order, lexp).mask(tab.degree)
                 == reducible).all()
-        loop = vec.copy()
-        _reduce_dense_loop(loop, tab.exps, tab.keys, lexp, tails, p)
+        loops = vecs.copy()
+        for t, loop in enumerate(loops):
+            _reduce_dense_loop(loop, tab.exps, tab.keys, lexp,
+                               _trial_tails(tails, t), p)
         # a mask that marks every row only costs time
         for mask in (reducible, np.ones(len(tab), dtype=bool)):
-            kernel = vec.copy()
+            kernel = _block(vecs)
             _kernels.reduce_dense(kernel, tab.exps, tab.keys, mask, lexp,
                                   tails, p)
-            assert (kernel == loop).all()
+            # each trial's column is its own slice's loop result
+            assert (kernel.T == loops).all()
     assert above > 0
 
 
 def _check_reduce_dense(tab, vec, lead_exps, tails, p):
     """Check the kernel against the loop under the exact and the all-True
-    mask, and return the loop's result; ``vec`` is left as it was."""
-    loop = vec.copy()
-    _reduce_dense_loop(loop, tab.exps, tab.keys, lead_exps, tails, p)
+    mask, and return the loop's result; ``vec`` is left as it was.
+
+    ``vec`` is one slice and each tail's coefficients one 1D array, or
+    ``vec`` holds one slice per row and each tail one coefficient row per
+    trial.  The kernel reduces all trials as one block, and each trial's
+    column must equal the loop on that trial's slice and tails.
+    """
+    vecs = np.atleast_2d(vec)
+    block_tails = [(keys, np.atleast_2d(cf)) for keys, cf in tails]
+    loops = vecs.copy()
+    for t, loop in enumerate(loops):
+        _reduce_dense_loop(loop, tab.exps, tab.keys, lead_exps,
+                           _trial_tails(block_tails, t), p)
     for mask in (_divisible_rows(tab.exps, lead_exps),
                  np.ones(len(tab), dtype=bool)):
-        kernel = vec.copy()
+        kernel = _block(vecs)
         _kernels.reduce_dense(kernel, tab.exps, tab.keys, mask, lead_exps,
-                              tails, p)
-        assert (kernel == loop).all()
-    return loop
+                              block_tails, p)
+        assert (kernel.T == loops).all()
+    return loops.reshape(np.shape(vec))
 
 
 def _hand_pack(nvars, degree, reducers, entries, p):
@@ -272,10 +301,10 @@ def test_reduce_dense_leaves_a_slice_with_no_marked_nonzero_row(p):
                 == before).all()
     # and no reducer at all
     tab, vec, leads, tails = _hand_pack(3, 2, [], {(2, 0, 0): 1}, p)
-    kernel = vec.copy()
+    kernel = _block(vec[None])
     _kernels.reduce_dense(kernel, tab.exps, tab.keys,
                           np.ones(len(tab), dtype=bool), leads, tails, p)
-    assert (kernel == vec).all()
+    assert (kernel[:, 0] == vec).all()
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -292,22 +321,26 @@ def test_reduce_dense_all_true_mask_leaves_indivisible_rows(p):
 
 @st.composite
 def _packs(draw):
-    """A degree slice, 1-6 monic reducers and a prime, as hand-built packs.
+    """Degree slices of 1-3 trials, 1-6 monic reducers and a prime.
 
     Each tail monomial comes after its lead, so every shifted tail lands on
-    a later row; the residues lean towards p - 1, whose products are the
-    largest.
+    a later row; the trials share the tail keys, and a trial lacks a tail
+    term where its coefficient is 0.  The residues lean towards p - 1,
+    whose products are the largest.
     """
     nvars = draw(st.integers(2, 5))
     degree = draw(st.integers(0, 6))
     order = draw(st.sampled_from([GLEX, GREVLEX]))
     p = draw(st.sampled_from(PRIMES))
+    trials = draw(st.integers(1, 3))
     residue = st.one_of(st.integers(1, p - 1), st.integers(max(1, p - 3),
                                                            p - 1))
     tab = table_for(nvars, degree, order)
-    vec = np.zeros(len(tab), dtype=np.int64)
-    entries = draw(st.dictionaries(st.integers(0, len(tab) - 1), residue))
-    vec[list(entries)] = list(entries.values())
+    vecs = np.zeros((trials, len(tab)), dtype=np.int64)
+    for vec in vecs:
+        entries = draw(st.dictionaries(st.integers(0, len(tab) - 1),
+                                       residue))
+        vec[list(entries)] = list(entries.values())
     leads, tails = [], []
     for _ in range(draw(st.integers(1, 6))):
         low = table_for(nvars, draw(st.integers(1, degree + 1)), order)
@@ -315,10 +348,11 @@ def _packs(draw):
         rows = sorted(draw(st.sets(st.integers(lead + 1, len(low) - 1),
                                    max_size=6))) if lead + 1 < len(low) else []
         leads.append(low.exps[lead])
+        coeffs = [[draw(residue) if t == 0 else draw(st.just(0) | residue)
+                   for _ in rows] for t in range(trials)]
         tails.append((low.keys[rows] - low.keys[lead],
-                      np.array([draw(residue) for _ in rows],
-                               dtype=np.int64)))
-    return tab, vec, np.array(leads, dtype=np.int64), tails, p
+                      np.array(coeffs, dtype=np.int64).reshape(trials, -1)))
+    return tab, vecs, np.array(leads, dtype=np.int64), tails, p
 
 
 @given(_packs())
@@ -327,25 +361,35 @@ def test_reduce_dense_matches_loop_property(pack):
 
 
 def test_reduce_dense_matches_loop_on_a_buchberger_run(store, monkeypatch):
+    # one plain ci23 glex run, then two moved copies in lockstep
     ideal = store.ideal("ci23")
-    moved = random_change(2024, ideal.nvars, ideal.p).apply_ideal(ideal)
-    calls = []
     kernel = _kernels.reduce_dense
+    for trials in (1, 2):
+        moves = [random_change(2024 + t, ideal.nvars,
+                               ideal.p).apply_ideal(ideal)
+                 for t in range(trials)]
+        calls = []
 
-    def recording(vec, table_exps, table_keys, reducible, lead_exps, tails,
-                  p):
-        # the backend replaces tails and extends masks as the run goes on
-        before = (vec.copy(), table_exps, table_keys, lead_exps, list(tails),
-                  p)
-        kernel(vec, table_exps, table_keys, reducible, lead_exps, tails, p)
-        calls.append((before, vec.copy()))
+        def recording(block, table_exps, table_keys, reducible, lead_exps,
+                      tails, p):
+            # the backend replaces tails and extends masks as the run goes
+            before = (block.copy(), table_exps, table_keys, lead_exps,
+                      list(tails), p)
+            kernel(block, table_exps, table_keys, reducible, lead_exps,
+                   tails, p)
+            calls.append((before, block.copy()))
 
-    monkeypatch.setattr(_kernels, "reduce_dense", recording)
-    buchberger(moved, GLEX)
-    assert len(calls) > 20
-    for (vec, *pack), after in calls:
-        _reduce_dense_loop(vec, *pack)
-        assert (vec == after).all()
+        monkeypatch.setattr(_kernels, "reduce_dense", recording)
+        assert len(buchberger_trials(moves, GLEX)) == trials
+        assert len(calls) > 20
+        for (block, exps, keys, leads, tails, p), after in calls:
+            # every call of the run reduced all trials together
+            assert block.shape == (len(keys), trials)
+            for t in range(trials):
+                vec = block[:, t].copy()
+                _reduce_dense_loop(vec, exps, keys, leads,
+                                   _trial_tails(tails, t), p)
+                assert (vec == after[:, t]).all()
 
 
 def _check_chained_cover(nvars, order, leads):
