@@ -4,7 +4,7 @@
 Usage, from the root of a checkout:
 
     python3 scripts/bench_pairs.py --base DIR [--change DIR] \
-        --workload glex-gin|pipeline|regularity --seed N \
+        --workload glex-gin|pipeline|regularity --seed N [--seed M ...] \
         [--pairs 10] [--seconds 8] [--json FILE]
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, one
@@ -13,14 +13,15 @@ Which side runs first alternates: the base leads in odd pairs, the change
 in even ones, so a drift in machine speed falls on both sides alike.  The
 change defaults to the checkout this script is in; the base is typically a
 copy of the parent commit (``git worktree add`` or ``git archive``).
+Each ``--seed`` gets its own ``--pairs`` pairs, one seed after the other.
 
-For each end-to-end metric of the change's ``BENCHMARK.json`` the script
-prints every pair, then per side the median and quartiles, the change of
-the medians, the number of pairs the change won (strictly better in the
-metric's own direction), and whether the medians differ by more than the
-base's interquartile range.  A run that fails, or reports
-``"correct": false``, stops the script with exit status 1.  ``--json``
-also writes every value.
+For each seed and each end-to-end metric of the change's
+``BENCHMARK.json`` the script prints every pair, then per side the median
+and quartiles, the change of the medians, the number of pairs the change
+won (strictly better in the metric's own direction), and whether the
+medians differ by more than the base's interquartile range.  A run that
+fails, or reports ``"correct": false``, stops the script with exit status
+1.  ``--json`` also writes every value, per seed.
 """
 
 import argparse
@@ -76,13 +77,34 @@ def summarize(metrics, base, change):
     return lines
 
 
+def run_pairs(sides, workload, seed, pairs, seconds, names):
+    """Alternated runs of both sides for one seed, or None if a run failed."""
+    runs = {"base": [], "change": []}
+    print(f"{workload} seed {seed}, {pairs} pairs of {seconds:g} s; base "
+          f"{sides['base']}, change {sides['change']}", flush=True)
+    for pair in range(pairs):
+        order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+        for side in order:
+            try:
+                runs[side].append(run_once(sides[side], workload, seed,
+                                           seconds))
+            except RuntimeError as exc:
+                print(f"seed {seed}, pair {pair + 1}, {side}: {exc}",
+                      file=sys.stderr)
+                return None
+        print(f"pair {pair + 1} ({order[0]} first): " + "  ".join(
+            f"{n} {runs['base'][-1][n]:.6g} -> {runs['change'][-1][n]:.6g}"
+            for n in names), flush=True)
+    return runs
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, type=Path)
     parser.add_argument("--change", type=Path, default=ROOT)
     parser.add_argument("--workload", required=True,
                         choices=("glex-gin", "pipeline", "regularity"))
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True, action="append")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--json", type=Path)
@@ -91,30 +113,22 @@ def main(argv=None):
     metrics = spec["end_to_end"]
     names = [m["name"] for m in metrics]
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
-    runs = {"base": [], "change": []}
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of "
-          f"{args.seconds:g} s; base {sides['base']}, change "
-          f"{sides['change']}", flush=True)
-    for pair in range(args.pairs):
-        order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-        for side in order:
-            try:
-                runs[side].append(run_once(sides[side], args.workload,
-                                           args.seed, args.seconds))
-            except RuntimeError as exc:
-                print(f"pair {pair + 1}, {side}: {exc}", file=sys.stderr)
-                return 1
-        print(f"pair {pair + 1} ({order[0]} first): " + "  ".join(
-            f"{n} {runs['base'][-1][n]:.6g} -> {runs['change'][-1][n]:.6g}"
-            for n in names), flush=True)
-    for line in summarize(metrics, runs["base"], runs["change"]):
-        print(line)
+    by_seed = {}
+    for seed in args.seed:
+        runs = run_pairs(sides, args.workload, seed, args.pairs,
+                         args.seconds, names)
+        if runs is None:
+            return 1
+        by_seed[seed] = runs
+        print(f"summary, {args.workload} seed {seed}:")
+        for line in summarize(metrics, runs["base"], runs["change"]):
+            print(line, flush=True)
     if args.json:
         args.json.write_text(json.dumps(
-            {"workload": args.workload, "seed": args.seed,
-             "seconds": args.seconds, "checkouts": {
-                 k: str(v) for k, v in sides.items()},
-             "runs": runs}, indent=1))
+            {"workload": args.workload, "seconds": args.seconds,
+             "checkouts": {k: str(v) for k, v in sides.items()},
+             "runs": {str(seed): runs for seed, runs in by_seed.items()}},
+            indent=1))
     return 0
 
 

@@ -29,6 +29,7 @@ from .gin import (
     random_change,
     reduced_grevlex,
     saturate_irrelevant,
+    unitriangular_change,
     witness_check,
     witness_monomials,
 )
@@ -63,6 +64,7 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     apply_linear_change,
+    apply_linear_changes,
     compare,
 )
 
@@ -75,7 +77,8 @@ __all__ = [
     "DEFAULT_PRIME", "FieldElement", "PrimeField",
     "CoordinateChange", "GinResult", "SurfaceCheck", "check_surface",
     "degree_complexity", "gin", "is_saturated", "random_change",
-    "reduced_grevlex", "witness_check", "witness_monomials",
+    "reduced_grevlex", "unitriangular_change", "witness_check",
+    "witness_monomials",
     "GroebnerBasis", "MonomialIdeal", "buchberger",
     "hilbert_function_macaulay", "ideal_quotient", "ideals_equal",
     "intersect", "is_groebner_basis", "normal_form", "s_polynomial",
@@ -84,6 +87,6 @@ __all__ = [
     "hilbert_identity_check", "k1_saturation_check", "partial_elimination",
     "recombine_m",
     "EQ", "GLEX", "GREVLEX", "GT", "LT", "Ideal", "MonomialOrder",
-    "Polynomial", "apply_linear_change", "compare",
+    "Polynomial", "apply_linear_change", "apply_linear_changes", "compare",
     "__version__",
 ]

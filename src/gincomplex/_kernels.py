@@ -38,12 +38,14 @@ the closure too: only the solve and the scatter run once per trial.
 ``transvect`` moves a whole block of degree slices through one elementary
 substitution by a gather plan that the table builds once per variable pair,
 so the number of array operations per step depends neither on the degree
-nor on the number of slices.
+nor on the number of slices.  Its block has a trials axis in front: changes
+that share their steps and differ only in the coefficient c (the trials of
+a gin) move together, with one binomial row per trial.
 
 ``echelon_mod`` is the package's one Gaussian elimination mod p.  The
 Macaulay-matrix Hilbert function reads its rank through ``rank_mod``, and
 ``poly.factor_change`` reads the row order and the L and U factors of each
-coordinate change off it.
+dense coordinate change off it.
 """
 
 import numpy as np
@@ -157,24 +159,26 @@ def reduce_dense(block, table_exps, table_keys, reducible, lead_exps, tails,
 # ---------------------------------------------------------------------------
 
 def transvect(block, plan, binom_c, p):
-    """Substitute x_i <- x_i + c*x_j in every slice of a block, in place.
+    """Substitute x_i <- x_i + c_t*x_j in every slice of trial t, in place.
 
-    ``plan`` is the table's gather plan of (i, j) (``sources``, ``cells``,
-    ``starts``, ``targets``; see ``poly.MonomialTable.transvection``) and
-    ``binom_c`` the C-contiguous (degree + 1)-square table of
-    C(e, k) * c^k mod p.  Row m of each slice sends C(e_i, k) c^k times its
-    coefficient to the row of m * (x_j/x_i)^k for every 1 <= k <= e_i; the
-    k = 0 term is the slice itself.
+    ``block`` has shape (trials, slices, table rows).  ``plan`` is the
+    table's gather plan of (i, j) (``sources``, ``cells``, ``starts``,
+    ``targets``; see ``poly.MonomialTable.transvection``) and ``binom_c``
+    has one row per trial: row t is the flattened (degree + 1)-square table
+    of C(e, k) * c_t^k mod p.  Row m of each slice of trial t sends
+    C(e_i, k) c_t^k times its coefficient to the row of m * (x_j/x_i)^k for
+    every 1 <= k <= e_i; the k = 0 term is the slice itself.
     """
     sources, cells, starts, targets = plan
     if starts.shape[0] == 0:
         return
-    terms = block[:, sources] * binom_c.ravel()[cells] % p
+    terms = (block.take(sources, axis=2)
+             * binom_c.take(cells, axis=1)[:, None] % p)
     # each term is below p and a target receives at most one term per k,
     # so at most degree <= 255 of them: with the slice entry, every sum
     # stays below 256 * p < 2^63 for p <= 3037000493
-    sums = np.add.reduceat(terms, starts, axis=1)
-    block[:, targets] = (block[:, targets] + sums) % p
+    sums = np.add.reduceat(terms, starts, axis=2)
+    block[..., targets] = (block[..., targets] + sums) % p
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +203,7 @@ def echelon_mod(mat, p):
     for col in range(ncols):
         if rank == nrows:
             break
-        nz = np.flatnonzero(mat[rank:, col])
+        nz = mat[rank:, col].nonzero()[0]
         if nz.size == 0:
             continue
         pivot = rank + int(nz[0])
@@ -241,9 +245,12 @@ def warmup():
     reduce_dense(np.array([vec, vec[::-1]]).T, exps, keys, reducible, lead,
                  [(tail, np.array([tail, tail]))], 7)
     # x0 <- x0 + x1 on these rows: x0^2 feeds x0*x1 (k = 1) and x1^2
-    # (k = 2), x0*x1 feeds x1^2; cells index the 3 x 3 binomial table
+    # (k = 2), x0*x1 feeds x1^2; cells index the 3 x 3 binomial table; once
+    # for one trial, once for two (c = 1 and c = 2)
     plan = tuple(np.array(a, dtype=np.intp)
                  for a in ([0, 0, 1], [7, 8, 4], [0, 1], [1, 2]))
-    binom = np.array([[1, 0, 0], [1, 1, 0], [1, 2, 1]], dtype=np.int64)
-    transvect(np.array([vec, vec[::-1]]), plan, binom, 7)
+    binom = np.array([[1, 0, 0, 1, 1, 0, 1, 2, 1],
+                      [1, 0, 0, 1, 2, 0, 1, 4, 4]], dtype=np.int64)
+    transvect(np.array([[vec, vec[::-1]]]), plan, binom[:1], 7)
+    transvect(np.array([[vec], [vec[::-1]]]), plan, binom, 7)
     rank_mod(np.eye(2, dtype=np.int64), 7)

@@ -4,17 +4,43 @@ Saturation lives here too: it needs one general coordinate change.  A
 saturation test reads the verdict off the initial ideal of one reduced grevlex
 basis, and ``reduced_grevlex`` shrinks a generating set before it is moved.
 
-"Generic" is realized operationally: independent uniform invertible matrices
-over F_p, accepted once enough consecutive trials produce the same initial
-ideal.  Two agreements over p ~ 3*10^4 make a coincidental non-generic match
-negligible; exhausting the trial budget is an error, never a silent
-best-effort answer.
+"Generic" is realized operationally: independent uniform lower
+unitriangular changes x_i <- x_i + sum_{j<i} c_ij x_j over F_p
+(``unitriangular_change``), accepted once enough consecutive trials produce
+the same initial ideal.  Such changes are already generic, for both orders
+(Bayer-Stillman, Invent. Math. 87, 1987; Eisenbud, *Commutative Algebra*,
+15.9 and the proof of Thm 15.20).  Write a change as the matrix g of the
+substitution x -> g x, so that moving by g and then by h is moving by g h.
+An upper triangular b, which sends each x_i to a nonzero multiple of itself
+plus later (smaller) variables, keeps the leading monomial of every
+polynomial, so in(u b . I) = in(u . I).  The products u b, with u lower
+unitriangular, are the matrices with an LU factorization: the big Bruhat
+cell, which is open and dense in GL_n.  The g with in(g . I) = gin(I) form
+a dense open set, and it meets that cell; so the u with in(u . I) = gin(I)
+form a dense open subset of the n(n-1)/2-dimensional space of the c_ij.  b
+fixes the projection centre (1:0:...:0), so the same holds for the partial
+elimination strata.
+
+How likely is a bad draw?  In each degree d, in(u . I)_d = gin(I)_d iff
+one maximal minor of the matrix of (u . I)_d, the one on the gin's
+monomials, does not vanish; its entries are polynomials of degree at most d
+in the c_ij, so the minor has degree at most d * dim I_d.  By
+Schwartz-Zippel, a uniform draw is bad with probability at most
+sum_d d * dim I_d / p, over d up to the gin's largest generator degree.
+The bound is crude (for large gins it exceeds 1) and far above the
+observed rate; two agreeing trials, and the Hilbert-function certificate
+below, are what guard the answer.
+Exhausting the trial budget is an error, never a silent best-effort
+answer.  Each trial is n(n-1)/2 transvections with no factorization, and
+every trial has the same steps, so the first ``min_agree`` trials move as
+one block (``apply_linear_changes``).
 
 The Hilbert function of I depends on neither the coordinates nor the term
 order.  The first trial reads it off the reduced grevlex basis of its moved
 ideal -- the cheap basis in generic coordinates, and for a grevlex gin the
-trial's own result -- and every later basis computation uses it to drop
-S-pairs that must reduce to zero.  The stabilized gin is then certified
+trial's own result -- and every later basis computation, but for a grevlex
+gin's first trials (below), uses it to drop S-pairs that must reduce to
+zero.  The stabilized gin is then certified
 against it: the two Hilbert functions must agree up to one past the largest
 generator degree.  The certificate checks the pruning against H, not H
 itself -- an H one too large where a new leading monomial is due would drop
@@ -23,12 +49,13 @@ computed without pruning.
 
 In generic coordinates every trial has the gin as its initial ideal, so
 the trials' runs make the same pairs and leads on different coefficients.
-A graded-lex gin therefore computes the graded-lex bases of its first
-``min_agree`` trials in one lockstep run (``buchberger_trials``), which
-shares all work on leading monomials and falls back to separate runs when
-a special draw makes the trials part; trials after those run one at a
-time.  A grevlex gin runs its trials one at a time: the second needs the H
-that the first trial's unpruned run supplies.
+So under either order the bases of the first ``min_agree`` trials come from
+one lockstep run (``buchberger_trials``), which shares all work on leading
+monomials and falls back to separate runs when a special draw makes the
+trials part.  A graded-lex gin prunes that run with the H of trial 1's
+grevlex basis.  A grevlex gin runs it without pruning, and reads H off
+trial 1's basis from it, which is still a basis computed without pruning.
+Trials after the first ``min_agree`` run one at a time, pruned by H.
 
 The one exception is a partial elimination stratum K_i (see ``pei``).  Its H
 comes from the relaxed extraction of the stabilized graded-lex basis, which
@@ -69,7 +96,9 @@ from .poly import (
     Ideal,
     MonomialOrder,
     Polynomial,
+    _ops_product,
     apply_linear_change,
+    apply_linear_changes,
     factor_change,
 )
 from .rng import SplitMix64
@@ -88,8 +117,9 @@ class CoordinateChange:
     """Invertible substitution matrix with its seed and one factorization.
 
     ``ops`` multiply to ``matrix`` and ``inverse_ops`` to ``inverse`` (see
-    ``poly.factor_change``); both directions substitute with stored steps,
-    into a polynomial or, all generators in one move, an ideal.
+    ``poly.factor_change`` and ``unitriangular_change``); both directions
+    substitute with stored steps, into a polynomial or, all generators in
+    one move, an ideal.
     """
 
     matrix: tuple
@@ -122,7 +152,9 @@ class CoordinateChange:
 def random_change(seed, nvars, p=DEFAULT_PRIME):
     """Deterministic-from-seed uniform invertible matrix over F_p.
 
-    Each draw is factored once; a singular draw is drawn again.
+    Each draw is factored once; a singular draw is drawn again.  It serves
+    the saturation change and the tests; gin trials draw
+    ``unitriangular_change``.
     """
     rng = SplitMix64(seed)
     while True:
@@ -133,6 +165,29 @@ def random_change(seed, nvars, p=DEFAULT_PRIME):
             ops, inverse_ops, inverse = factored
             return CoordinateChange(matrix, inverse, seed, p, ops,
                                     inverse_ops)
+
+
+def unitriangular_change(seed, nvars, p=DEFAULT_PRIME):
+    """Deterministic-from-seed x_i <- x_i + sum_{j<i} c_ij x_j over F_p.
+
+    The c_ij are uniform in F_p, drawn from ``SplitMix64(seed)`` column by
+    column (j ascending, then i), which is also the order of the steps: one
+    ("trans", i, j, c_ij) per pair j < i, a zero c included, so every draw
+    of one size has the same steps.  Their product is the lower
+    unitriangular matrix of the c_ij, which is always invertible, and the
+    inverse's steps are the same steps reversed, each c negated.
+    """
+    rng = SplitMix64(seed)
+    ops = tuple(("trans", i, j, rng.below(p))
+                for j in range(nvars) for i in range(j + 1, nvars))
+    rows = [[int(i == j) for j in range(nvars)] for i in range(nvars)]
+    for _, i, j, c in ops:
+        rows[i][j] = c
+    inverse_ops = tuple(("trans", i, j, (-c) % p)
+                        for _, i, j, c in reversed(ops))
+    return CoordinateChange(tuple(map(tuple, rows)),
+                            _ops_product(inverse_ops, nvars, p), seed, p,
+                            ops, inverse_ops)
 
 
 def reduced_grevlex(ideal, hilbert=None):
@@ -250,13 +305,14 @@ def gin(ideal, order, seed_base=DEFAULT_SEED_BASE,
         min_agree=DEFAULT_MIN_AGREE, trial_budget=DEFAULT_TRIAL_BUDGET):
     """Stabilized initial ideal of a random coordinate change of ``ideal``.
 
-    Trials run with seeds seed_base, seed_base+1, ...; the result is accepted
-    once ``min_agree`` consecutive trials produce identical monomial ideals,
-    and its Hilbert function must match the ideal's up to degree M + 1, M
-    the largest generator degree (``InvariantError`` otherwise).  Under a
-    graded-lex order the first ``min_agree`` trials are drawn together and
-    their bases computed in lockstep (see the module docstring); results
-    and errors are those of running them one by one.
+    Trials run with seeds seed_base, seed_base+1, ..., each the
+    ``unitriangular_change`` of its seed; the result is accepted once
+    ``min_agree`` consecutive trials produce identical monomial ideals, and
+    its Hilbert function must match the ideal's up to degree M + 1, M the
+    largest generator degree (``InvariantError`` otherwise).  The first
+    ``min_agree`` trials are moved as one block and their bases computed in
+    lockstep (see the module docstring); results and errors are those of
+    running them one by one.
     """
     if min_agree < 1:
         raise ConfigurationError("min_agree must be at least 1")
@@ -265,26 +321,27 @@ def gin(ideal, order, seed_base=DEFAULT_SEED_BASE,
     # sorted once: each moved generator keeps this order into buchberger
     ideal = ideal.with_order(order)
 
-    def move(k):
-        change = random_change(seed_base + k, ideal.nvars, ideal.p)
-        return change.apply_ideal(ideal)
+    def move(first, count):
+        return apply_linear_changes(ideal, [
+            unitriangular_change(seed_base + k, ideal.nvars, ideal.p)
+            for k in range(first, first + count)])
 
-    # trial 1's unpruned grevlex basis gives H; a graded-lex gin then runs
-    # its first min_agree trials in lockstep
-    moved = move(0)
-    bases = [buchberger(moved, GREVLEX)]
-    hilbert = hilbert_function_of(bases[0])
-    if order is not GREVLEX:
-        bases = buchberger_trials(
-            [moved] + [move(k) for k in range(1, min_agree)], order,
-            hilbert=hilbert)
+    moved = move(0, min_agree)
+    if order is GREVLEX:
+        # unpruned, so trial 1's basis gives H
+        bases = buchberger_trials(moved, order)
+        hilbert = hilbert_function_of(bases[0])
+    else:
+        # trial 1's unpruned grevlex basis gives H
+        hilbert = hilbert_function_of(buchberger(moved[0], GREVLEX))
+        bases = buchberger_trials(moved, order, hilbert=hilbert)
     trials = []
     streak = 0
     prev = None
     for k in range(trial_budget):
         seed = seed_base + k
         gb = (bases[k] if k < len(bases)
-              else buchberger(move(k), order, hilbert=hilbert))
+              else buchberger(move(k, 1)[0], order, hilbert=hilbert))
         current = gb.initial_ideal()
         trials.append((seed, current))
         if prev is not None and current == prev:

@@ -16,13 +16,18 @@ own format.  Code outside the table finds rows by exponent, through
 ``MonomialTable.rows``; the one other use of keys is the reduction kernel's
 input, where each reducer tail is given as keys relative to its lead key.
 
-A linear change of coordinates is factored once, by the package's one
-Gaussian elimination mod p (``_kernels.echelon_mod``), into permutation,
-transvection and scaling steps; the inverse's steps follow in closed form.
+A linear change of coordinates is applied as a sequence of permutation,
+transvection and scaling steps.  A dense matrix is factored into them once,
+by the package's one Gaussian elimination mod p (``_kernels.echelon_mod``),
+and the inverse's steps follow in closed form; a lower unitriangular change
+(``gin.unitriangular_change``) is drawn as its transvections directly.
 Substitution moves all homogeneous pieces of one degree and order -- an
 ideal's generators, a polynomial's components -- together, as one block of
-coefficient vectors on their dense degree table.  Each transvection is then
-one pass of a gather plan that the table builds once per (i, j) and keeps.
+coefficient vectors on their dense degree table.  Several changes that share
+their steps, and differ only in the coefficients, move together as well
+(``apply_linear_changes``): the block gets a trials axis in front.  Each
+transvection is then one pass of a gather plan that the table builds once
+per (i, j) and keeps.
 """
 
 import itertools
@@ -249,7 +254,7 @@ class MonomialTable:
 
     def polynomial(self, vec, p):
         """Polynomial mod p of the nonzero rows of a coefficient vector."""
-        nz = np.flatnonzero(vec)
+        nz = vec.nonzero()[0]
         return Polynomial(self.exps[nz], vec[nz], self.nvars, p, self.order,
                           _presorted=True)
 
@@ -298,7 +303,7 @@ class MonomialTable:
             targets = targets[by_target]
             first = np.ones(len(targets), dtype=bool)
             first[1:] = targets[1:] != targets[:-1]
-            starts = np.flatnonzero(first)
+            starts = first.nonzero()[0]
             cells = e[sources] * (self.degree + 1) + k
             # intp, numpy's index type, so no gather converts the plan
             plan = tuple(a.astype(np.intp, copy=False) for a in (
@@ -726,12 +731,15 @@ def _ops_product(ops, n, p):
     return tuple(zip(*cols))
 
 
-def _move_homogeneous(polys, ops, p):
-    """Substitution steps applied to homogeneous polynomials, in input order.
+def _move_homogeneous(polys, trial_ops, p):
+    """Homogeneous polynomials moved by each of several changes, in order.
 
-    The polynomials of one degree and order move together, as the stacked
-    coefficient vectors of one block on their degree table; each step is
-    then a fixed number of array operations on the whole block.
+    ``trial_ops`` holds one step sequence per change, all of one shape: the
+    same kind and variables at every step, only the coefficients differ.
+    The polynomials of one degree and order move together, as one block of
+    stacked coefficient vectors on their degree table with one copy per
+    change in front, so each step is a fixed number of array operations on
+    the whole block.  Returns one list of moved polynomials per change.
     """
     groups = {}
     for r, f in enumerate(polys):
@@ -741,34 +749,40 @@ def _move_homogeneous(polys, ops, p):
               for (degree, order), rows in groups.items()]
     top = max(degree for degree, _ in groups)
     binom = _binomial_table(top, p)
-    # c^k for k <= top, one row per step; a permutation's row is unused
-    cs = np.array([1 if op[0] == "perm" else op[-1] for op in ops],
-                  dtype=np.int64)
-    cpow = np.ones((len(ops), top + 1), dtype=np.int64)
+    ops = trial_ops[0]
+    # c^k for k <= top, one row per step and change; a permutation's row is
+    # unused
+    cs = np.array([[1 if op[0] == "perm" else op[-1] for op in change]
+                   for change in trial_ops], dtype=np.int64).T
+    cpow = np.ones(cs.shape + (top + 1,), dtype=np.int64)
     for k in range(1, top + 1):
-        cpow[:, k] = cpow[:, k - 1] * cs % p
-    moved = [None] * len(polys)
+        cpow[..., k] = cpow[..., k - 1] * cs % p
+    trials = len(trial_ops)
+    moved = [[None] * len(polys) for _ in range(trials)]
     for tab, rows in blocks:
         size = tab.degree + 1
-        # C(e, k) * c^k of every step; each binom_c[t] is C-contiguous
-        binom_c = binom[:size, :size] * cpow[:, None, :size] % p
-        block = np.stack([tab.dense(polys[r]) for r in rows])
+        # per step, one flattened table of C(e, k) * c^k per change
+        binom_c = (binom[:size, :size] * cpow[:, :, None, :size] % p).reshape(
+            len(ops), trials, size * size)
+        block = np.empty((trials, len(rows), len(tab)), dtype=np.int64)
+        block[:] = np.stack([tab.dense(polys[r]) for r in rows])
         for t, op in enumerate(ops):
             if op[0] == "perm":
                 # x_i goes to x_tau(i): exponent k of a moved row is the
                 # exponent tau^{-1}(k) of its source
                 dest = tab.rows(tab.exps[:, _inverse_perm(op[1])])
                 moved_block = np.zeros_like(block)
-                moved_block[:, dest] = block
+                moved_block[..., dest] = block
                 block = moved_block
             elif op[0] == "scale":
-                block = block * cpow[t, tab.exps[:, op[1]]] % p
+                block = block * cpow[t][:, None, tab.exps[:, op[1]]] % p
             else:
                 _, i, j, _ = op
                 _kernels.transvect(block, tab.transvection(i, j), binom_c[t],
                                    p)
-        for r, vec in zip(rows, block):
-            moved[r] = tab.polynomial(vec, p)
+        for out, trial_block in zip(moved, block):
+            for r, vec in zip(rows, trial_block):
+                out[r] = tab.polynomial(vec, p)
     return moved
 
 
@@ -812,6 +826,58 @@ def _apply_change_terms(f, matrix):
     return Polynomial.from_terms(acc.items(), n, p, f.order)
 
 
+def _change_ops(f, change):
+    """The substitution steps of ``change``, checked against f's ring."""
+    matrix = getattr(change, "matrix", change)
+    n = f.nvars
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise RingMismatchError(
+            f"change of coordinates must be {n}x{n} for {n} variables")
+    ops = getattr(change, "ops", None)
+    if ops is None:
+        factored = _substitution_ops(matrix, f.p)
+        if factored is None:
+            raise GincomplexError("singular coordinate change")
+        return factored[0]
+    if change.p != f.p:
+        raise RingMismatchError(
+            f"change of coordinates mod {change.p} applied mod {f.p}")
+    return ops
+
+
+def apply_linear_changes(f, changes):
+    """``[apply_linear_change(f, change) for change in changes]``, in one pass.
+
+    Changes whose steps have the same kinds and variables, and differ only
+    in their coefficients -- the unitriangular changes of a gin's trials,
+    say -- move together: one block per degree and order, with a trials
+    axis in front.  Changes of different shapes move in separate passes.
+    """
+    trial_ops = [_change_ops(f, change) for change in changes]
+    if f.is_zero:
+        return [f] * len(trial_ops)
+    shapes = {}
+    for t, ops in enumerate(trial_ops):
+        shape = tuple(op if op[0] == "perm" else op[:-1] for op in ops)
+        shapes.setdefault(shape, []).append(t)
+    is_ideal = isinstance(f, Ideal)
+    pieces = f.generators if is_ideal else f.homogeneous_components()
+    n, p = f.nvars, f.p
+    moved = [f] * len(trial_ops)
+    for shape, trials in shapes.items():
+        if not shape:
+            continue
+        parts = _move_homogeneous(pieces, [trial_ops[t] for t in trials], p)
+        for t, part in zip(trials, parts):
+            # components come highest degree first, so their terms just
+            # concatenate
+            moved[t] = (Ideal(part, n, p) if is_ideal else Polynomial(
+                np.concatenate([g.exps for g in part]),
+                np.concatenate([g.coeffs for g in part]), n, p, f.order,
+                _presorted=True))
+    return moved
+
+
 def apply_linear_change(f, change):
     """Substitute x_i <- sum_j m[i][j] * x_j and expand.
 
@@ -824,28 +890,6 @@ def apply_linear_change(f, change):
     degree and order -- an ideal's generators, a polynomial's components --
     move together on their dense degree table.  Degree and homogeneity are
     preserved; a singular raw matrix is rejected, also for the zero
-    polynomial.
+    polynomial.  This is ``apply_linear_changes`` with one change.
     """
-    matrix = getattr(change, "matrix", change)
-    n = f.nvars
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise RingMismatchError(
-            f"change of coordinates must be {n}x{n} for {n} variables")
-    ops = getattr(change, "ops", None)
-    if ops is None:
-        factored = _substitution_ops(matrix, f.p)
-        if factored is None:
-            raise GincomplexError("singular coordinate change")
-        ops = factored[0]
-    elif change.p != f.p:
-        raise RingMismatchError(
-            f"change of coordinates mod {change.p} applied mod {f.p}")
-    if f.is_zero or not ops:
-        return f
-    if isinstance(f, Ideal):
-        return Ideal(_move_homogeneous(f.generators, ops, f.p), n, f.p)
-    # components come highest degree first, so their terms just concatenate
-    parts = _move_homogeneous(f.homogeneous_components(), ops, f.p)
-    return Polynomial(np.concatenate([g.exps for g in parts]),
-                      np.concatenate([g.coeffs for g in parts]), n, f.p,
-                      f.order, _presorted=True)
+    return apply_linear_changes(f, [change])[0]

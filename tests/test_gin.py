@@ -2,6 +2,7 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 gin_mod = importlib.import_module("gincomplex.gin")
 groebner_mod = importlib.import_module("gincomplex.groebner")
@@ -19,17 +20,51 @@ from gincomplex.gin import (
     is_saturated,
     random_change,
     saturate_irrelevant,
+    unitriangular_change,
     witness_check,
     witness_monomials,
 )
-from gincomplex.groebner import MonomialIdeal, hilbert_function_macaulay
-from gincomplex.poly import GLEX, GREVLEX, Ideal, Polynomial, table_for
+from gincomplex.groebner import (
+    MonomialIdeal,
+    buchberger,
+    hilbert_function_macaulay,
+)
+from gincomplex.poly import (
+    GLEX,
+    GREVLEX,
+    Ideal,
+    Polynomial,
+    _ops_product,
+    table_for,
+)
 from gincomplex.rng import SplitMix64
 
 P = 32003
 
 
 # -- coordinate changes ---------------------------------------------------------
+
+@pytest.mark.parametrize("p", [7, 32003, 3037000493])
+def test_unitriangular_change_steps_multiply_to_its_matrices(p):
+    for nvars in range(1, 7):
+        for seed in range(20):
+            ch = unitriangular_change(seed, nvars, p)
+            assert ch == unitriangular_change(seed, nvars, p)
+            assert (ch.seed, ch.p, ch.nvars) == (seed, p, nvars)
+            # one step per pair j < i, column by column, drawn in that order
+            rng = SplitMix64(seed)
+            assert ch.ops == tuple(("trans", i, j, rng.below(p))
+                                   for j in range(nvars)
+                                   for i in range(j + 1, nvars))
+            assert all(ch.matrix[i][j] == (i == j)
+                       for i in range(nvars) for j in range(i, nvars))
+            assert _ops_product(ch.ops, nvars, p) == ch.matrix
+            assert _ops_product(ch.inverse_ops, nvars, p) == ch.inverse
+            mat = np.array(ch.matrix, dtype=object)
+            inv = np.array(ch.inverse, dtype=object)
+            assert ((mat.dot(inv) % p) == np.eye(nvars, dtype=int)).all()
+            assert ch.inverted.ops == ch.inverse_ops
+
 
 def test_random_change_deterministic():
     a = random_change(42, 4, P)
@@ -199,15 +234,21 @@ def test_unstable_gin_error(monkeypatch, store):
 
 def test_gin_sorts_its_input_once(monkeypatch, store):
     # the glex-built ideal is sorted into grevlex before any trial, so
-    # buchberger never re-sorts a moved generator
+    # neither Groebner entry ever re-sorts a moved generator
     seen = []
-    real = gin_mod.buchberger
+    real, real_trials = gin_mod.buchberger, gin_mod.buchberger_trials
 
     def spy(moved, trial_order, hilbert=None):
         seen.extend(g.order for g in moved.generators)
         return real(moved, trial_order, hilbert=hilbert)
 
+    def spy_trials(moves, trial_order, hilbert=None):
+        for moved in moves:
+            seen.extend(g.order for g in moved.generators)
+        return real_trials(moves, trial_order, hilbert=hilbert)
+
     monkeypatch.setattr(gin_mod, "buchberger", spy)
+    monkeypatch.setattr(gin_mod, "buchberger_trials", spy_trials)
     result = gin(store.ideal("scroll"), GREVLEX)
     assert seen and all(o is GREVLEX for o in seen)
     assert result.gin == store.gin("scroll", "grevlex").gin
@@ -236,6 +277,41 @@ def test_glex_gin_runs_its_first_trials_in_lockstep(monkeypatch, store,
     assert seen == [("buchberger", GREVLEX, True),
                     ("trials", GLEX, min_agree)]
     assert result.gin == golden
+    assert len(result.seeds) == result.trials_agreed == min_agree
+
+
+@pytest.mark.parametrize("min_agree", [1, 2, 3])
+def test_grevlex_gin_runs_its_first_trials_in_lockstep(monkeypatch, store,
+                                                       min_agree):
+    # the first min_agree grevlex runs go through one unpruned lockstep
+    # call, trial 1's basis from it gives H, and agreeing they end the gin
+    seen, hilbert_bases = [], []
+    real, real_trials = gin_mod.buchberger, gin_mod.buchberger_trials
+    real_hilbert = gin_mod.hilbert_function_of
+
+    def spy(moved, order, hilbert=None):
+        seen.append(("buchberger", order, hilbert is None))
+        return real(moved, order, hilbert=hilbert)
+
+    def spy_trials(moves, order, hilbert=None):
+        bases = real_trials(moves, order, hilbert=hilbert)
+        seen.append(("trials", order, len(moves), hilbert is None, bases))
+        return bases
+
+    def spy_hilbert(basis):
+        hilbert_bases.append(basis)
+        return real_hilbert(basis)
+
+    golden = store.gin("ci23", "grevlex").gin
+    monkeypatch.setattr(gin_mod, "buchberger", spy)
+    monkeypatch.setattr(gin_mod, "buchberger_trials", spy_trials)
+    monkeypatch.setattr(gin_mod, "hilbert_function_of", spy_hilbert)
+    result = gin(store.ideal("ci23"), GREVLEX, min_agree=min_agree)
+    assert [call[:4] for call in seen] == [
+        ("trials", GREVLEX, min_agree, True)]
+    bases = seen[0][4]
+    assert hilbert_bases == [bases[0]]
+    assert result.gin == golden and result.basis is bases[-1]
     assert len(result.seeds) == result.trials_agreed == min_agree
 
 
@@ -320,6 +396,43 @@ def _patch_pruning(monkeypatch, shift_at):
             getattr(groebner_mod, name), shift_at))
 
 
+def _special_second_trial(monkeypatch, quadric):
+    """Make trial 2 of a default gin a special draw, so it disagrees.
+
+    Its change has the steps of every other draw, with c_10 = a, c_20 = b
+    and every other c set to 0, where (1, a, b, 0, ...) is a point on the
+    quadric.  The moved quadric then has no x0^2 term, so its initial
+    ideal is not the gin, whose degree-2 part is x0^2.
+    """
+    p = quadric.p
+    column = np.arange(p, dtype=np.int64)
+    for a in range(p):
+        # q(1, a, b, 0, ...) for every b in F_p, term by term
+        values = np.zeros(p, dtype=np.int64)
+        for e, c in quadric.terms():
+            if any(e[3:]):
+                continue
+            values = (values + c * pow(a, e[1], p)
+                      * column ** e[2] % p) % p
+        roots = (values == 0).nonzero()[0]
+        if roots.size:
+            point = {(1, 0): a, (2, 0): int(roots[0])}
+            break
+    real = gin_mod.unitriangular_change
+
+    def change(seed, nvars, p):
+        drawn = real(seed, nvars, p)
+        if seed != gin_mod.DEFAULT_SEED_BASE + 1:
+            return drawn
+        ops = tuple(op[:3] + (point.get(op[1:3], 0),) for op in drawn.ops)
+        inverse_ops = tuple(op[:3] + (-op[3] % p,) for op in reversed(ops))
+        return gin_mod.CoordinateChange(
+            _ops_product(ops, nvars, p), _ops_product(inverse_ops, nvars, p),
+            seed, p, ops, inverse_ops)
+
+    monkeypatch.setattr(gin_mod, "unitriangular_change", change)
+
+
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_gin_rejects_pruning_with_off_by_one_hilbert(monkeypatch, store,
@@ -328,13 +441,20 @@ def test_gin_rejects_pruning_with_off_by_one_hilbert(monkeypatch, store,
     # at every degree the criterion consults, gin must fail, not return
     ideal = store.ideal("ci23")
     consulted = set()
+    if order is GREVLEX:
+        # a grevlex gin's first trials run unpruned; a disagreeing trial 2
+        # makes the gin run pruned trials after them
+        _special_second_trial(monkeypatch, ideal.generators[0])
 
     def record(d):
         consulted.add(d)
         return 0
 
     _patch_pruning(monkeypatch, record)
-    assert gin(ideal, order).gin == store.gin("ci23", order.name).gin
+    result = gin(ideal, order)
+    assert result.gin == store.gin("ci23", order.name).gin
+    # under grevlex, trial 2 disagreed and pruned trials 3 and 4 decided
+    assert len(result.seeds) == (4 if order is GREVLEX else 2)
     assert consulted
     for degree in sorted(consulted):
         _patch_pruning(monkeypatch, lambda d: shift * (d == degree))
@@ -412,3 +532,69 @@ def test_check_surface_scroll():
     bare = check_surface(scroll())
     assert bare.prediction is None and bare.witness is None
     assert bare.glex.gin == check.glex.gin
+
+
+# -- the unitriangular family against dense changes ---------------------------
+
+def _gin_outcome(run):
+    """A gin's monomial ideal, seeds and agreement, or its error's type."""
+    try:
+        result = run()
+    except GincomplexError as err:
+        return type(err)
+    return result.gin, result.seeds, result.trials_agreed, result.borel
+
+
+def _dense_family(monkeypatch):
+    """Make every gin trial draw a dense uniform change instead."""
+    monkeypatch.setattr(gin_mod, "unitriangular_change", random_change)
+
+
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_gin_is_the_same_under_dense_changes(monkeypatch, store, order):
+    names = ("scroll", "ci22", "castelnuovo", "ci23", "acm4")
+    want = [store.gin(name, order.name) for name in names]
+    _dense_family(monkeypatch)
+    for name, unitriangular in zip(names, want):
+        dense = gin(store.ideal(name), order)
+        assert dense.gin == unitriangular.gin, name
+        assert dense.seeds == unitriangular.seeds, name
+
+
+@st.composite
+def _small_ideals(draw):
+    """A random homogeneous ideal: n = 2..4, 1-3 generators of degree 1..3
+    with 1-4 terms each, at one of the three test primes."""
+    nvars = draw(st.integers(2, 4))
+    p = draw(st.sampled_from([7, 32003, 3037000493]))
+    gens = []
+    for d in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+        tab = table_for(nvars, d, GLEX)
+        rows = draw(st.sets(st.integers(0, len(tab) - 1), min_size=1,
+                            max_size=4))
+        gens.append(Polynomial.from_terms(
+            [(tuple(tab.exps[r]), draw(st.integers(1, p - 1)))
+             for r in sorted(rows)], nvars, p, GLEX))
+    return Ideal(gens, nvars, p)
+
+
+@settings(max_examples=60)
+@given(_small_ideals(), st.sampled_from([GLEX, GREVLEX]))
+def test_gin_is_the_same_under_dense_changes_property(ideal, order):
+    # the gin's answer is that of its last trial's change applied alone; at
+    # the large primes the dense family gives the same gin.  F_7 has too
+    # few points for either family's draws to be generic reliably (about a
+    # fifth of these ideals get different answers, or none), so there the
+    # families are not compared
+    unitriangular = _gin_outcome(lambda: gin(ideal, order))
+    if isinstance(unitriangular, tuple):
+        gin_ideal, seeds = unitriangular[:2]
+        alone = unitriangular_change(seeds[-1], ideal.nvars, ideal.p)
+        moved = alone.apply_ideal(ideal.with_order(order))
+        assert buchberger(moved, order).initial_ideal() == gin_ideal
+    if ideal.p == 7:
+        return
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _dense_family(monkeypatch)
+        dense = _gin_outcome(lambda: gin(ideal, order))
+    assert dense == unitriangular

@@ -474,42 +474,50 @@ def test_transvect_matches_loop(p):
         binom_c = _binom_c(degree, c, p)
         wdelta = int(tab.weights[j] - tab.weights[i])
         col = np.ascontiguousarray(tab.exps[:, i])
-        kernel = vec[None, :].copy()
-        loop = kernel.copy()
-        _kernels.transvect(kernel, tab.transvection(i, j), binom_c, p)
+        kernel = vec[None, None, :].copy()
+        loop = vec[None, :].copy()
+        _kernels.transvect(kernel, tab.transvection(i, j),
+                           binom_c.reshape(1, -1), p)
         _transvect_loop(loop, col, tab.keys, wdelta, binom_c, p)
-        assert (kernel == loop).all()
+        assert (kernel[0] == loop).all()
 
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
 def test_transvect_moves_a_block_of_slices(order, p):
-    # dense, sparse and zero slices side by side; each moves as it would
-    # alone
+    # 1-3 trials, each with its own c (0 among them), of dense, sparse and
+    # zero slices side by side; each slice moves as it would alone
     rng = SplitMix64(818)
     for trial in range(12):
         nvars = 2 + trial % 4
         degree = 1 + trial % 6
+        trials = 1 + trial % 3
         tab = table_for(nvars, degree, order)
-        block = np.zeros((1 + rng.below(5), len(tab)), dtype=np.int64)
-        for row in block[1:]:
+        block = np.zeros((trials, 1 + rng.below(5), len(tab)),
+                         dtype=np.int64)
+        for row in block[:, 1:].reshape(-1, len(tab)):
             for _ in range(1 + rng.below(len(tab))):
                 row[rng.below(len(tab))] = _entry(rng, p)
         i = rng.below(nvars)
         j = (i + 1 + rng.below(nvars - 1)) % nvars
-        binom_c = _binom_c(degree, 1 + _entry(rng, p - 1), p)
+        # every other case, trial 0 has c = 0: the identity
+        binoms = [_binom_c(degree, 0 if t == 0 and trial % 2
+                           else 1 + _entry(rng, p - 1), p)
+                  for t in range(trials)]
+        binom_c = np.array([b.ravel() for b in binoms])
         plan = tab.transvection(i, j)
         kernel = block.copy()
-        loop = block.copy()
         _kernels.transvect(kernel, plan, binom_c, p)
-        _transvect_loop(loop, tab.exps[:, i], tab.keys,
-                        int(tab.weights[j] - tab.weights[i]), binom_c, p)
-        assert (kernel == loop).all()
-        assert not kernel[0].any()
-        for row, moved in zip(block, kernel):
-            alone = row[None, :].copy()
-            _kernels.transvect(alone, plan, binom_c, p)
-            assert (alone[0] == moved).all()
+        for t, binom in enumerate(binoms):
+            loop = block[t].copy()
+            _transvect_loop(loop, tab.exps[:, i], tab.keys,
+                            int(tab.weights[j] - tab.weights[i]), binom, p)
+            assert (kernel[t] == loop).all()
+            assert not kernel[t, 0].any()
+            for row, moved in zip(block[t], kernel[t]):
+                alone = row[None, None, :].copy()
+                _kernels.transvect(alone, plan, binom.reshape(1, -1), p)
+                assert (alone[0, 0] == moved).all()
 
 
 def test_transvect_on_a_degree_zero_table_is_the_identity():
@@ -522,9 +530,11 @@ def test_transvect_on_a_degree_zero_table_is_the_identity():
                 plan = tab.transvection(i, j)
                 assert all(a.dtype == np.intp and a.shape == (0,)
                            for a in plan)
-                block = np.array([[5], [0], [P - 1]], dtype=np.int64)
-                _kernels.transvect(block, plan, _binom_c(0, 3, P), P)
-                assert block.ravel().tolist() == [5, 0, P - 1]
+                block = np.array([[[5], [0], [P - 1]]] * 2, dtype=np.int64)
+                binom_c = np.array([_binom_c(0, c, P).ravel()
+                                    for c in (3, 4)])
+                _kernels.transvect(block, plan, binom_c, P)
+                assert block.ravel().tolist() == [5, 0, P - 1] * 2
 
 
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])

@@ -12,7 +12,7 @@ from gincomplex.errors import (
     ZeroPolynomialError,
 )
 from gincomplex import poly as poly_module
-from gincomplex.gin import random_change
+from gincomplex.gin import random_change, unitriangular_change
 from gincomplex.poly import (
     DEGREE_CAP,
     EQ,
@@ -24,6 +24,7 @@ from gincomplex.poly import (
     Polynomial,
     _apply_change_terms,
     apply_linear_change,
+    apply_linear_changes,
     compare,
     monomial_divides,
     monomial_lcm,
@@ -530,6 +531,59 @@ def test_moving_an_ideal_moves_each_generator(p):
                 assert g.order is f.order
                 assert np.array_equal(g.exps, f.exps)
                 assert np.array_equal(g.coeffs, f.coeffs)
+
+
+@pytest.mark.parametrize("p", [7, P, 3037000493])
+def test_a_block_move_equals_each_change_alone(p):
+    # 1-3 unitriangular changes (zero coefficients among them at p = 7)
+    # move an ideal, or a polynomial, of degree up to 8 in one pass; each
+    # result is that change applied alone, and the per-term reference
+    rng = SplitMix64(2600 + p % 1000)
+    for nvars in range(1, 7):
+        for trials in range(1, 4):
+            # every degree 0..8 comes up, and 8 for every nvars
+            degrees = {(3 * nvars + trials) % 9, 8 if trials == 1 else 1}
+            gens = [_random_homogeneous(rng, nvars, d, p)
+                    for d in sorted(degrees)]
+            gens = [f.with_order(GREVLEX) if rng.below(2) else f
+                    for f in gens]
+            ideal = Ideal(gens, nvars, p)
+            changes = [unitriangular_change(100 * nvars + 10 * trials + t,
+                                            nvars, p) for t in range(trials)]
+            for change, moved in zip(changes,
+                                     apply_linear_changes(ideal, changes)):
+                alone = apply_linear_change(ideal, change)
+                for f, g, h in zip(ideal.generators, moved.generators,
+                                   alone.generators):
+                    want = _apply_change_terms(f, change.matrix)
+                    assert g.order is h.order is f.order
+                    for got in (g, h):
+                        assert np.array_equal(got.exps, want.exps)
+                        assert np.array_equal(got.coeffs, want.coeffs)
+            f = gens[-1]
+            for change, moved in zip(changes,
+                                     apply_linear_changes(f, changes)):
+                assert moved == apply_linear_change(f, change)
+
+
+def test_changes_of_different_shapes_move_in_separate_passes():
+    # dense draws factor into steps of their own; each change still moves
+    # as it would alone, in input order, whatever the mix
+    rng = SplitMix64(2700)
+    ideal = _random_ideal(rng, 4, P)
+    changes = [random_change(1, 4, P), unitriangular_change(2, 4, P),
+               random_change(3, 4, P), unitriangular_change(4, 4, P),
+               np.eye(4, dtype=np.int64)]
+    moved = apply_linear_changes(ideal, changes)
+    assert len(moved) == len(changes)
+    for change, got in zip(changes, moved):
+        for g, h in zip(got.generators,
+                        apply_linear_change(ideal, change).generators):
+            assert np.array_equal(g.exps, h.exps)
+            assert np.array_equal(g.coeffs, h.coeffs)
+    assert apply_linear_changes(ideal, []) == []
+    zero = Polynomial.zero(4, P)
+    assert apply_linear_changes(zero, changes[:2]) == [zero, zero]
 
 
 # sha256 over the moved generators of the five default corpus entries, for
