@@ -6,13 +6,17 @@ Usage, from the root of a checkout:
     python3 scripts/time_gin.py [NAME ...]
 
 A NAME is one of the high-degree ideals below or a corpus entry; the
-default is acm5.  Each ideal is computed by a Python process of its own,
-so no monomial table or allocator state carries over from one to the
-next and the peak RSS is that ideal's.  That process builds the ideal,
-times ``gin(ideal, GLEX)`` alone and prints one JSON line: the ideal, the
-seconds, the process's peak RSS in MB, M (the top generator degree of the
-gin) and the number of minimal generators of the gin.  The library is
-imported from ``src/`` of this checkout.
+default is acm5.  Each ideal is computed twice, each time by a Python
+process of its own, so no monomial table or allocator state carries over
+and the peaks are that ideal's.  The first process builds the ideal and
+times ``gin(ideal, GLEX)`` alone; the second computes the same gin under
+``tracemalloc``, which slows it, and reports only its traced peak.  The
+script prints one JSON line per ideal: the ideal, the seconds, the first
+process's peak RSS in MB, the traced peak in MB (Python and numpy
+allocations made during the gin, the number to compare across runs; the
+RSS also holds the interpreter and swings with heap layout), M (the top
+generator degree of the gin) and the number of minimal generators of the
+gin.  The library is imported from ``src/`` of this checkout.
 
     acm5   corpus.acm_surface(5, 7)              closed form M = 74
     ci25   corpus.complete_intersection(5, 7)    closed form M = 122
@@ -24,6 +28,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -61,15 +66,42 @@ def time_one(name):
             "generators": len(result.gin.gens)}
 
 
-def main(names):
-    if len(names) == 1:
-        print(json.dumps(time_one(names[0])), flush=True)
+def trace_one(name):
+    sys.path.insert(0, str(SRC))
+    from gincomplex import GLEX, gin
+
+    ideal = build(name)
+    tracemalloc.start()
+    gin(ideal, GLEX)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"traced_peak_mb": round(peak / 2**20, 1)}
+
+
+def child(mode, name):
+    """The JSON of ``mode`` ("time" or "trace") from a fresh process."""
+    done = subprocess.run([sys.executable, __file__, f"--{mode}", name],
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        return None
+    return json.loads(done.stdout)
+
+
+def main(args):
+    if len(args) == 2 and args[0] in ("--time", "--trace"):
+        run = time_one if args[0] == "--time" else trace_one
+        print(json.dumps(run(args[1])))
         return 0
     status = 0
-    for name in names:
-        status |= subprocess.run([sys.executable, __file__, name]).returncode
+    for name in args or ["acm5"]:
+        timed, traced = child("time", name), child("trace", name)
+        if timed is None or traced is None:
+            status = 1
+            continue
+        print(json.dumps({**timed, **traced}), flush=True)
     return status
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:] or ["acm5"]))
+    sys.exit(main(sys.argv[1:]))

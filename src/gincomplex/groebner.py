@@ -19,8 +19,7 @@ rows over the degrees along the standard monomials, which no lead divides:
 a monomial of degree d is standard iff it is not a lead and each m / x_i is
 a standard monomial of degree d - 1.  So each degree's mask comes from the
 standard rows below it, counted through the table's successor map, plus
-that degree's leads (see ``_ChainedCover``).  The same chain, handed on by
-a graded-lex run, gives the Hilbert function of the initial ideal.
+that degree's leads (see ``_ChainedCover``).
 ``normal_form`` and ``is_groebner_basis`` divide by known reducers on the
 same path, one homogeneous component at a time.
 
@@ -110,14 +109,13 @@ class MonomialIdeal:
     """Minimal monomial generators, an antichain under divisibility.
 
     Exponents must be nonnegative integers; anything else raises
-    ``GincomplexError``.  The ideal is immutable, so it keeps the chained
+    ``GincomplexError``.  The ideal is immutable, so it keeps its Borel
+    verdict and, for an ideal that is not Borel-fixed, the chained
     graded-lex masks of the monomials it contains (``_ChainedCover``) once
-    a query has built them; the Hilbert function counts the standard rows
-    they leave.  The initial ideal of a graded-lex basis starts from the
-    cover its ``buchberger`` run already chained.
+    a query has built them.
     """
 
-    __slots__ = ("nvars", "gens", "_cover")
+    __slots__ = ("nvars", "gens", "_cover", "_borel")
 
     def __init__(self, monomials, nvars):
         mons = sorted(set(map(_exponent_row, monomials)),
@@ -130,7 +128,7 @@ class MonomialIdeal:
                 minimal.append(m)
         self.nvars = nvars
         self.gens = tuple(sorted(minimal, key=GLEX.key, reverse=True))
-        self._cover = None
+        self._cover = self._borel = None
 
     @classmethod
     def _of_antichain(cls, gens, nvars):
@@ -139,7 +137,7 @@ class MonomialIdeal:
         ideal = cls.__new__(cls)
         ideal.nvars = nvars
         ideal.gens = tuple(gens)
-        ideal._cover = None
+        ideal._cover = ideal._borel = None
         return ideal
 
     @property
@@ -164,22 +162,32 @@ class MonomialIdeal:
     def is_borel_fixed(self):
         """Closed under swapping a dividing variable for any earlier one.
 
-        It suffices to move the minimal generators: each move x_j / x_i,
-        j < i, of a generator divisible by x_i must be divisible by some
+        It suffices to make the adjacent moves x_(i-1) / x_i of the minimal
+        generators: a move x_j / x_i, j < i, is a chain of adjacent ones,
+        and a monomial u*w of the ideal moves inside it if its generator u
+        or w does.  So each moved generator must be divisible by some
         generator, which is one broadcast comparison of the moved rows with
-        the generator array per variable x_i.
+        the generator array.
+
+        The verdict is kept (``_borel``): False, or for a Borel-fixed ideal
+        the pair (deg u, k_u) of each minimal generator u that
+        ``hilbert_function`` counts with.
         """
-        gens = np.array(self.gens, dtype=np.int64).reshape(-1, self.nvars)
-        unit = np.eye(self.nvars, dtype=np.int64)
-        for i in range(1, self.nvars):
-            movable = gens[gens[:, i] > 0] - unit[i]
-            # every move x_j / x_i of every movable generator, j < i
-            moved = (movable[None, :, :] + unit[:i, None, :]).reshape(
-                -1, self.nvars)
-            if not (gens[None, :, :] <= moved[:, None, :]).all(
+        if self._borel is None:
+            n = self.nvars
+            gens = np.array(self.gens, dtype=np.int64).reshape(-1, n)
+            unit = np.eye(n, dtype=np.int64)
+            # row (u, i - 1): x_(i-1) * u / x_i, for each x_i dividing u
+            moved = (gens[:, None, :] + unit[:-1] - unit[1:])[gens[:, 1:] > 0]
+            self._borel = False
+            if (gens[None, :, :] <= moved[:, None, :]).all(
                     axis=2).any(axis=1).all():
-                return False
-        return True
+                # k_u counts the variables after u's last (all but x_0 for 1)
+                after = gens[:, ::-1] > 0
+                k = np.where(after.any(axis=1), after.argmax(axis=1), n - 1)
+                self._borel = tuple(zip(gens.sum(axis=1).tolist(),
+                                        k.tolist()))
+        return self._borel is not False
 
     def regularity(self):
         """Maximal generator degree; only valid for Borel-fixed ideals."""
@@ -189,12 +197,24 @@ class MonomialIdeal:
         return self.max_generator_degree()
 
     def hilbert_function(self, m):
-        """dim over F of (R/this)_m, by counting standard monomials."""
+        """dim over F of (R/this)_m, by counting standard monomials.
+
+        A Borel-fixed ideal needs no table.  Each of its monomials is
+        uniquely u*v, u a minimal generator and v a monomial in x_l, ...,
+        x_(n-1), x_l the last variable dividing u (l = 0 for u = 1), so
+        dim I_m is sum_u C(m - deg u + k_u, k_u), k_u = n - 1 - l
+        (Eliahou-Kervaire, J. Algebra 129, 1990).  Any other ideal counts
+        the standard rows of its chained graded-lex masks.
+        """
         if m < 0:
             return 0
+        n = self.nvars
         # generators sort by degree first, so the last has the lowest
         if self.is_zero or m < sum(self.gens[-1]):
-            return math.comb(m + self.nvars - 1, self.nvars - 1)
+            return math.comb(m + n - 1, n - 1)
+        if self.is_borel_fixed():
+            return math.comb(m + n - 1, n - 1) - sum(
+                math.comb(m - d + k, k) for d, k in self._borel if d <= m)
         if m > DEGREE_CAP:
             raise ConfigurationError(
                 f"degree {m} exceeds the packed-key cap {DEGREE_CAP}")
@@ -311,22 +331,11 @@ class GroebnerBasis:
     through a reduction and ``reductions_to_zero`` of those gave nothing
     new; ``pairs_pruned`` were dropped unreduced by the Hilbert-driven
     criterion.  The three count S-pairs only, not generators, and repeat
-    exactly for a fixed input.
-
-    The run also leaves the lead cover it chained (``_cover``), shared by
-    the bases of trials run in lockstep, whose leads agree.  Its leads are
-    exactly the minimal generators of the initial ideal, so for a
-    graded-lex basis ``initial_ideal`` hands it on instead of chaining the
-    same masks again.  A graded-revlex cover is not handed on: a gin asks
-    for the Hilbert function of that initial ideal up to the top degree of
-    its graded-lex run, far above the graded-revlex run's, and chaining the
-    cover there would build graded-revlex tables and successor maps beside
-    the graded-lex ones.
+    exactly for a fixed input.  Nothing of the run's engine is kept.
     """
 
     __slots__ = ("elements", "order", "nvars", "p",
-                 "pairs_reduced", "reductions_to_zero", "pairs_pruned",
-                 "_cover")
+                 "pairs_reduced", "reductions_to_zero", "pairs_pruned")
 
     def __init__(self, elements, order, nvars, p,
                  pairs_reduced=0, reductions_to_zero=0, pairs_pruned=0):
@@ -337,7 +346,6 @@ class GroebnerBasis:
         self.pairs_reduced = pairs_reduced
         self.reductions_to_zero = reductions_to_zero
         self.pairs_pruned = pairs_pruned
-        self._cover = None
 
     def leading_monomials(self):
         return [g.leading_monomial() for g in self.elements]
@@ -354,10 +362,7 @@ class GroebnerBasis:
         gens = map(tuple, leads.tolist())
         if self.order is not GLEX:
             gens = sorted(gens, key=GLEX.key, reverse=True)
-        ideal = MonomialIdeal._of_antichain(gens, self.nvars)
-        if self.order is GLEX:
-            ideal._cover = self._cover
-        return ideal
+        return MonomialIdeal._of_antichain(gens, self.nvars)
 
     def normal_form(self, f):
         return normal_form(f, self.elements, self.order)
@@ -957,16 +962,11 @@ def _buchberger_run(ideals, order, hilbert):
                 f"monomials it predicts are still missing")
 
     # the leads are distinct, so sorting them orders the elements
-    bases = []
-    for elements in backend.polynomials(
-            order.descending(backend.leads).tolist()):
-        gb = GroebnerBasis(elements, order, nvars, p,
-                           pairs_reduced=n_reduced,
-                           reductions_to_zero=n_zero, pairs_pruned=n_pruned)
-        # every lead of the basis is in the cover, and none will follow
-        gb._cover = backend._cover
-        bases.append(gb)
-    return bases
+    return [GroebnerBasis(elements, order, nvars, p,
+                          pairs_reduced=n_reduced,
+                          reductions_to_zero=n_zero, pairs_pruned=n_pruned)
+            for elements in backend.polynomials(
+                order.descending(backend.leads).tolist())]
 
 
 def is_groebner_basis(gb):

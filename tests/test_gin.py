@@ -343,40 +343,19 @@ def test_gin_certifies_hilbert_function_to_one_past_top_degree(store):
                 result.gin.max_generator_degree() + 1
 
 
-def test_glex_gin_certificate_reuses_the_run_cover(monkeypatch, store):
-    # the certificate reads the lead masks its graded-lex run chained: it
-    # may chain on above that run's top degree, but rebuilds none below it
-    runs = []
-    real, real_trials = gin_mod.buchberger, gin_mod.buchberger_trials
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_gin_hilbert_functions_chain_no_tables(monkeypatch, store, order):
+    # trial 1's initial ideal (the pruning H) and the gin are Borel-fixed,
+    # so both Hilbert functions come in closed form, without a table chain
+    golden = store.gin("acm4", order.name).gin
 
-    def spy(moved, order, hilbert=None):
-        gb = real(moved, order, hilbert=hilbert)
-        runs.append((gb, dict(gb._cover._masks), gb._cover._top))
-        return gb
+    def refuse(self, degree):
+        raise AssertionError(f"table chain asked for degree {degree}")
 
-    def spy_trials(moves, order, hilbert=None):
-        bases = real_trials(moves, order, hilbert=hilbert)
-        runs.extend((gb, dict(gb._cover._masks), gb._cover._top)
-                    for gb in bases)
-        return bases
-
-    # the golden run first, so that no run of the store's lands in runs
-    golden = store.gin("acm4").gin
-    monkeypatch.setattr(gin_mod, "buchberger", spy)
-    monkeypatch.setattr(gin_mod, "buchberger_trials", spy_trials)
-    result = gin(store.ideal("acm4"), GLEX)
-    assert result.gin == golden
-    gb, masks, top = runs[-1]
-    assert gb is result.basis and gb.order is GLEX
-    cover = result.gin._cover
-    assert cover is gb._cover
-    assert top > 0 and masks
-    assert all(cover._masks[d] is mask for d, mask in masks.items())
-    assert all(d > top for d in cover._masks.keys() - masks.keys())
-    # a graded-revlex initial ideal chains its own graded-lex cover
-    grevlex = [basis for basis, _, _ in runs if basis.order is GREVLEX]
-    assert grevlex and all(basis.initial_ideal()._cover is None
-                           for basis in grevlex)
+    monkeypatch.setattr(MonomialIdeal, "_covered", refuse)
+    result = gin(store.ideal("acm4"), order)
+    assert result.gin == golden and result.borel
+    assert result.gin._cover is None
 
 
 def _pruning_hilbert(real, shift_at):

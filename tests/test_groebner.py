@@ -26,6 +26,7 @@ from gincomplex.gin import (
 from gincomplex import groebner as groebner_module
 from gincomplex.groebner import (
     MonomialIdeal,
+    _ChainedCover,
     _DenseBackend,
     _PackedExponents,
     _gm_update,
@@ -968,6 +969,32 @@ def test_monomial_ideal_queries_match_the_tuple_rules(ideal, m):
     assert ideal.hilbert_function(m) == _brute_force_standard_count(
         ideal.gens, ideal.nvars, m)
     assert ideal.is_borel_fixed() == _borel_fixed_reference(ideal)
+    if ideal.is_borel_fixed() and m >= 0:
+        # the closed form against the table chain it replaces
+        assert ideal.hilbert_function(m) == _table_chain_counts(ideal, m)[m]
+
+
+def _table_chain_counts(ideal, top):
+    """The standard rows of each degree 0..top, on chained graded-lex
+    masks."""
+    cover = _ChainedCover(ideal.nvars, GLEX, ideal.gens)
+    return [len(mask) - int(np.count_nonzero(mask))
+            for mask in map(cover.mask, range(top + 1))]
+
+
+@pytest.mark.parametrize("order_name", ["glex", "grevlex"])
+def test_closed_form_hilbert_function_matches_the_table_chain(store,
+                                                              order_name):
+    gins = [store.gin(name, order_name).gin
+            for name in ("scroll", "ci22", "castelnuovo", "ci23", "acm4")]
+    if order_name == "glex":
+        gins.append(golden_monomial_ideal("ci24"))
+    for gin_ideal in gins:
+        assert gin_ideal.is_borel_fixed()
+        top = gin_ideal.max_generator_degree() + 1
+        assert [gin_ideal.hilbert_function(d) for d in range(top + 1)] == \
+            _table_chain_counts(gin_ideal, top)
+        assert gin_ideal._cover is None
 
 
 def test_monomial_ideal_rejects_bad_exponents():
@@ -982,10 +1009,14 @@ def test_monomial_ideal_rejects_bad_exponents():
 
 
 def test_hilbert_function_names_the_degree_above_the_key_cap():
-    ideal = MonomialIdeal([(1, 0)], 2)
+    # an ideal that is not Borel-fixed counts on tables, whose keys cap
+    # the degree
+    ideal = MonomialIdeal([(0, 1)], 2)
     assert ideal.hilbert_function(DEGREE_CAP) == 1
     with pytest.raises(ConfigurationError, match="degree 300 exceeds"):
         ideal.hilbert_function(300)
+    # a Borel-fixed one needs no table, whatever the degree
+    assert MonomialIdeal([(1, 0)], 2).hilbert_function(300) == 1
     # below the lowest generator degree no table is needed
     assert MonomialIdeal([(300, 0)], 2).hilbert_function(299) == 300
 
