@@ -4,7 +4,7 @@
 Usage, from the root of a checkout:
 
     python3 scripts/bench_pairs.py --base DIR [--change DIR] \
-        --workload glex-gin|pipeline|regularity --seed N [--seed M ...] \
+        [--workload NAME ...] --seed N [--seed M ...] \
         [--pairs 10] [--seconds 8] [--json FILE]
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, one
@@ -13,15 +13,20 @@ Which side runs first alternates: the base leads in odd pairs, the change
 in even ones, so a drift in machine speed falls on both sides alike.  The
 change defaults to the checkout this script is in; the base is typically a
 copy of the parent commit (``git worktree add`` or ``git archive``).
-Each ``--seed`` gets its own ``--pairs`` pairs, one seed after the other.
+Workloads are the names in the change's ``BENCHMARK.json``; ``--workload``
+may be given more than once and defaults to all of them.  Each workload and
+``--seed`` gets its own ``--pairs`` pairs, one after the other.
 
-For each seed and each end-to-end metric of the change's
-``BENCHMARK.json`` the script prints every pair, then per side the median
-and quartiles, the change of the medians, the number of pairs the change
-won (strictly better in the metric's own direction), and whether the
-medians differ by more than the base's interquartile range.  A run that
-fails, or reports ``"correct": false``, stops the script with exit status
-1.  ``--json`` also writes every value, per seed.
+For each workload, seed and end-to-end metric of that ``BENCHMARK.json``
+the script prints every pair, then per side the median and quartiles, the
+change of the medians, the number of pairs the change won (strictly better
+in the metric's own direction), whether the medians differ by more than the
+base's interquartile range, and whether the change's median is within the
+metric's ``bound``: worse than the base's median by at most that fraction
+of it.  When the base's interquartile range is wider than the bound, the
+verdict is marked unresolved, since the runs spread too widely to tell.
+A run that fails, or reports ``"correct": false``, stops the script with
+exit status 1.  ``--json`` also writes every value, per workload and seed.
 """
 
 import argparse
@@ -56,8 +61,18 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def within_bound(spec, base_median, change_median):
+    """True when the change's median is no worse than the base's by more
+    than the metric's bound, a fraction of the base's median."""
+    slack = spec["bound"] * abs(base_median)
+    if spec["better"] == "lower":
+        return change_median <= base_median + slack
+    return change_median >= base_median - slack
+
+
 def summarize(metrics, base, change):
-    """Per-metric lines: medians, quartiles, wins and the IQR test."""
+    """Per-metric lines: medians, quartiles, wins, the IQR test and the
+    bound."""
     lines = []
     pairs = len(base)
     for spec in metrics:
@@ -68,12 +83,16 @@ def summarize(metrics, base, change):
         wins = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
         diff = cq[1] - bq[1]
         rel = diff / bq[1] if bq[1] else float("nan")
+        verdict = "within" if within_bound(spec, bq[1], cq[1]) else "OUTSIDE"
+        verdict += f" bound {100 * spec['bound']:g}%"
+        if bq[2] - bq[0] > spec["bound"] * abs(bq[1]):
+            verdict += " (unresolved: base IQR wider than the bound)"
         lines.append(
             f"{name:12s} base {bq[1]:.6g} [{bq[0]:.6g}, {bq[2]:.6g}]  "
             f"change {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}]  "
             f"{100 * rel:+.1f}%  change better in {wins}/{pairs}  "
             f"|median diff| {'>' if abs(diff) > bq[2] - bq[0] else '<='} "
-            f"base IQR {bq[2] - bq[0]:.6g}")
+            f"base IQR {bq[2] - bq[0]:.6g}  {verdict}")
     return lines
 
 
@@ -102,32 +121,41 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, type=Path)
     parser.add_argument("--change", type=Path, default=ROOT)
-    parser.add_argument("--workload", required=True,
-                        choices=("glex-gin", "pipeline", "regularity"))
+    parser.add_argument("--workload", action="append",
+                        help="a workload of BENCHMARK.json (repeatable; "
+                             "default: all)")
     parser.add_argument("--seed", type=int, required=True, action="append")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--json", type=Path)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = args.workload or known
+    unknown = sorted(set(workloads) - set(known))
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; "
+                     f"BENCHMARK.json has {', '.join(known)}")
     metrics = spec["end_to_end"]
     names = [m["name"] for m in metrics]
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
-    by_seed = {}
-    for seed in args.seed:
-        runs = run_pairs(sides, args.workload, seed, args.pairs,
-                         args.seconds, names)
-        if runs is None:
-            return 1
-        by_seed[seed] = runs
-        print(f"summary, {args.workload} seed {seed}:")
-        for line in summarize(metrics, runs["base"], runs["change"]):
-            print(line, flush=True)
+    by_workload = {}
+    for workload in workloads:
+        by_seed = by_workload.setdefault(workload, {})
+        for seed in args.seed:
+            runs = run_pairs(sides, workload, seed, args.pairs, args.seconds,
+                             names)
+            if runs is None:
+                return 1
+            by_seed[str(seed)] = runs
+            print(f"summary, {workload} seed {seed}:")
+            for line in summarize(metrics, runs["base"], runs["change"]):
+                print(line, flush=True)
     if args.json:
         args.json.write_text(json.dumps(
-            {"workload": args.workload, "seconds": args.seconds,
+            {"seconds": args.seconds,
              "checkouts": {k: str(v) for k, v in sides.items()},
-             "runs": {str(seed): runs for seed, runs in by_seed.items()}},
+             "runs": by_workload},
             indent=1))
     return 0
 

@@ -762,7 +762,8 @@ def cmd_verify(args):
 
 def _add_common(sub, with_order=False):
     sub.add_argument("--prime", type=int, default=None,
-                     help="field modulus (prime)")
+                     help="field modulus (prime); a small one such as 7 "
+                          "can give a wrong gin with no error")
     sub.add_argument("--seed", type=int, default=None,
                      help="base seed for coordinate-change trials")
     sub.add_argument("--agree", type=int, default=None,

@@ -29,7 +29,7 @@ Schwartz-Zippel, a uniform draw is bad with probability at most
 sum_d d * dim I_d / p, over d up to the gin's largest generator degree.
 The bound is crude (for large gins it exceeds 1) and far above the
 observed rate; two agreeing trials, and the Hilbert-function certificate
-below, are what guard the answer.
+below, are what guard the answer, at a large prime only (see ``gin``).
 Exhausting the trial budget is an error, never a silent best-effort
 answer.  Each trial is n(n-1)/2 transvections with no factorization, and
 every trial has the same steps, so the first ``min_agree`` trials move as
@@ -313,6 +313,11 @@ def gin(ideal, order, seed_base=DEFAULT_SEED_BASE,
     ``min_agree`` trials are moved as one block and their bases computed in
     lockstep (see the module docstring); results and errors are those of
     running them one by one.
+
+    Those guards need a large prime: at p = 7, unitriangular and dense
+    changes returned different gins for 60 of 600 random small ideals and
+    orders, each after two agreeing trials and a passed Hilbert check, and
+    no error marks such a result.
     """
     if min_agree < 1:
         raise ConfigurationError("min_agree must be at least 1")

@@ -19,9 +19,10 @@ rows over the degrees along the standard monomials, which no lead divides:
 a monomial of degree d is standard iff it is not a lead and each m / x_i is
 a standard monomial of degree d - 1.  So each degree's mask comes from the
 standard rows below it, counted through the table's successor map, plus
-that degree's leads (see ``_ChainedCover``).
-``normal_form`` and ``is_groebner_basis`` divide by known reducers on the
-same path, one homogeneous component at a time.
+that degree's leads (see ``_ChainedCover``), which a run marks one row at
+a time at the top of the chain.  ``normal_form`` and ``is_groebner_basis``
+divide by known reducers on the same path, one homogeneous component at a
+time, and hand the chain all their leads at once.
 
 While a run lasts, each basis element is stored once, as the kernel reads
 it: exponent rows, monic coefficients and table keys relative to its lead
@@ -145,7 +146,9 @@ class MonomialIdeal:
         return not self.gens
 
     def contains_monomial(self, m):
-        m = tuple(m)
+        m = _exponent_row(m)
+        if len(m) != self.nvars:
+            raise RingMismatchError("monomial length != nvars")
         return any(monomial_divides(g, m) for g in self.gens)
 
     def max_generator_degree(self):
@@ -244,18 +247,17 @@ class _ChainedCover:
     per row, and a row that fewer of them reach than it has dividing
     variables (``MonomialTable.supports``) is covered, as is each lead.  At
     high degrees most rows are covered, so the work follows the few
-    standard ones.  The chain starts at the lowest lead degree; below it a
-    mask is all False and nothing is built or kept.
+    standard ones.  The chain starts at the lowest lead degree or, if
+    lower, the first degree asked for; below it a mask is all False and is
+    not kept.
 
-    Leads are exponent rows, and each finds its row through
-    ``MonomialTable.rows``; a lead at the highest chained degree may also
-    come as its row of that degree's table (``mark``), which is how
-    ``buchberger`` hands on each new lead.  Asking for a degree chains every
-    degree up to it, so by then each lead below it must be known.  A lead
-    may still come at the highest chained degree, where it marks its own
-    row, or above it, where it waits for the chain.  One below that degree
-    would leave a kept mask stale, and rows it divides unreduced, so it
-    raises ``GincomplexError``.
+    Leads come all at once, as exponent rows at construction, each waiting
+    for the chain to reach its degree and finding its row there through
+    ``MonomialTable.rows``; or one at a time, as a row of the highest
+    chained degree (``mark``), which is how ``buchberger`` hands on each
+    new lead.  A lead below that degree would leave a kept mask stale, and
+    rows it divides unreduced, so ``mark`` anywhere else raises
+    ``GincomplexError``.
     """
 
     __slots__ = ("nvars", "order", "_masks", "_waiting", "_top")
@@ -268,21 +270,8 @@ class _ChainedCover:
         self._waiting = {}
         self._top = -1
         for lead in leads:
-            self.add(lead)
-
-    def add(self, lead):
-        """Mark the exponent row ``lead`` as a lead."""
-        lead = np.asarray(lead, dtype=np.int64)
-        degree = int(lead.sum())
-        if degree > self._top:
-            self._waiting.setdefault(degree, []).append(lead)
-        elif degree == self._top:
-            tab = table_for(self.nvars, degree, self.order)
-            self._masks[degree][tab.rows(lead)] = True
-        else:
-            raise GincomplexError(
-                f"internal: a lead of degree {degree} arrived after the "
-                f"cover was chained to degree {self._top}")
+            lead = np.asarray(lead, dtype=np.int64)
+            self._waiting.setdefault(int(lead.sum()), []).append(lead)
 
     def mark(self, degree, row):
         """Mark ``row`` of the degree table as a lead, at the chained top."""
@@ -294,8 +283,8 @@ class _ChainedCover:
 
     def mask(self, degree):
         """Boolean mask of the degree-``degree`` table rows a lead divides."""
-        below = self._masks.get(self._top)
         for d in range(self._top + 1, degree + 1):
+            below = self._masks.get(d - 1)
             waiting = self._waiting.pop(d, None)
             if below is None and waiting is None and d < degree:
                 continue
@@ -309,7 +298,7 @@ class _ChainedCover:
                 mask = reached < tab.supports()
             if waiting is not None:
                 mask[tab.rows(np.array(waiting))] = True
-            self._masks[d] = below = mask
+            self._masks[d] = mask
         self._top = max(self._top, degree)
         mask = self._masks.get(degree)
         if mask is None:
@@ -489,22 +478,22 @@ class _DenseBackend:
     (``spoly_reduce``).
 
     ``normal_form`` and ``is_groebner_basis`` know every reducer up front
-    and ``add`` them as polynomials.  ``buchberger_trials`` builds its basis
-    a degree at a time: ``begin_degree`` fetches that degree's lead mask,
-    and ``insert`` turns each reduced slice into an element, reading its
-    rows off the degree table in hand and marking its lead row in the mask.
-    It keeps the table rows of this degree's elements, and only theirs, to
-    clear a new lead from them (``replace``); no table of a finished degree
-    is looked up again.  Placing, reducing and clearing all work on one
-    dense block per table (``_slice``), which ``begin_degree`` drops before
-    the next degree's table is chained, so a degree's peak memory holds no
-    block of the degree before.
+    and give them to the constructor as polynomials.  ``buchberger_trials``
+    builds its basis a degree at a time: ``begin_degree`` fetches that
+    degree's lead mask, and ``insert`` turns each reduced slice into an
+    element, reading its rows off the degree table in hand and marking its
+    lead row in the mask.  It keeps the table rows of this degree's
+    elements, and only theirs, to clear a new lead from them (``replace``);
+    no table of a finished degree is looked up again.  Placing, reducing
+    and clearing all work on one dense block per table (``_slice``), which
+    ``begin_degree`` drops before the next degree's table is chained, so a
+    degree's peak memory holds no block of the degree before.
 
     Per degree the lead mask is chained from the mask of the degree below
-    (``_ChainedCover``); the kernel's closure starts from it.  So once a
-    degree's mask is used, no reducer may be added below that degree:
-    ``buchberger_trials`` adds its elements in nondecreasing degree, and the
-    other callers add every reducer before the first reduction.
+    (``_ChainedCover``); the kernel's closure starts from it.  Reducers
+    enter through the constructor or ``insert`` only: the cover gets the
+    constructor's leads at once, and each inserted lead as its row at the
+    top of the chain, since elements arrive in nondecreasing degree.
     """
 
     def __init__(self, nvars, p, order, reducers=(), trials=1):
@@ -520,11 +509,11 @@ class _DenseBackend:
         self._leads = np.zeros((8, nvars), dtype=np.int64)
         # element index -> its rows in the table of the degree in progress
         self._rows = {}
-        self._cover = _ChainedCover(nvars, order)
-        self._degree = self._mask = None
         self._work = None
         for h in reducers:
-            self.add(h)
+            self._put(len(self.exps), h.exps, h.coeffs[None],
+                      h.exps @ self.weights)
+        self._cover = _ChainedCover(nvars, order, self.leads)
 
     @property
     def leads(self):
@@ -553,18 +542,6 @@ class _DenseBackend:
         self.keys.append(keys)
         self.tails.append(tail)
 
-    def add(self, h):
-        """Append the monic reducer h, a polynomial in the backend's order."""
-        self._put(len(self.exps), h.exps, h.coeffs[None],
-                  h.exps @ self.weights)
-        self._cover.add(h.exps[0])
-
-    def covered(self, degree):
-        """Rows of the degree table that some reducer lead divides."""
-        if degree != self._degree:
-            self._degree, self._mask = degree, self._cover.mask(degree)
-        return self._mask
-
     def begin_degree(self, degree):
         """Start inserting elements of ``degree``; returns its lead mask.
 
@@ -574,7 +551,7 @@ class _DenseBackend:
         """
         self._rows.clear()
         self._work = None
-        return self.covered(degree)
+        return self._cover.mask(degree)
 
     def _slice(self, tab):
         """The all-zero block of tab, one kept for every reduction.
@@ -595,7 +572,7 @@ class _DenseBackend:
         row per trial, and leaves the block zero.
         """
         _kernels.reduce_dense(block, tab.exps, tab.keys,
-                              self.covered(tab.degree), self.leads,
+                              self._cover.mask(tab.degree), self.leads,
                               self.tails, self.p)
         return self._take(block)
 
@@ -628,12 +605,8 @@ class _DenseBackend:
         return self._reduce_slice(tab, block)
 
     def reduce(self, f):
-        """Full normal form of the homogeneous f, or None when it is zero.
-
-        For a backend of one trial.
-        """
-        if f.is_zero:
-            return None
+        """Full normal form of the nonzero homogeneous f, or None when it
+        reduces to zero; for a backend of one trial."""
         tab = table_for(self.nvars, f.degree, self.order)
         rows, coeffs = self.reduce_terms(tab, (f,))
         if not rows.size:

@@ -1008,6 +1008,20 @@ def test_monomial_ideal_rejects_bad_exponents():
     assert all(type(v) is int for g in ideal.gens for v in g)
 
 
+def test_contains_monomial_reads_the_monomial_like_a_generator():
+    ideal = MonomialIdeal([(1, 0)], 2)
+    assert ideal.contains_monomial((2, 1))
+    assert ideal.contains_monomial(np.array([1, 3]))
+    assert not ideal.contains_monomial([0, 4])
+    # a monomial of another ring is rejected, not answered
+    for m in ((1, 0, 0), (1,), ()):
+        with pytest.raises(RingMismatchError, match="length != nvars"):
+            ideal.contains_monomial(m)
+    for m in ((1, -1), (1.5, 0)):
+        with pytest.raises(GincomplexError, match="nonnegative integers"):
+            ideal.contains_monomial(m)
+
+
 def test_hilbert_function_names_the_degree_above_the_key_cap():
     # an ideal that is not Borel-fixed counts on tables, whose keys cap
     # the degree

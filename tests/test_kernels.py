@@ -395,26 +395,30 @@ def test_reduce_dense_matches_loop_on_a_buchberger_run(store, monkeypatch):
 def _check_chained_cover(nvars, order, leads):
     """Both ways of feeding ``leads`` give the divisibility masks."""
     top = max(int(lead.sum()) for lead in leads)
-    # each degree's leads arrive in two halves, the second after that
-    # degree's mask was first read
+
+    def divisible(tab, known):
+        known = np.array(known, dtype=np.int64).reshape(-1, nvars)
+        return _divisible_rows(tab.exps, known)
+
+    # every lead known up front, degrees read from the bottom up and from
+    # the top down
+    for degrees in (range(top + 3), range(top + 2, -1, -1)):
+        static = _ChainedCover(nvars, order, leads)
+        for d in degrees:
+            tab = table_for(nvars, d, order)
+            assert (static.mask(d) == divisible(tab, leads)).all()
+    # the engine's way: an empty cover, each degree's mask read before that
+    # degree's lead rows are marked in it
     cover = _ChainedCover(nvars, order)
     for d in range(top + 3):
         tab = table_for(nvars, d, order)
-        own = [lead for lead in leads if lead.sum() == d]
-        for lead in own[:1]:
-            cover.add(lead)
-        cover.mask(d)
-        for lead in own[1:]:
-            cover.add(lead)
-        known = np.array([lead for lead in leads if lead.sum() <= d],
-                         dtype=np.int64).reshape(-1, nvars)
-        assert (cover.mask(d) == _divisible_rows(tab.exps, known)).all()
-    # every lead known up front, degrees read from the top down
-    static = _ChainedCover(nvars, order, leads)
-    lead_exps = np.array(leads, dtype=np.int64)
-    for d in range(top + 2, -1, -1):
-        tab = table_for(nvars, d, order)
-        assert (static.mask(d) == _divisible_rows(tab.exps, lead_exps)).all()
+        below = [lead for lead in leads if lead.sum() < d]
+        assert (cover.mask(d) == divisible(tab, below)).all()
+        for lead in leads:
+            if lead.sum() == d:
+                cover.mark(d, int(tab.rows(lead)))
+        known = [lead for lead in leads if lead.sum() <= d]
+        assert (cover.mask(d) == divisible(tab, known)).all()
 
 
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
@@ -440,15 +444,18 @@ def test_chained_cover_matches_divisibility(order):
                              [unit, table_for(nvars, 2, order).exps[0]])
 
 
-def test_chained_cover_rejects_a_lead_below_a_chained_degree():
+def test_chained_cover_rejects_a_mark_off_the_chained_top():
     cover = _ChainedCover(3, GLEX, [(1, 1, 0)])
     assert cover.mask(3).sum() == 3
-    # at the chained degree a lead marks its own row; above it, it waits
-    cover.add((0, 0, 3))
-    cover.add((0, 0, 4))
+    # at the chained degree a lead row marks its own row
+    tab = table_for(3, 3, GLEX)
+    cover.mark(3, int(tab.rows(np.array([0, 0, 3]))))
     assert cover.mask(3).sum() == 4
-    with pytest.raises(GincomplexError):
-        cover.add((0, 2, 0))
+    # below it a kept mask would go stale, and above it there is no mask
+    for degree in (2, 4):
+        with pytest.raises(GincomplexError, match="chained to degree 3"):
+            cover.mark(degree, 0)
+    assert cover.mask(3).sum() == 4
 
 
 def _binom_c(degree, c, p):
