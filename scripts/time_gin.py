@@ -15,8 +15,12 @@ script prints one JSON line per ideal: the ideal, the seconds, the first
 process's peak RSS in MB, the traced peak in MB (Python and numpy
 allocations made during the gin, the number to compare across runs; the
 RSS also holds the interpreter and swings with heap layout), M (the top
-generator degree of the gin) and the number of minimal generators of the
-gin.  The library is imported from ``src/`` of this checkout.
+generator degree of the gin), the number of minimal generators of the
+gin, and the monomial tables the timed gin built: ``tables_built`` counts
+every ``MonomialTable`` construction, so a table rebuilt after the cache
+evicted it counts again, and ``table_degrees`` the distinct degrees among
+them.  Only the first process counts tables, and only during the gin.  The
+library is imported from ``src/`` of this checkout.
 
     acm5   corpus.acm_surface(5, 7)              closed form M = 74
     ci25   corpus.complete_intersection(5, 7)    closed form M = 122
@@ -52,9 +56,20 @@ def build(name):
 
 def time_one(name):
     sys.path.insert(0, str(SRC))
-    from gincomplex import GLEX, gin
+    from gincomplex import GLEX, gin, poly
 
     ideal = build(name)
+    built = []
+
+    class Counting(poly.MonomialTable):
+        __slots__ = ()
+
+        def __init__(self, nvars, degree, order):
+            super().__init__(nvars, degree, order)
+            built.append(degree)
+
+    # table_for constructs through this module global
+    poly.MonomialTable = Counting
     started = time.perf_counter()
     result = gin(ideal, GLEX)
     seconds = time.perf_counter() - started
@@ -63,7 +78,8 @@ def time_one(name):
     return {"ideal": name, "seconds": round(seconds, 3),
             "peak_rss_mb": round(peak, 1),
             "M": result.gin.max_generator_degree(),
-            "generators": len(result.gin.gens)}
+            "generators": len(result.gin.gens),
+            "tables_built": len(built), "table_degrees": len(set(built))}
 
 
 def trace_one(name):

@@ -18,9 +18,9 @@ see ``_kernels.reduce_dense``).  The backend chains the mask of divisible
 rows over the degrees along the standard monomials, which no lead divides:
 a monomial of degree d is standard iff it is not a lead and each m / x_i is
 a standard monomial of degree d - 1.  So each degree's mask comes from the
-standard rows below it, counted through the table's successor map, plus
-that degree's leads (see ``_ChainedCover``), which a run marks one row at
-a time at the top of the chain.  ``normal_form`` and ``is_groebner_basis``
+standard rows below it, found by their keys plus each variable's weight,
+and that degree's leads (see ``_ChainedCover``), which a run marks one row
+at a time at the top of the chain.  ``normal_form`` and ``is_groebner_basis``
 divide by known reducers on the same path, one homogeneous component at a
 time, and hand the chain all their leads at once.
 
@@ -242,12 +242,12 @@ class _ChainedCover:
     The chain follows the standard rows, those no lead divides: a row m of
     degree d is standard iff it is not a lead and every m / x_i, one for
     each variable x_i dividing m, is standard.  The mask of a degree is
-    built once, from the mask below it, and kept: the successors
-    (``MonomialTable.successors``) of the standard rows below are counted
-    per row, and a row that fewer of them reach than it has dividing
-    variables (``MonomialTable.supports``) is covered, as is each lead.  At
-    high degrees most rows are covered, so the work follows the few
-    standard ones.  The chain starts at the lowest lead degree or, if
+    built once, from the mask below it, and kept: the key of x_i * m is
+    key(m) plus x_i's weight, so one ``searchsorted`` finds the multiples of
+    the standard rows below, and a row that fewer of them reach than it has
+    dividing variables (``MonomialTable.supports``) is covered, as is each
+    lead.  At high degrees most rows are covered, so the work follows the
+    few standard ones.  The chain starts at the lowest lead degree or, if
     lower, the first degree asked for; below it a mask is all False and is
     not kept.
 
@@ -288,14 +288,18 @@ class _ChainedCover:
             waiting = self._waiting.pop(d, None)
             if below is None and waiting is None and d < degree:
                 continue
+            if below is not None:
+                # the table below first: building table d may evict it
+                standard = table_for(self.nvars, d - 1,
+                                     self.order).keys[~below]
             tab = table_for(self.nvars, d, self.order)
             if below is None:
                 mask = np.zeros(len(tab), dtype=bool)
             else:
-                succ = table_for(self.nvars, d - 1, self.order).successors()
-                reached = np.bincount(succ[~below].ravel(),
-                                      minlength=len(tab))
-                mask = reached < tab.supports()
+                # x_i * m has key key(m) + w_i: one sorted run per variable
+                rows = tab.keys.searchsorted(standard + tab.weights[:, None])
+                mask = (np.bincount(rows.ravel(), minlength=len(tab))
+                        < tab.supports())
             if waiting is not None:
                 mask[tab.rows(np.array(waiting))] = True
             self._masks[d] = mask

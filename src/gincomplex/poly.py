@@ -13,8 +13,9 @@ sorted state by accident.
 The monomials of one degree and order form a ``MonomialTable``: exponent
 rows, descending, each with a packed int64 key.  The keys are the table's
 own format.  Code outside the table finds rows by exponent, through
-``MonomialTable.rows``; the one other use of keys is the reduction kernel's
-input, where each reducer tail is given as keys relative to its lead key.
+``MonomialTable.rows``; keys, linear in the exponents, are read only by the
+reduction kernel, beside reducer tails given as keys relative to their lead
+key, and by the lead cover, which adds a variable's weight to a key.
 
 A linear change of coordinates is applied as a sequence of permutation,
 transvection and scaling steps.  A dense matrix is factored into them once,
@@ -206,20 +207,17 @@ class MonomialTable:
     by packed key, which is injective within one degree, so a table does not
     depend on the order its rows were enumerated in.  The keys are the
     table's own format: code outside it finds rows by exponent, through
-    ``rows``, and only the reduction kernel reads ``keys``, beside reducer
-    tails given as keys relative to their lead key.  Sorting by key keeps
-    valid the successor map (``successors``), which a table builds on first
-    use and holds until it leaves the cache: the row of each x_i * m in the
-    table of the next degree, even if that table is evicted and rebuilt.
-    The lead cover walks the standard monomials up the degrees through that
-    map, and compares what reaches each row with the number of variables
-    dividing it (``supports``), which is held the same way.  So are the
-    gather plans of the transvections (``transvection``), one per (i, j)
-    asked for.
+    ``rows``; only the reduction kernel and the lead cover read ``keys``.
+    A table knows only its own degree: the lead cover finds each x_i * m of
+    the table below by its key, the key of m plus x_i's weight, and compares
+    what reaches each row with the number of variables dividing it
+    (``supports``), which a table counts on first use and holds until it
+    leaves the cache.  So are the gather plans of the transvections
+    (``transvection``), one per (i, j) asked for.
     """
 
     __slots__ = ("nvars", "degree", "order", "exps", "keys", "weights",
-                 "_successors", "_supports", "_transvections")
+                 "_supports", "_transvections")
 
     def __init__(self, nvars, degree, order):
         self.nvars = nvars
@@ -231,7 +229,6 @@ class MonomialTable:
         idx = np.argsort(keys, kind="stable")
         self.exps = np.ascontiguousarray(exps[idx])
         self.keys = np.ascontiguousarray(keys[idx])
-        self._successors = None
         self._supports = None
         self._transvections = {}
 
@@ -258,20 +255,8 @@ class MonomialTable:
         return Polynomial(self.exps[nz], vec[nz], self.nvars, p, self.order,
                           _presorted=True)
 
-    def successors(self):
-        """int32 array: entry [r, i] is the next degree's row of x_i * m_r."""
-        if self._successors is None:
-            up = table_for(self.nvars, self.degree + 1, self.order)
-            self._successors = np.searchsorted(
-                up.keys, self.keys[:, None] + self.weights).astype(np.int32)
-        return self._successors
-
     def supports(self):
-        """int8 array: entry r is the number of variables dividing m_r.
-
-        That is the number of rows of the degree below whose successor map
-        reaches row r, one through each such x_i.
-        """
+        """int8 array: entry r is the number of variables dividing m_r."""
         if self._supports is None:
             self._supports = np.count_nonzero(self.exps, axis=1).astype(
                 np.int8)
@@ -314,11 +299,9 @@ class MonomialTable:
 
 
 # least recently used first; _table_rows is the total row count it holds.
-# A table whose successor map was built also carries nvars int32 entries
-# per row (about 1.1 MB over the acm4 graded-lex chain to degree 21) and,
-# once the lead cover has climbed through it, one int8 support count per
-# row; each transvection plan holds about 2 * degree / nvars + 2 intp
-# (8-byte) entries per row (up to nvars * (nvars - 1) plans on a table
+# A table the lead cover has climbed through also carries one int8 support
+# count per row; each transvection plan holds about 2 * degree / nvars + 2
+# intp (8-byte) entries per row (up to nvars * (nvars - 1) plans on a table
 # that coordinate changes reach).  The budget counts rows only.
 _TABLE_CACHE = {}
 _table_rows = 0

@@ -565,10 +565,14 @@ def test_packed_pair_update_matches_the_tuple_reference(sequence):
                         == sorted(ijs, key=lambda ij: (want[ij][2], ij)))
 
 
-def test_cold_glex_run_builds_the_same_tables(store, monkeypatch):
+@pytest.mark.parametrize("budget", [poly_module._TABLE_ROW_BUDGET, 1],
+                         ids=["default-budget", "budget-1"])
+def test_cold_glex_run_builds_the_same_tables(store, monkeypatch, budget):
     # a basis element keeps its relative keys, so an S-pair is placed on the
     # lcm's table alone: the run builds exactly the tables of the degrees
-    # it visits and of the lead cover's chain, none twice
+    # it visits and of the lead cover's chain, none twice.  At a budget of
+    # one row each new table evicts every other, and still none is rebuilt:
+    # a chain step fetches the table below before it builds its own
     moved, _ = _moved_with_hilbert(store.ideal("acm4"))
     built = []
 
@@ -582,6 +586,7 @@ def test_cold_glex_run_builds_the_same_tables(store, monkeypatch):
     monkeypatch.setattr(poly_module, "MonomialTable", Counting)
     monkeypatch.setattr(poly_module, "_TABLE_CACHE", {})
     monkeypatch.setattr(poly_module, "_table_rows", 0)
+    monkeypatch.setattr(poly_module, "_TABLE_ROW_BUDGET", budget)
     buchberger(moved, GLEX)
     assert sorted(built) == list(range(2, 22))
 

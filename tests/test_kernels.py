@@ -421,8 +421,7 @@ def _check_chained_cover(nvars, order, leads):
         assert (cover.mask(d) == divisible(tab, known)).all()
 
 
-@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
-def test_chained_cover_matches_divisibility(order):
+def _check_cover_cases(order):
     # leads at a few scattered degrees, so some degrees in between and every
     # degree below the lowest have none
     rng = SplitMix64(505)
@@ -442,6 +441,18 @@ def test_chained_cover_matches_divisibility(order):
         _check_chained_cover(nvars, order, [unit])
         _check_chained_cover(nvars, order,
                              [unit, table_for(nvars, 2, order).exps[0]])
+
+
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_chained_cover_matches_divisibility(order, monkeypatch):
+    _check_cover_cases(order)
+    # again on an empty cache with a budget of one row: each new table
+    # evicts every other, so chain steps read tables that the cache has
+    # dropped and rebuilt
+    monkeypatch.setattr(poly_module, "_TABLE_CACHE", {})
+    monkeypatch.setattr(poly_module, "_table_rows", 0)
+    monkeypatch.setattr(poly_module, "_TABLE_ROW_BUDGET", 1)
+    _check_cover_cases(order)
 
 
 def test_chained_cover_rejects_a_mark_off_the_chained_top():
