@@ -5,7 +5,7 @@ Usage, from the root of a checkout:
 
     python3 scripts/bench_pairs.py --base DIR [--change DIR] \
         [--workload NAME ...] --seed N [--seed M ...] \
-        [--pairs 10] [--seconds 8] [--json FILE]
+        [--pairs 10] [--seconds 8] [--claim METRIC] [--json FILE]
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, one
 fresh process per run, with the run's working directory in its checkout.
@@ -25,8 +25,13 @@ base's interquartile range, and whether the change's median is within the
 metric's ``bound``: worse than the base's median by at most that fraction
 of it.  When the base's interquartile range is wider than the bound, the
 verdict is marked unresolved, since the runs spread too widely to tell.
-A run that fails, or reports ``"correct": false``, stops the script with
-exit status 1.  ``--json`` also writes every value, per workload and seed.
+``--claim METRIC``, an end-to-end metric, adds one line per workload and
+seed: ``claim met`` when the change is strictly better in at least nine
+tenths of the pairs, ties counting for neither, and its median beats the
+base's by more than the base's interquartile range; ``claim not met``
+otherwise.  A run that fails, or reports ``"correct": false``, stops the
+script with exit status 1.  ``--json`` also writes every value, per
+workload and seed.
 """
 
 import argparse
@@ -70,17 +75,35 @@ def within_bound(spec, base_median, change_median):
     return change_median >= base_median - slack
 
 
+def compare(spec, base, change):
+    """The metric's quartiles per side and the number of pairs the change
+    won, strictly, in the metric's direction."""
+    name, lower = spec["name"], spec["better"] == "lower"
+    b = [run[name] for run in base]
+    c = [run[name] for run in change]
+    wins = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
+    return quartiles(b), quartiles(c), wins
+
+
+def claim(spec, base, change):
+    """The claim line: met when the change wins nine tenths of the pairs
+    and its median gain exceeds the base's interquartile range."""
+    bq, cq, wins = compare(spec, base, change)
+    gain = bq[1] - cq[1] if spec["better"] == "lower" else cq[1] - bq[1]
+    met = 10 * wins >= 9 * len(base) and gain > bq[2] - bq[0]
+    return (f"{'claim met' if met else 'claim not met'}: {spec['name']}, "
+            f"change better in {wins}/{len(base)}, median gain {gain:.6g} "
+            f"against base IQR {bq[2] - bq[0]:.6g}")
+
+
 def summarize(metrics, base, change):
     """Per-metric lines: medians, quartiles, wins, the IQR test and the
     bound."""
     lines = []
     pairs = len(base)
     for spec in metrics:
-        name, lower = spec["name"], spec["better"] == "lower"
-        b = [run[name] for run in base]
-        c = [run[name] for run in change]
-        bq, cq = quartiles(b), quartiles(c)
-        wins = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
+        name = spec["name"]
+        bq, cq, wins = compare(spec, base, change)
         diff = cq[1] - bq[1]
         rel = diff / bq[1] if bq[1] else float("nan")
         verdict = "within" if within_bound(spec, bq[1], cq[1]) else "OUTSIDE"
@@ -127,6 +150,8 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, required=True, action="append")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="an end-to-end metric whose gain to test")
     parser.add_argument("--json", type=Path)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -138,6 +163,9 @@ def main(argv=None):
                      f"BENCHMARK.json has {', '.join(known)}")
     metrics = spec["end_to_end"]
     names = [m["name"] for m in metrics]
+    if args.claim is not None and args.claim not in names:
+        parser.error(f"unknown metric {args.claim}; BENCHMARK.json has "
+                     f"{', '.join(names)}")
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     by_workload = {}
     for workload in workloads:
@@ -151,6 +179,9 @@ def main(argv=None):
             print(f"summary, {workload} seed {seed}:")
             for line in summarize(metrics, runs["base"], runs["change"]):
                 print(line, flush=True)
+            if args.claim is not None:
+                print(claim(metrics[names.index(args.claim)], runs["base"],
+                            runs["change"]), flush=True)
     if args.json:
         args.json.write_text(json.dumps(
             {"seconds": args.seconds,

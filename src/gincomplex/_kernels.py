@@ -11,9 +11,12 @@ Conventions shared by all kernels:
   a C-contiguous int64 array of shape (slices, table rows).
   ``reduce_dense`` takes the transpose of such a block: shape (table rows,
   trials), stored trial-major, one slice per column;
-* ``table_keys`` is the matching int64 key array, strictly ascending, and
-  keys are linear in exponents, so the key of a monomial product is the sum
-  of the factor keys;
+* ``table_exps`` is the table's exponent rows, uint8 (no exponent exceeds
+  255), and ``table_keys`` the matching int64 key array, strictly
+  ascending; keys are linear in exponents, so the key of a monomial
+  product is the sum of the factor keys;
+* reducer leads (``lead_exps``) are int64 rows, so comparing them with
+  table rows promotes to int64 and never wraps;
 * coefficients stay in [0, p) with p*p < 2**63 (``field.check_int64_prime``),
   so products fit in int64;
 * reducers are monic: one lead exponent row each, and a tail of
@@ -232,7 +235,7 @@ def rank_mod(mat, p):
 def warmup():
     """Run each kernel once on tiny inputs, so a timed run pays no first call."""
     vec = np.array([1, 0, 1], dtype=np.int64)
-    exps = np.array([[2, 0], [1, 1], [0, 2]], dtype=np.int64)
+    exps = np.array([[2, 0], [1, 1], [0, 2]], dtype=np.uint8)
     keys = np.array([-2, -1, 0], dtype=np.int64)
     lead = np.array([[1, 0]], dtype=np.int64)
     tail = np.array([1], dtype=np.int64)

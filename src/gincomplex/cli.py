@@ -48,7 +48,16 @@ from .pei import (
     partial_elimination,
     recombine_m,
 )
-from .poly import DEGREE_CAP, GLEX, GREVLEX, ORDERS, Ideal, Polynomial
+from .poly import (
+    DEGREE_CAP,
+    GLEX,
+    GREVLEX,
+    ORDERS,
+    Ideal,
+    Polynomial,
+    monomial_mul,
+    unit_exponent,
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -109,7 +118,13 @@ def _tokenize(text, lineno):
 
 
 class _LineParser:
-    """Recursive descent over one polynomial line."""
+    """Recursive descent over one polynomial line.
+
+    A parsed value is a ``Polynomial`` or, while it is a product of one-term
+    factors, one term: a pair (coefficient in [0, p), exponent tuple), with
+    the zero exponent when the coefficient is 0.  Products and powers of
+    terms are integer work; only a parenthesized sum is multiplied out.
+    """
 
     def __init__(self, tokens, lineno, nvars, p):
         self.tokens = tokens
@@ -141,10 +156,47 @@ class _LineParser:
         tok = self._peek()
         if tok is not None:
             raise ParseError(f"trailing input {tok[1]!r}", self.lineno, tok[3])
+        if isinstance(result, tuple):
+            return Polynomial.monomial(result[1], self.nvars, self.p,
+                                       coeff=result[0])
         return result
 
+    # -- values ----------------------------------------------------------
+
+    def _term(self, c, exponent):
+        """The one-term value c * x^exponent, c reduced mod p."""
+        c %= self.p
+        return (c, exponent) if c else (0, (0,) * self.nvars)
+
+    @staticmethod
+    def _degree(value):
+        """Total degree of a value, -1 for zero."""
+        if isinstance(value, tuple):
+            return sum(value[1]) if value[0] else -1
+        return value.degree
+
+    def _times(self, a, b):
+        if isinstance(a, tuple) and isinstance(b, tuple):
+            return self._term(a[0] * b[0], monomial_mul(a[1], b[1]))
+        if isinstance(a, tuple):
+            a, b = b, a
+        if isinstance(b, tuple):
+            return a.mul_term(*b)
+        return a * b
+
+    def _power(self, base, k):
+        if isinstance(base, tuple):
+            return self._term(pow(base[0], k, self.p),
+                              tuple(e * k for e in base[1]))
+        out = Polynomial.constant(1, self.nvars, self.p)
+        for _ in range(k):
+            out = out * base
+        return out
+
+    # -- grammar -----------------------------------------------------------
+
     def _expr(self):
-        """A signed sum of terms, merged into one polynomial at the end."""
+        """A signed sum of products, merged into one polynomial at the end."""
         summands = []
         tok = self._peek()
         sign = "+"
@@ -152,8 +204,11 @@ class _LineParser:
             self._next()
             sign = tok[0]
         while True:
-            term = self._term()
-            summands.append(-term if sign == "-" else term)
+            value = self._product()
+            if sign == "-":
+                value = (self._term(-value[0], value[1])
+                         if isinstance(value, tuple) else -value)
+            summands.append(value)
             tok = self._peek()
             if tok is None or tok[0] not in ("+", "-"):
                 break
@@ -161,8 +216,13 @@ class _LineParser:
             sign = tok[0]
         if len(summands) == 1:
             return summands[0]
-        return Polynomial.from_terms(
-            (t for f in summands for t in f.terms()), self.nvars, self.p)
+        terms = []
+        for value in summands:
+            if isinstance(value, tuple):
+                terms.append((value[1], value[0]))
+            else:
+                terms.extend(value.terms())
+        return Polynomial.from_terms(terms, self.nvars, self.p)
 
     def _check_degree(self, degree, col):
         """Reject a product above the degree cap before expanding it."""
@@ -170,7 +230,7 @@ class _LineParser:
             raise ParseError(f"polynomial degree {degree} exceeds the degree "
                              f"cap {DEGREE_CAP}", self.lineno, col)
 
-    def _term(self):
+    def _product(self):
         acc = self._factor()
         while True:
             tok = self._peek()
@@ -178,9 +238,9 @@ class _LineParser:
                 return acc
             self._next()
             rhs = self._factor()
-            self._check_degree(max(acc.degree, 0) + max(rhs.degree, 0),
-                               tok[3])
-            acc = acc * rhs
+            self._check_degree(max(self._degree(acc), 0)
+                               + max(self._degree(rhs), 0), tok[3])
+            acc = self._times(acc, rhs)
 
     def _factor(self):
         base = self._atom()
@@ -192,25 +252,20 @@ class _LineParser:
                 raise ParseError(
                     f"exponent {exp} exceeds the degree cap {DEGREE_CAP}",
                     self.lineno, col)
-            self._check_degree(max(base.degree, 0) * exp, col)
-            out = Polynomial.constant(1, self.nvars, self.p)
-            for _ in range(exp):
-                out = out * base
-            return out
+            self._check_degree(max(self._degree(base), 0) * exp, col)
+            return self._power(base, exp)
         return base
 
     def _atom(self):
         tok = self._next()
         if tok[0] == "INT":
-            return Polynomial.constant(tok[1], self.nvars, self.p)
+            return self._term(tok[1], (0,) * self.nvars)
         if tok[0] == "VAR":
             if tok[1] >= self.nvars:
                 raise ParseError(
                     f"variable x{tok[1]} outside ring with {self.nvars} "
                     "variables", self.lineno, tok[3])
-            exponent = tuple(1 if i == tok[1] else 0
-                             for i in range(self.nvars))
-            return Polynomial.monomial(exponent, self.nvars, self.p)
+            return (1, unit_exponent(self.nvars, tok[1]))
         if tok[0] == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than "

@@ -25,13 +25,14 @@ divide by known reducers on the same path, one homogeneous component at a
 time, and hand the chain all their leads at once.
 
 While a run lasts, each basis element is stored once, as the kernel reads
-it: exponent rows, monic coefficients and table keys relative to its lead
-key.  Keys are linear in exponents, so those relative keys, shifted by the
-key of an lcm, place a multiple of the element on the lcm's degree table
-with one ``searchsorted``, whatever table the element came from.  Elements
-become ``Polynomial``s only in the result.  The pair queue and the
-Gebauer-Moeller update work on leads packed into Python ints, one guarded
-bit field per variable (``_PackedExponents``).
+it: exponent rows (uint8, as the table holds them), monic coefficients and
+table keys relative to its lead key.  Keys are linear in exponents, so
+those relative keys, shifted by the key of an lcm, place a multiple of the
+element on the lcm's degree table with one ``searchsorted``, whatever
+table the element came from.  Elements become ``Polynomial``s only in the
+result.  The pair queue and the Gebauer-Moeller update work on leads
+packed into Python ints, one guarded bit field per variable
+(``_PackedExponents``).
 
 One engine serves several trials at once (``buchberger_trials``): the
 images of one ideal under the random coordinate changes of a gin.  In
@@ -474,12 +475,16 @@ class _DenseBackend:
     the exponent rows of the union of the trials' supports in term order,
     ``coeffs``, its monic coefficients with one row per trial (0 where a
     trial lacks the term), and ``keys``, the table keys of its terms
-    relative to its lead key.  ``tails[r]`` views reducer r's keys and
+    relative to its lead key.  An element a run inserts keeps its rows as
+    gathered off the table, uint8; a reducer given to the constructor
+    keeps its polynomial's int64 rows.  Rows become int64 again only in the
+    result's ``Polynomial``s.  ``tails[r]`` views reducer r's keys and
     coefficients without the lead, and ``leads`` is a view of the first
-    rows of a lead array with spare capacity, so adding a reducer copies
-    neither.  Relative keys place a multiple on any table: the terms of
-    m * lm(r) lie at the keys ``keys[r]`` plus the key of m * lm(r)
-    (``spoly_reduce``).
+    rows of an int64 lead array with spare capacity, so adding a reducer
+    copies neither; int64, since ``GREVLEX.descending`` negates the leads,
+    which would wrap in uint8.  Relative keys place a multiple on any
+    table: the terms of m * lm(r) lie at the keys ``keys[r]`` plus the key
+    of m * lm(r) (``spoly_reduce``).
 
     ``normal_form`` and ``is_groebner_basis`` know every reducer up front
     and give them to the constructor as polynomials.  ``buchberger_trials``

@@ -4,18 +4,22 @@ Variables are x0 > x1 > ... > x(n-1); the ambient count is a runtime
 parameter so the same kernel serves P^4 surfaces, their P^3 quotients and
 curve examples.
 
-Exponent vectors are dense int64 rows (ambient dimension stays tiny, degrees
-reach the few dozens).  A polynomial stores its terms strictly descending in
-the order it is tagged with; switching orders is an explicit resort, never an
-implicit conversion, so graded-lex and graded-revlex pipelines cannot share
-sorted state by accident.
+A polynomial's exponent vectors are dense int64 rows (ambient dimension
+stays tiny, degrees reach the low hundreds).  A polynomial stores its terms
+strictly descending in the order it is tagged with; switching orders is an
+explicit resort, never an implicit conversion, so graded-lex and
+graded-revlex pipelines cannot share sorted state by accident.
 
 The monomials of one degree and order form a ``MonomialTable``: exponent
-rows, descending, each with a packed int64 key.  The keys are the table's
-own format.  Code outside the table finds rows by exponent, through
-``MonomialTable.rows``; keys, linear in the exponents, are read only by the
-reduction kernel, beside reducer tails given as keys relative to their lead
-key, and by the lead cover, which adds a variable's weight to a key.
+rows, descending, each with a packed int64 key.  No table exponent exceeds
+``DEGREE_CAP`` = 255, so a table holds its rows as uint8, an eighth of
+int64, from enumeration on; arithmetic on them runs in int64 or intp, and
+a row becomes int64 when a ``Polynomial`` is built from it.  The keys are
+the table's own format.  Code outside the table
+finds rows by exponent, through ``MonomialTable.rows``; keys, linear in the
+exponents, are read only by the reduction kernel, beside reducer tails
+given as keys relative to their lead key, and by the lead cover, which
+adds a variable's weight to a key.
 
 A linear change of coordinates is applied as a sequence of permutation,
 transvection and scaling steps.  A dense matrix is factored into them once,
@@ -180,9 +184,12 @@ def _enumerate_degree(nvars, degree):
     come from ``itertools.combinations``; the last then takes every slot
     after the one before it, which splits the remaining gap both ways.
     Rows come in no particular order; ``MonomialTable`` sorts them by key.
+    The rows are uint8, every exponent at most ``DEGREE_CAP``; only the
+    heads, one per run of the last bar, and the last bar's offset within
+    its run are wider.
     """
     if nvars == 1:
-        return np.array([[degree]], dtype=np.int64)
+        return np.array([[degree]], dtype=np.uint8)
     slots, bars = degree + nvars - 1, nvars - 1
     heads = math.comb(slots - 1, bars - 1)
     head = np.full((heads, bars), -1, dtype=np.int64)
@@ -192,11 +199,14 @@ def _enumerate_degree(nvars, degree):
         dtype=np.int64, count=heads * (bars - 1)).reshape(heads, bars - 1)
     # slots left for the last bar after each head
     runs = slots - 1 - head[:, -1]
-    exps = np.empty((int(runs.sum()), nvars), dtype=np.int64)
-    exps[:, :-2] = np.repeat(np.diff(head, axis=1) - 1, runs, axis=0)
-    step = np.arange(len(exps)) - np.repeat(np.cumsum(runs) - runs, runs)
+    exps = np.empty((int(runs.sum()), nvars), dtype=np.uint8)
+    exps[:, :-2] = np.repeat((np.diff(head, axis=1) - 1).astype(np.uint8),
+                             runs, axis=0)
+    step = np.arange(len(exps))
+    step -= np.repeat(np.cumsum(runs) - runs, runs)
     exps[:, -2] = step
-    exps[:, -1] = np.repeat(runs - 1, runs) - step
+    np.subtract(np.repeat((runs - 1).astype(np.uint8), runs), exps[:, -2],
+                out=exps[:, -1])
     return exps
 
 
@@ -205,15 +215,19 @@ class MonomialTable:
 
     The rows come in closed form from ``_enumerate_degree`` and are sorted
     by packed key, which is injective within one degree, so a table does not
-    depend on the order its rows were enumerated in.  The keys are the
-    table's own format: code outside it finds rows by exponent, through
-    ``rows``; only the reduction kernel and the lead cover read ``keys``.
-    A table knows only its own degree: the lead cover finds each x_i * m of
-    the table below by its key, the key of m plus x_i's weight, and compares
-    what reaches each row with the number of variables dividing it
-    (``supports``), which a table counts on first use and holds until it
-    leaves the cache.  So are the gather plans of the transvections
-    (``transvection``), one per (i, j) asked for.
+    depend on the order its rows were enumerated in.  ``exps`` is uint8,
+    ``nvars`` bytes a row; ``keys`` is int64, summed one column at a time,
+    so the rows are never widened whole.  Arithmetic on the rows widens
+    them first: a uint8 sum wraps, and a uint8 cumsum is uint64, which
+    mixes with int64 into float64.  The keys are the table's own format:
+    code outside it finds rows by exponent, through ``rows``; only the
+    reduction kernel and the lead cover read ``keys``.  A table knows only
+    its own degree: the lead cover finds each x_i * m of the table below by
+    its key, the key of m plus x_i's weight, and compares what reaches each
+    row with the number of variables dividing it (``supports``), which a
+    table counts on first use and holds until it leaves the cache.  So are
+    the gather plans of the transvections (``transvection``), one per
+    (i, j) asked for.
     """
 
     __slots__ = ("nvars", "degree", "order", "exps", "keys", "weights",
@@ -225,15 +239,29 @@ class MonomialTable:
         self.order = order
         self.weights = order.index_weights(nvars)
         exps = _enumerate_degree(nvars, degree)
-        keys = exps @ self.weights
-        idx = np.argsort(keys, kind="stable")
-        self.exps = np.ascontiguousarray(exps[idx])
-        self.keys = np.ascontiguousarray(keys[idx])
+        # one int64 column product at a time, so the uint8 rows are never
+        # widened whole
+        keys = np.zeros(len(exps), dtype=np.int64)
+        for j, weight in enumerate(self.weights):
+            keys += np.multiply(exps[:, j], weight, dtype=np.int64)
+        idx = keys.argsort(kind="stable")
+        self.exps = exps[idx]
+        self.keys = keys[idx]
         self._supports = None
         self._transvections = {}
 
     def __len__(self):
         return self.exps.shape[0]
+
+    @property
+    def nbytes(self):
+        """Bytes of the arrays the table holds: rows, keys, the support
+        counts and the transvection plans it has built."""
+        arrays = [self.exps, self.keys, *itertools.chain.from_iterable(
+            self._transvections.values())]
+        if self._supports is not None:
+            arrays.append(self._supports)
+        return sum(a.nbytes for a in arrays)
 
     def rows(self, exps):
         """Row indices of exponent rows known to be in the table.
@@ -276,7 +304,9 @@ class MonomialTable:
         """
         plan = self._transvections.get((i, j))
         if plan is None:
-            e = self.exps[:, i]
+            # intp: a uint8 cumsum is uint64, which mixes with the intp
+            # aranges below into float64, and e * (degree + 1) wraps in uint8
+            e = self.exps[:, i].astype(np.intp)
             sources = np.repeat(np.arange(len(self)), e)
             # k runs 1..e_i(m) within each row's entries
             k = (np.arange(len(sources))
@@ -299,10 +329,11 @@ class MonomialTable:
 
 
 # least recently used first; _table_rows is the total row count it holds.
-# A table the lead cover has climbed through also carries one int8 support
-# count per row; each transvection plan holds about 2 * degree / nvars + 2
-# intp (8-byte) entries per row (up to nvars * (nvars - 1) plans on a table
-# that coordinate changes reach).  The budget counts rows only.
+# A row costs nvars + 8 bytes: uint8 exponents and an int64 key.  A table
+# the lead cover has climbed through also carries one int8 support count
+# per row; each transvection plan holds about 2 * degree / nvars + 2 intp
+# (8-byte) entries per row (up to nvars * (nvars - 1) plans on a table that
+# coordinate changes reach).  The budget counts rows only.
 _TABLE_CACHE = {}
 _table_rows = 0
 _TABLE_ROW_BUDGET = 4_000_000

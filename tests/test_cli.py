@@ -128,6 +128,31 @@ def test_parse_sum_builds_one_polynomial(monkeypatch):
     assert not adds
 
 
+def test_parse_one_term_products_multiply_no_polynomials(monkeypatch):
+    products = []
+    mul = Polynomial.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    (f,) = parse_ideal_file(
+        "ring 3\n-3*x0^100*(2*x1)^55*x2^100 + (x0*x1^2)^85\n").generators
+    assert f.terms() == [((100, 55, 100), -3 * pow(2, 55, P) % P),
+                         ((85, 170, 0), 1)]
+    (g,) = parse_ideal_file("ring 3\n0*x0^200*x1 + x2^201\n").generators
+    assert g.terms() == [((0, 0, 201), 1)]
+    # a power is taken as pow(c, k, p) and the exponent times k
+    (h,) = parse_ideal_file("ring 2 7\n(3*x0*x1)^10\n").generators
+    assert h.terms() == [((10, 10), pow(3, 10, 7))]
+    assert not products
+    # a parenthesized sum is multiplied out, by one term without a product
+    (q,) = parse_ideal_file("ring 2\n(x0 + x1)^2*x1\n").generators
+    assert q.terms() == [((2, 1), 1), ((1, 2), 2), ((0, 3), 1)]
+    assert len(products) == 2
+
+
 def test_parse_inhomogeneous_reports_line():
     with pytest.raises(ParseError) as err:
         parse_ideal_file("ring 3\nx0^2 + x1*x2\nx0 + x1^2\n")

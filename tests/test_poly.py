@@ -1,9 +1,11 @@
 import functools
 import hashlib
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gincomplex.errors import (
     ConfigurationError,
@@ -251,6 +253,69 @@ def test_packed_key_overflow_is_a_configuration_error(order):
         table_for(8, 130, order)
 
 
+# tables of at most this many rows keep the property below to a few seconds
+_PROPERTY_TABLE_ROWS = 20_000
+
+
+def _top_table_degree(nvars):
+    """Highest degree whose packed keys fit int64 and whose table is small."""
+    degree = 0
+    while degree < DEGREE_CAP:
+        try:
+            poly_module._check_key_range(nvars, degree + 1)
+        except ConfigurationError:
+            break
+        if math.comb(degree + nvars, nvars - 1) > _PROPERTY_TABLE_ROWS:
+            break
+        degree += 1
+    return degree
+
+
+@st.composite
+def _table_shapes(draw):
+    nvars = draw(st.integers(1, 8))
+    degree = draw(st.integers(0, _top_table_degree(nvars)))
+    return nvars, degree, draw(st.sampled_from([GLEX, GREVLEX]))
+
+
+@settings(max_examples=80)
+@given(_table_shapes())
+def test_tables_up_to_the_exponent_cap_property(shape):
+    nvars, degree, order = shape
+    tab = poly_module.MonomialTable(nvars, degree, order)
+    assert tab.exps.dtype == np.uint8 and tab.keys.dtype == np.int64
+    assert tab.nbytes == (nvars + 8) * len(tab)
+    assert tab.exps.shape == (math.comb(degree + nvars - 1, nvars - 1),
+                              nvars)
+    assert (tab.exps.sum(axis=1, dtype=np.int64) == degree).all()
+    rows = [tuple(row) for row in tab.exps.tolist()]
+    # strictly descending in the order, so distinct
+    keys = [order.key(row) for row in rows]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    assert (np.diff(tab.keys) > 0).all()
+    # the packed keys, with no int64 wrap, and rows() inverts them
+    weights = tab.weights.tolist()
+    assert tab.keys.tolist() == [sum(map(operator.mul, row, weights))
+                                 for row in rows]
+    assert np.array_equal(tab.rows(tab.exps), np.arange(len(tab)))
+    assert np.array_equal(tab.rows(tab.exps.astype(np.int64)),
+                          np.arange(len(tab)))
+
+
+@pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
+def test_transvection_near_the_exponent_cap(order):
+    # a plan's cells reach e_0 * (degree + 1) + k = 250 * 251 + 250 and its
+    # k runs to 250: arithmetic on the uint8 rows would wrap
+    degree = 250
+    f = Polynomial.from_terms(
+        [((degree, 0), 3), ((degree - 1, 1), 1), ((131, 119), 5),
+         ((7, degree - 7), 2), ((0, degree), 1)], 2, P, order)
+    for matrix in ([[1, 9], [0, 1]], [[1, 0], [4, 1]], [[2, 3], [5, 7]]):
+        moved = apply_linear_change(f, matrix)
+        assert moved == _apply_change_terms(f, matrix)
+        assert moved.order is order and moved.degree == degree
+
+
 def test_table_cache_evicts_least_recently_used_first(monkeypatch):
     monkeypatch.setattr(poly_module, "_TABLE_CACHE", {})
     monkeypatch.setattr(poly_module, "_table_rows", 0)
@@ -305,6 +370,9 @@ def test_supports_count_the_dividing_variables(order, monkeypatch):
     monkeypatch.setattr(poly_module, "_TABLE_ROW_BUDGET", 20)
     cubics = table_for(3, 3, order)                 # 10 rows
     sup = cubics.supports()
+    plan = cubics.transvection(0, 2)
+    # 3 bytes of rows, 8 of key and 1 of support count per row, and the plan
+    assert cubics.nbytes == 12 * 10 + sum(a.nbytes for a in plan)
     table_for(3, 4, order)                          # 15: evicts the cubics
     assert cubics.supports() is sup
     rebuilt = table_for(3, 3, order)
