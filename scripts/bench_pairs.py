@@ -5,10 +5,13 @@ Usage, from the root of a checkout:
 
     python3 scripts/bench_pairs.py --base DIR [--change DIR] \
         [--workload NAME ...] --seed N [--seed M ...] \
-        [--pairs 10] [--seconds 8] [--claim METRIC] [--json FILE]
+        [--pairs 10] [--seconds S] [--claim METRIC] [--json FILE]
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, one
 fresh process per run, with the run's working directory in its checkout.
+Each run lasts ``--seconds``, by default the ``run_seconds`` of the
+change's ``BENCHMARK.json``, the run length the benchmark itself uses; the
+header and the summary of each workload and seed name it.
 Which side runs first alternates: the base leads in odd pairs, the change
 in even ones, so a drift in machine speed falls on both sides alike.  The
 change defaults to the checkout this script is in; the base is typically a
@@ -149,12 +152,16 @@ def main(argv=None):
                              "default: all)")
     parser.add_argument("--seed", type=int, required=True, action="append")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--seconds", type=float,
+                        help="run length (default: run_seconds of "
+                             "BENCHMARK.json)")
     parser.add_argument("--claim", metavar="METRIC",
                         help="an end-to-end metric whose gain to test")
     parser.add_argument("--json", type=Path)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = args.seconds if args.seconds is not None else \
+        spec["run_seconds"]
     known = [w["name"] for w in spec["workloads"]]
     workloads = args.workload or known
     unknown = sorted(set(workloads) - set(known))
@@ -171,12 +178,13 @@ def main(argv=None):
     for workload in workloads:
         by_seed = by_workload.setdefault(workload, {})
         for seed in args.seed:
-            runs = run_pairs(sides, workload, seed, args.pairs, args.seconds,
+            runs = run_pairs(sides, workload, seed, args.pairs, seconds,
                              names)
             if runs is None:
                 return 1
             by_seed[str(seed)] = runs
-            print(f"summary, {workload} seed {seed}:")
+            print(f"summary, {workload} seed {seed}, {len(runs['base'])} "
+                  f"pairs of {seconds:g} s:")
             for line in summarize(metrics, runs["base"], runs["change"]):
                 print(line, flush=True)
             if args.claim is not None:
@@ -184,7 +192,7 @@ def main(argv=None):
                             runs["change"]), flush=True)
     if args.json:
         args.json.write_text(json.dumps(
-            {"seconds": args.seconds,
+            {"seconds": seconds,
              "checkouts": {k: str(v) for k, v in sides.items()},
              "runs": by_workload},
             indent=1))

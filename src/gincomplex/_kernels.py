@@ -45,10 +45,14 @@ nor on the number of slices.  Its block has a trials axis in front: changes
 that share their steps and differ only in the coefficient c (the trials of
 a gin) move together, with one binomial row per trial.
 
-``echelon_mod`` is the package's one Gaussian elimination mod p.  The
-Macaulay-matrix Hilbert function reads its rank through ``rank_mod``, and
-``poly.factor_change`` reads the row order and the L and U factors of each
-dense coordinate change off it.
+Two loops eliminate mod p, one per reader.  ``echelon_mod`` keeps what an
+LU reading needs: ``poly.factor_change`` reads the row order and the L and
+U factors of each dense coordinate change off it.  ``rank_mod`` serves the
+Macaulay-matrix Hilbert function, which needs the rank alone: it keeps no
+multipliers and no row order, updates only the rows a pivot reaches, defers
+the reduction mod p of what it updates for as long as int64 allows, and
+stops at full row rank.  Both take one pivot at a time; on matrices this
+small, the number of numpy calls per pivot is what costs.
 """
 
 import numpy as np
@@ -227,9 +231,68 @@ def echelon_mod(mat, p):
     return rank, order
 
 
+def _update_budget(p):
+    """Trailing-block updates an int64 entry takes before it must be reduced.
+
+    A reduced entry lies in [0, p), and each update subtracts a product of
+    two residues, at most (p - 1)^2, so after k updates it lies in
+    [-k (p - 1)^2, p): k stays within the budget while p + k (p - 1)^2 fits
+    in int64.  That is about 9e9 updates at p = 32003 and one at the
+    largest prime ``field.check_int64_prime`` admits, 3037000493.
+    """
+    return (2**63 - 1 - p) // (p - 1) ** 2
+
+
 def rank_mod(mat, p):
-    """Rank of an int64 matrix mod p (destroys ``mat``)."""
-    return echelon_mod(mat, p)[0]
+    """Rank of an int64 matrix mod p (destroys ``mat``).
+
+    The elimination of ``echelon_mod`` without its bookkeeping: no
+    multipliers are stored and no row order is kept, and each pivot updates
+    only the rows below it that are nonzero in its column.  The trailing
+    block is reduced mod p only when the next update would exceed
+    ``_update_budget(p)``, or when a column has no pivot and the loop asks
+    whether the rows without one are zero; the pivot column and the pivot
+    row are reduced before they are read, so a pivot is found, inverted and
+    applied on residues.  The loop stops once every row holds a pivot, or
+    once the rows without one are zero.
+    """
+    nrows, ncols = mat.shape
+    np.mod(mat, p, out=mat)
+    budget = _update_budget(p)
+    # updates the trailing block has taken since it was last reduced
+    pending = 0
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        column = mat[rank:, col]
+        if pending:
+            np.mod(column, p, out=column)
+        nz = column.nonzero()[0]
+        # the rows from the pivot down, right of its column
+        rest = mat[rank:, col + 1:]
+        if nz.size == 0:
+            if pending:
+                np.mod(rest, p, out=rest)
+                pending = 0
+            if not rest.any():
+                break
+            continue
+        if nz[0]:
+            mat[[rank, rank + nz[0]]] = mat[[rank + nz[0], rank]]
+        below = nz[1:]
+        if below.size:
+            if pending == budget:
+                np.mod(rest, p, out=rest)
+                pending = 0
+            # the pivot row is not read after this step
+            upper = rest[0]
+            np.mod(upper, p, out=upper)
+            factors = column[below] * pow(int(column[0]), p - 2, p) % p
+            rest[below] -= factors[:, None] * upper
+            pending += 1
+        rank += 1
+    return rank
 
 
 def warmup():

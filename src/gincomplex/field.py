@@ -7,6 +7,7 @@ different prime.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 from .errors import ConfigurationError, RingMismatchError
@@ -26,6 +27,21 @@ def check_int64_prime(p):
         raise ConfigurationError(
             f"modulus {p} is too large: p*p must fit in int64, so the "
             f"largest usable prime is 3037000493")
+
+
+@lru_cache(maxsize=64)
+def check_prime(p):
+    """Reject a modulus that is not a prime usable by the int64 kernels.
+
+    Over Z/p with p composite, the Fermat inverse pow(c, p - 2, p) that
+    every elimination takes is not an inverse, so results would be wrong
+    without an error.  The int64 bound is checked first, so an oversized
+    modulus fails before trial division.  Primes are cached: the check sits
+    on polynomial construction, where one modulus repeats.
+    """
+    check_int64_prime(p)
+    if not is_prime(p):
+        raise ConfigurationError(f"modulus {p!r} is not prime")
 
 
 def is_prime(n):
@@ -53,10 +69,7 @@ class PrimeField:
     def __post_init__(self):
         if not isinstance(self.p, int):
             raise ConfigurationError(f"modulus {self.p!r} is not prime")
-        # the bound first, so an oversized modulus fails before trial division
-        check_int64_prime(self.p)
-        if not is_prime(self.p):
-            raise ConfigurationError(f"modulus {self.p!r} is not prime")
+        check_prime(self.p)
         if self.p < 3:
             raise ConfigurationError("modulus must be an odd prime (p >= 3)")
 

@@ -82,7 +82,7 @@ from .errors import (
     NonBorelGinError,
     UnstableGinError,
 )
-from .field import DEFAULT_PRIME, check_int64_prime
+from .field import DEFAULT_PRIME, check_prime
 from .geometry import Prediction, surface_complexity_on_quadric
 from .groebner import (
     GroebnerBasis,
@@ -149,22 +149,15 @@ class CoordinateChange:
         return apply_linear_change(ideal, self)
 
 
-def _check_change_modulus(p):
-    """Reject p < 2 and p past the int64 bound; callers check primality."""
-    if p < 2:
-        raise ConfigurationError(f"coordinate changes need p >= 2, got {p}")
-    check_int64_prime(p)
-
-
 def random_change(seed, nvars, p=DEFAULT_PRIME):
     """Deterministic-from-seed uniform invertible matrix over F_p.
 
     Each draw is factored once; a singular draw is drawn again.  It serves
     the saturation change and the tests; gin trials draw
-    ``unitriangular_change``.  A p below 2 or past the int64 bound raises
-    ``ConfigurationError``.
+    ``unitriangular_change``.  A modulus that is not prime, or is past the
+    int64 bound, raises ``ConfigurationError``.
     """
-    _check_change_modulus(p)
+    check_prime(p)
     rng = SplitMix64(seed)
     while True:
         matrix = tuple(tuple(rng.below(p) for _ in range(nvars))
@@ -184,10 +177,11 @@ def unitriangular_change(seed, nvars, p=DEFAULT_PRIME):
     ("trans", i, j, c_ij) per pair j < i, a zero c included, so every draw
     of one size has the same steps.  Their product is the lower
     unitriangular matrix of the c_ij, which is always invertible, and the
-    inverse's steps are the same steps reversed, each c negated.  A p below
-    2 or past the int64 bound raises ``ConfigurationError``.
+    inverse's steps are the same steps reversed, each c negated.  A modulus
+    that is not prime, or is past the int64 bound, raises
+    ``ConfigurationError``.
     """
-    _check_change_modulus(p)
+    check_prime(p)
     rng = SplitMix64(seed)
     ops = tuple(("trans", i, j, rng.below(p))
                 for j in range(nvars) for i in range(j + 1, nvars))

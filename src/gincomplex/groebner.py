@@ -259,9 +259,15 @@ class _ChainedCover:
     new lead.  A lead below that degree would leave a kept mask stale, and
     rows it divides unreduced, so ``mark`` anywhere else raises
     ``GincomplexError``.
+
+    A Buchberger run asks only for the degree in progress, and chains the
+    next one from it, so it drops every mask below the degree before
+    (``drop_below``); asking for a dropped degree then raises
+    ``GincomplexError`` rather than read as all False.  Every other holder
+    keeps every mask.
     """
 
-    __slots__ = ("nvars", "order", "_masks", "_waiting", "_top")
+    __slots__ = ("nvars", "order", "_masks", "_waiting", "_top", "_floor")
 
     def __init__(self, nvars, order, leads=()):
         self.nvars = nvars
@@ -270,6 +276,8 @@ class _ChainedCover:
         # degree -> exponent rows of the leads the chain has not reached
         self._waiting = {}
         self._top = -1
+        # masks below this degree are dropped
+        self._floor = 0
         for lead in leads:
             lead = np.asarray(lead, dtype=np.int64)
             self._waiting.setdefault(int(lead.sum()), []).append(lead)
@@ -282,8 +290,18 @@ class _ChainedCover:
                 f"cover chained to degree {self._top}")
         self._masks[degree][row] = True
 
+    def drop_below(self, degree):
+        """Forget the masks of the degrees below ``degree``."""
+        for d in [d for d in self._masks if d < degree]:
+            del self._masks[d]
+        self._floor = max(self._floor, degree)
+
     def mask(self, degree):
         """Boolean mask of the degree-``degree`` table rows a lead divides."""
+        if degree < self._floor:
+            raise GincomplexError(
+                f"internal: the lead mask of degree {degree} was dropped; "
+                f"the cover keeps degree {self._floor} and up")
         for d in range(self._top + 1, degree + 1):
             below = self._masks.get(d - 1)
             waiting = self._waiting.pop(d, None)
@@ -556,11 +574,15 @@ class _DenseBackend:
 
         The elements of the degree before are final from here on, so their
         table rows are dropped, and so is the block kept for that degree,
-        before chaining the mask may build the next table.
+        before chaining the mask may build the next table.  Once it is
+        chained, the masks below ``degree - 1`` are dropped too: degrees
+        arrive in increasing order, and the next is chained from this one.
         """
         self._rows.clear()
         self._work = None
-        return self._cover.mask(degree)
+        mask = self._cover.mask(degree)
+        self._cover.drop_below(degree - 1)
+        return mask
 
     def _slice(self, tab):
         """The all-zero block of tab, one kept for every reduction.
@@ -973,21 +995,47 @@ def is_groebner_basis(gb):
 def hilbert_function_macaulay(ideal, m):
     """dim (R/I)_m as (#degree-m monomials) - rank of the Macaulay matrix.
 
+    The matrix has a row x^a * g_j for each generator g_j of degree at most
+    m and each monomial x^a of degree m - deg g_j, and its rank over F_p is
+    dim I_m.  Rows that the trivial syzygies g_i g_j = g_j g_i make
+    redundant are left out, which is the Koszul case of Faugere's F5
+    criterion (ISSAC 2002; Bardet-Faugere-Salvy, J. Symb. Comp. 70, 2015):
+    the row x^a * g_j is dropped when the graded-lex lead of an earlier
+    generator g_i, i < j, divides x^a.  Write x^a = lm(g_i) x^b and
+    g_i = c lm(g_i) + sum_t c_t t with c != 0 and every t < lm(g_i).  Then
+    x^b g_i g_j = x^b g_j g_i reads
+
+        c (x^a * g_j) = sum_u g_j[u] (x^b u * g_i) - sum_t c_t (t x^b * g_j),
+
+    u over the terms of g_j: rows of g_i and rows of g_j whose multipliers
+    t x^b are below x^a.  By induction on j and then on x^a in the order,
+    every dropped row is in the span of the kept ones, so the row space,
+    and with it the rank, is that of the full matrix.
+
     Independent of the monomial/initial-ideal count on purpose: the two
-    implementations serve as each other's oracle.
+    implementations serve as each other's oracle.  So it reads neither the
+    Buchberger engine nor a gin, only the generators, the monomial tables
+    and ``_kernels.rank_mod``.
     """
     if m < 0:
         return 0
     tab = table_for(ideal.nvars, m, GLEX)
     ncols = len(tab)
     blocks = []
+    # the graded-lex leads of the generators taken so far
+    leads = np.empty((len(ideal.generators), ideal.nvars), dtype=np.int64)
     total = 0
     for g in ideal.generators:
         d = g.degree
         if d > m:
             continue
-        mu = table_for(ideal.nvars, m - d, GLEX)
-        blocks.append((tab.rows(mu.exps[:, None] + g.exps[None]), g.coeffs))
+        mu = table_for(ideal.nvars, m - d, GLEX).exps
+        if blocks:
+            earlier = leads[None, :len(blocks)]
+            mu = mu[~(mu[:, None] >= earlier).all(axis=2).any(axis=1)]
+        # keys ascend as graded-lex monomials descend
+        leads[len(blocks)] = g.exps[(g.exps @ tab.weights).argmin()]
+        blocks.append((tab.rows(mu[:, None] + g.exps[None]), g.coeffs))
         total += len(mu)
     if total == 0:
         return ncols

@@ -23,9 +23,10 @@ adds a variable's weight to a key.
 
 A linear change of coordinates is applied as a sequence of permutation,
 transvection and scaling steps.  A dense matrix is factored into them once,
-by the package's one Gaussian elimination mod p (``_kernels.echelon_mod``),
-and the inverse's steps follow in closed form; a lower unitriangular change
-(``gin.unitriangular_change``) is drawn as its transvections directly.
+by the elimination mod p that keeps the L and U factors
+(``_kernels.echelon_mod``), and the inverse's steps follow in closed form;
+a lower unitriangular change (``gin.unitriangular_change``) is drawn as its
+transvections directly.
 Substitution moves all homogeneous pieces of one degree and order -- an
 ideal's generators, a polynomial's components -- together, as one block of
 coefficient vectors on their dense degree table.  Several changes that share
@@ -48,7 +49,7 @@ from .errors import (
     RingMismatchError,
     ZeroPolynomialError,
 )
-from .field import check_int64_prime
+from .field import check_prime
 
 LT, EQ, GT = -1, 0, 1
 
@@ -384,7 +385,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls, nvars, p, order=GLEX):
-        check_int64_prime(p)
+        check_prime(p)
         return cls(np.zeros((0, nvars), dtype=np.int64),
                    np.zeros(0, dtype=np.int64), nvars, p, order,
                    _presorted=True)
@@ -396,10 +397,10 @@ class Polynomial:
         Coefficients reduce mod p, duplicate monomials merge, zeros drop.
         Exponents must be nonnegative integers and coefficients integers,
         Python or numpy; anything else, a float even when integral, raises
-        ``GincomplexError``.  A modulus whose residue products overflow
-        int64 is rejected.
+        ``GincomplexError``.  A modulus that is not prime, or whose residue
+        products overflow int64, raises ``ConfigurationError``.
         """
-        check_int64_prime(p)
+        check_prime(p)
         acc = {}
         for e, c in terms:
             e = _exponent_row(e)
@@ -610,6 +611,9 @@ class Ideal:
             p = gens[0].p if p is None else p
         if nvars is None or p is None:
             raise GincomplexError("empty ideal needs explicit nvars and p")
+        if not gens:
+            # a generator's modulus was checked when it was built
+            check_prime(p)
         for g in gens:
             if g.nvars != nvars or g.p != p:
                 raise RingMismatchError("generators live in different rings")

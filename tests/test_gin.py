@@ -68,11 +68,12 @@ def test_unitriangular_change_steps_multiply_to_its_matrices(p):
 
 @pytest.mark.parametrize("draw", [random_change, unitriangular_change],
                          ids=["random", "unitriangular"])
-@pytest.mark.parametrize("p", [0, 1, 3037000507])
+@pytest.mark.parametrize("p", [0, 1, 4, 3037000507])
 def test_changes_reject_a_modulus_out_of_range(draw, p):
     # over a one-element ring every matrix is singular, so a dense draw
-    # would redraw forever; p = 0 has no residues to draw from; and
-    # 3037000507, the first prime past the bound, overflows int64 products
+    # would redraw forever; p = 0 has no residues to draw from; mod 4 the
+    # Fermat inverses of the factorization are wrong; and 3037000507, the
+    # first prime past the bound, overflows int64 products
     with pytest.raises(ConfigurationError):
         draw(1, 3, p)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gincomplex import _kernels
 from gincomplex import poly as poly_module
 from gincomplex.corpus import (
     golden_monomial_ideal,
@@ -175,6 +176,62 @@ def test_normal_form_matches_the_dict_division():
             assert got.order is want.order, case
             assert got.terms() == want.terms(), case
     assert inhomogeneous > 300 and shared_lead > 300
+
+
+@st.composite
+def _division_cases(draw):
+    """The cases of ``_random_division_case``, drawn by Hypothesis.
+
+    Reducers are 1-4 non-monic forms of degree 1..3 in 1-4 variables, each
+    in either order; some have a twin with the same lead in the division
+    order and a lower tail, and sometimes a zero reducer sits among them.
+    The dividend has 1-3 homogeneous components of degree 0..5.
+    """
+    nvars = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([7, 32003, 3037000493]))
+    order = draw(st.sampled_from([GLEX, GREVLEX]))
+    residue = st.integers(1, p - 1)
+
+    def form(degree, tag, below=None):
+        rows = [tuple(int(v) for v in e)
+                for e in table_for(nvars, degree, GLEX).exps]
+        if below is not None:
+            rows = [e for e in rows if order.key(e) < order.key(below)]
+        picked = draw(st.lists(st.sampled_from(rows), max_size=4)) if rows \
+            else []
+        return Polynomial.from_terms([(e, draw(residue)) for e in picked],
+                                     nvars, p, tag)
+
+    reducers = []
+    for _ in range(draw(st.integers(1, 4))):
+        r = form(draw(st.integers(1, 3)), draw(st.sampled_from([GLEX,
+                                                                 GREVLEX])))
+        if r.is_zero:
+            continue
+        reducers.append(r)
+        if draw(st.booleans()):
+            lead = r.with_order(order).leading_monomial()
+            reducers.append(Polynomial.monomial(lead, nvars, p, order,
+                                                draw(residue))
+                            + form(sum(lead), order, below=lead))
+    if draw(st.integers(0, 7)) == 0:
+        reducers.insert(draw(st.integers(0, len(reducers))),
+                        Polynomial.zero(nvars, p))
+    f = Polynomial.zero(nvars, p, draw(st.sampled_from([GLEX, GREVLEX])))
+    for d in draw(st.lists(st.integers(0, 5), min_size=1, max_size=3)):
+        f = f + form(d, f.order)
+    return f, reducers, order
+
+
+@settings(max_examples=200)
+@given(_division_cases())
+def test_normal_form_matches_the_dict_division_property(case):
+    f, reducers, order = case
+    for o in (order, None):
+        want = _normal_form_reference(f, reducers, o)
+        got = normal_form(f, reducers, o)
+        assert got.order is want.order
+        assert got.terms() == want.terms()
 
 
 def test_normal_form_rejects_reducers_from_another_ring():
@@ -804,6 +861,29 @@ def test_lockstep_backend_stays_in_step(store, monkeypatch):
                 == {tuple(g.terms()) for g in separate})
 
 
+def test_buchberger_run_keeps_two_lead_masks(store, monkeypatch):
+    # a run chains each degree from the one below and reads no lower one,
+    # so it keeps only the masks of the degree in progress and the one
+    # below; keeping every mask gives the same basis
+    ideal = store.ideal("ci23")
+    kept = []
+    begin = _DenseBackend.begin_degree
+
+    def recording(backend, degree):
+        mask = begin(backend, degree)
+        kept.append((degree, set(backend._cover._masks)))
+        return mask
+
+    monkeypatch.setattr(_DenseBackend, "begin_degree", recording)
+    gb = buchberger(ideal, GLEX)
+    assert len(kept) > 3
+    assert all(masks <= {degree - 1, degree} for degree, masks in kept)
+    assert any(len(masks) == 2 for _, masks in kept)
+    monkeypatch.setattr(_ChainedCover, "drop_below", lambda cover, d: None)
+    assert ([g.terms() for g in buchberger(ideal, GLEX)]
+            == [g.terms() for g in gb])
+
+
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
 @pytest.mark.parametrize("name",
                          ["scroll", "ci22", "castelnuovo", "ci23", "acm4"])
@@ -1101,6 +1181,93 @@ def test_hilbert_function_macaulay():
         assert hilbert_function_macaulay(scroll(), m) == \
             len(table_for(5, m, GLEX))
     assert hilbert_function_macaulay(Ideal([], 4, P), 3) == 20
+
+
+def _macaulay_unpruned(ideal, m):
+    """dim (R/I)_m off the full Macaulay matrix, a row for every generator
+    of degree at most m and every multiplier: the construction the
+    Koszul-pruned one replaced, ranked by ``echelon_mod``."""
+    tab = table_for(ideal.nvars, m, GLEX)
+    rows = []
+    for g in ideal.generators:
+        if g.degree > m:
+            continue
+        for mu in table_for(ideal.nvars, m - g.degree, GLEX).exps:
+            row = np.zeros(len(tab), dtype=np.int64)
+            row[tab.rows(g.exps + mu)] = g.coeffs
+            rows.append(row)
+    if not rows:
+        return len(tab)
+    return len(tab) - _kernels.echelon_mod(np.array(rows), ideal.p)[0]
+
+
+@st.composite
+def _macaulay_cases(draw, p):
+    """An ideal mod p and a degree m in 0..5.
+
+    1-3 random generators in 1-4 variables, of degree 1..m + 2, so some lie
+    above m; then up to three more, each put anywhere in the list: a scalar
+    multiple of a generator, its product with a variable, or a form with
+    its graded-lex lead and another tail.  Generators are in either order.
+    """
+    nvars = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 5))
+    order = draw(st.sampled_from([GLEX, GREVLEX]))
+    residue = st.integers(1, p - 1)
+
+    def form(degree, lead=None):
+        tab = table_for(nvars, degree, GLEX)
+        # the rows after ``lead``'s hold the monomials below it in glex
+        low = 0 if lead is None else lead + 1
+        rows = set(draw(st.lists(st.integers(low, len(tab) - 1), max_size=3))
+                   if low < len(tab) else [])
+        rows.add(draw(st.integers(0, len(tab) - 1)) if lead is None
+                 else lead)
+        return Polynomial.from_terms(
+            [(tuple(tab.exps[r]), draw(residue)) for r in sorted(rows)],
+            nvars, p, order)
+
+    gens = [form(draw(st.integers(1, m + 2)))
+            for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 3))):
+        g = draw(st.sampled_from(gens))
+        kind = draw(st.sampled_from(["scaled", "times a variable", "lead"]))
+        if kind == "scaled":
+            extra = g.mul_term(draw(residue), (0,) * nvars)
+        elif kind == "times a variable":
+            var = draw(st.integers(0, nvars - 1))
+            extra = g.mul_term(1, tuple(int(i == var) for i in range(nvars)))
+        else:
+            lead = int(table_for(nvars, g.degree, GLEX).rows(g.exps).min())
+            extra = form(g.degree, lead)
+        gens.insert(draw(st.integers(0, len(gens))), extra)
+    return Ideal(gens, nvars, p), m
+
+
+@pytest.mark.parametrize("p", [7, 32003])
+@settings(max_examples=150)
+@given(data=st.data())
+def test_pruned_macaulay_rank_equals_the_full_matrix_property(p, data):
+    ideal, m = data.draw(_macaulay_cases(p))
+    assert hilbert_function_macaulay(ideal, m) == _macaulay_unpruned(ideal, m)
+
+
+def test_macaulay_matrix_drops_the_koszul_rows(store, monkeypatch):
+    # two quadrics at degree 6: 70 multipliers each, of which the 15 that
+    # the first quadric's lead divides are dropped from the second; what is
+    # left has full row rank
+    shapes = []
+    rank_mod = _kernels.rank_mod
+
+    def spying(mat, p):
+        shapes.append(mat.shape)
+        return rank_mod(mat, p)
+
+    monkeypatch.setattr(_kernels, "rank_mod", spying)
+    ideal = store.ideal("ci22")
+    assert hilbert_function_macaulay(ideal, 6) == 210 - 125
+    assert shapes == [(125, 210)]
+    assert _macaulay_unpruned(ideal, 6) == 210 - 125
 
 
 def test_macaulay_equals_monomial_count_on_scroll():

@@ -469,6 +469,20 @@ def test_chained_cover_rejects_a_mark_off_the_chained_top():
     assert cover.mask(3).sum() == 4
 
 
+def test_chained_cover_refuses_a_dropped_degree():
+    cover = _ChainedCover(3, GLEX, [(1, 1, 0)])
+    top = cover.mask(5).copy()
+    cover.drop_below(4)
+    assert sorted(cover._masks) == [4, 5]
+    assert (cover.mask(5) == top).all()
+    # a dropped mask, or one below where the chain began, is not all False
+    for degree in (0, 2, 3):
+        with pytest.raises(GincomplexError, match="dropped"):
+            cover.mask(degree)
+    assert (cover.mask(6) == (table_for(3, 6, GLEX).exps[:, :2] >= 1)
+            .all(axis=1)).all()
+
+
 def _binom_c(degree, c, p):
     """C(n, k) * c^k mod p for n, k <= degree."""
     return np.array([[math.comb(n, k) * pow(c, k, p) % p
@@ -593,13 +607,26 @@ def _product(rng, rows, inner, cols, p):
                     dtype=np.int64).reshape(rows, cols)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+# rank_mod's update budget is 2 at 2147483647 and 9 at 1000000007, so these
+# primes run its deferred reduction of the trailing block between the
+# every-step reduction at 3037000493 and none at all at 32003
+RANK_PRIMES = PRIMES + [2147483647, 1000000007]
+
+
+@pytest.mark.parametrize("p", RANK_PRIMES)
 def test_rank_mod_matches_loop(p):
     rng = SplitMix64(909)
-    for trial in range(30):
-        rows = 1 + rng.below(12)
-        cols = 1 + rng.below(12)
-        inner = 1 + rng.below(min(rows, cols) + 1)
+    ranks = []
+    for trial in range(40):
+        if trial < 30:
+            rows = 1 + rng.below(12)
+            cols = 1 + rng.below(12)
+            inner = 1 + rng.below(min(rows, cols) + 1)
+        else:
+            # more pivots than a budget of 9 allows between reductions
+            rows = 12 + rng.below(7)
+            cols = 12 + rng.below(7)
+            inner = min(rows, cols) - rng.below(2)
         mat = _product(rng, rows, inner, cols, p)
         kernel = mat.copy()
         loop = mat.copy()
@@ -609,6 +636,10 @@ def test_rank_mod_matches_loop(p):
         assert (order == loop_order).all()
         assert rank <= min(rows, cols, inner)
         assert (kernel == loop).all()
+        ranks.append(rank)
+    budget = _kernels._update_budget(p)
+    if budget < 10:
+        assert sum(r > budget + 1 for r in ranks) >= 10
 
 
 def _square(rng, p):
@@ -644,3 +675,16 @@ def test_rank_identity_and_singular():
     assert _kernels.rank_mod(sing.copy(), P) == 1
     scaled = (np.eye(3, dtype=np.int64) * P)
     assert _kernels.rank_mod(scaled.copy(), P) == 0
+    # eliminating leaves 2 - 3 * 3 = -7 below the pivot: zero mod 7 though
+    # not reduced, so the column is reduced before its pivot is sought
+    assert _kernels.rank_mod(np.array([[1, 3], [3, 2]]), 7) == 1
+    assert _kernels.rank_mod(np.array([[1, 3, 0], [3, 2, 1]]), 7) == 2
+
+
+def test_rank_mod_budgets():
+    assert [_kernels._update_budget(p) for p in
+            (3037000493, 2147483647, 1000000007)] == [1, 2, 9]
+    for p in RANK_PRIMES:
+        # the largest k with p + k (p - 1)^2 within int64
+        k = _kernels._update_budget(p)
+        assert p + k * (p - 1) ** 2 <= 2**63 - 1 < p + (k + 1) * (p - 1) ** 2

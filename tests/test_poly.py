@@ -416,6 +416,22 @@ def test_prime_above_int64_bound_is_a_configuration_error():
             Polynomial.from_terms([((1, 0), 1)], 2, p)
 
 
+def test_composite_modulus_is_a_configuration_error():
+    # mod 4 the Fermat inverse pow(c, p - 2, p) is no inverse, and two
+    # quadrics in 3 variables would read H(4) = 3 off the Macaulay matrix,
+    # which no pair of quadrics over a field has; 3037000491 = 21 *
+    # 144619071 lies just below the largest usable prime
+    for p in (1, 4, 9, 3037000491):
+        with pytest.raises(ConfigurationError, match="not prime"):
+            Polynomial.zero(3, p)
+        with pytest.raises(ConfigurationError, match="not prime"):
+            Polynomial.from_terms([((2, 0, 0), 1)], 3, p)
+        with pytest.raises(ConfigurationError, match="not prime"):
+            Ideal([], 3, p)
+    assert Polynomial.from_terms([((2, 0, 0), 5)], 3, 2).terms() == \
+        [((2, 0, 0), 1)]
+
+
 def test_order_mismatch_arithmetic_rejected():
     f = poly([((1, 0, 0, 0, 0), 1)])
     g = poly([((0, 1, 0, 0, 0), 1)], order=GREVLEX)
