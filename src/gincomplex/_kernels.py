@@ -1,7 +1,7 @@
-"""Hot numeric kernels: dense reduction, linear substitution, elimination mod p.
+"""Hot numeric kernels: dense reduction, linear substitution, rank mod p.
 
-One numpy implementation of each kernel.  ``tests/test_kernels.py`` keeps a
-scalar loop for each as the reference the kernels must match exactly.
+One numpy implementation of each kernel.  The tests keep a scalar loop for
+each as the reference the kernels must match exactly.
 
 Conventions shared by all kernels:
 
@@ -45,14 +45,14 @@ nor on the number of slices.  Its block has a trials axis in front: changes
 that share their steps and differ only in the coefficient c (the trials of
 a gin) move together, with one binomial row per trial.
 
-Two loops eliminate mod p, one per reader.  ``echelon_mod`` keeps what an
-LU reading needs: ``poly.factor_change`` reads the row order and the L and
-U factors of each dense coordinate change off it.  ``rank_mod`` serves the
-Macaulay-matrix Hilbert function, which needs the rank alone: it keeps no
-multipliers and no row order, updates only the rows a pivot reaches, defers
-the reduction mod p of what it updates for as long as int64 allows, and
-stops at full row rank.  Both take one pivot at a time; on matrices this
-small, the number of numpy calls per pivot is what costs.
+``rank_mod`` serves the Macaulay-matrix Hilbert function, which needs the
+rank alone: it keeps no multipliers and no row order, updates only the rows
+a pivot reaches, defers the reduction mod p of what it updates for as long
+as int64 allows, and stops at full row rank.  It takes one pivot at a time;
+on matrices this small, the number of numpy calls per pivot is what costs.
+The package's other elimination, which factors a dense coordinate change,
+is n x n for n variables and runs in Python integers in
+``poly.factor_change``.
 """
 
 import numpy as np
@@ -192,45 +192,6 @@ def transvect(block, plan, binom_c, p):
 # forward elimination over F_p
 # ---------------------------------------------------------------------------
 
-def echelon_mod(mat, p):
-    """In-place forward elimination of an int64 matrix mod p.
-
-    Column by column, the pivot is the first nonzero row at or below the
-    current rank; a column with none is skipped.  Each row below the pivot
-    keeps its multiplier (entry / pivot) in the pivot column and is reduced
-    to the right of it, so ``mat`` ends with the unit lower factor L below
-    the pivots and U from each pivot rightwards: for a nonsingular square
-    matrix, ``mat[order] = L U`` of the input.  Returns ``(rank, order)``,
-    where ``order[i]`` is the input row now at row i.
-    """
-    nrows, ncols = mat.shape
-    np.mod(mat, p, out=mat)
-    order = np.arange(nrows)
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        nz = mat[rank:, col].nonzero()[0]
-        if nz.size == 0:
-            continue
-        pivot = rank + int(nz[0])
-        if pivot != rank:
-            mat[[rank, pivot]] = mat[[pivot, rank]]
-            order[[rank, pivot]] = order[[pivot, rank]]
-        # rows above the old pivot row were zero in this column, so the
-        # swap leaves the nonzero rows below the pivot where they were
-        below = rank + nz[1:]
-        if below.size:
-            inv = pow(int(mat[rank, col]), p - 2, p)
-            factors = (mat[below, col] * inv) % p
-            mat[below, col] = factors
-            upper = mat[rank, col + 1:]
-            mat[below, col + 1:] = (mat[below, col + 1:]
-                                    - factors[:, None] * upper) % p
-        rank += 1
-    return rank, order
-
-
 def _update_budget(p):
     """Trailing-block updates an int64 entry takes before it must be reduced.
 
@@ -246,9 +207,10 @@ def _update_budget(p):
 def rank_mod(mat, p):
     """Rank of an int64 matrix mod p (destroys ``mat``).
 
-    The elimination of ``echelon_mod`` without its bookkeeping: no
-    multipliers are stored and no row order is kept, and each pivot updates
-    only the rows below it that are nonzero in its column.  The trailing
+    Column by column, the pivot is the first nonzero row at or below the
+    current rank; a column with none is skipped.  No multipliers are stored
+    and no row order is kept, and each pivot updates only the rows below it
+    that are nonzero in its column.  The trailing
     block is reduced mod p only when the next update would exceed
     ``_update_budget(p)``, or when a column has no pivot and the loop asks
     whether the rows without one are zero; the pivot column and the pivot

@@ -23,10 +23,10 @@ adds a variable's weight to a key.
 
 A linear change of coordinates is applied as a sequence of permutation,
 transvection and scaling steps.  A dense matrix is factored into them once,
-by the elimination mod p that keeps the L and U factors
-(``_kernels.echelon_mod``), and the inverse's steps follow in closed form;
-a lower unitriangular change (``gin.unitriangular_change``) is drawn as its
-transvections directly.
+by a row-pivoted LU elimination mod p in Python integers
+(``factor_change``; the matrix is n x n for n variables), and the
+inverse's steps follow in closed form; a lower unitriangular change
+(``gin.unitriangular_change``) is drawn as its transvections directly.
 Substitution moves all homogeneous pieces of one degree and order -- an
 ideal's generators, a polynomial's components -- together, as one block of
 coefficient vectors on their dense degree table.  Several changes that share
@@ -661,25 +661,62 @@ def _inverse_perm(tau):
     return tuple(sorted(range(len(tau)), key=tau.__getitem__))
 
 
-def _substitution_ops(matrix, p):
-    """Factor a square matrix mod p into substitution steps; None if singular.
+def _is_square(matrix, n):
+    """True when ``matrix`` is n rows of n entries each."""
+    return len(matrix) == n and all(
+        hasattr(row, "__len__") and len(row) == n for row in matrix)
 
-    Row-pivoted elimination (``_kernels.echelon_mod``) writes A = P^T L D U1
-    as steps ("perm", tau), ("trans", i, j, c) and ("scale", i, c) -- the
+
+def factor_change(matrix, p):
+    """Factor a square matrix mod p for substitution in both directions.
+
+    Row-pivoted elimination, in Python integers, writes A = P^T L D U1 as
+    steps ("perm", tau), ("trans", i, j, c) and ("scale", i, c) -- the
     matrices with rows e_tau(i), I + c E_ij and I + (c-1) E_ii -- whose
     product in list order is A.  That identity is asserted because
-    substitution correctness hinges on it.  Returns the steps and the
-    inverses of the n diagonal entries of D.
+    substitution correctness hinges on it.  The inverse's steps are the
+    forward steps reversed, each one inverted; their product is the inverse
+    matrix.
+
+    Returns (steps, inverse steps, inverse matrix), or None when the matrix
+    is singular.  An entry that is not a Python or numpy integer raises
+    ``GincomplexError``, and a ragged or non-square matrix
+    ``RingMismatchError``.
     """
     n = len(matrix)
+    if not _is_square(matrix, n):
+        raise RingMismatchError(
+            f"change of coordinates must be a square matrix, got {matrix!r}")
+    for row in matrix:
+        for x in row:
+            if not isinstance(x, (int, np.integer)):
+                raise GincomplexError(
+                    f"entries of a change of coordinates must be integers, "
+                    f"got {x!r}")
     target = tuple(tuple(int(x) % p for x in row) for row in matrix)
-    lu = np.array(target, dtype=np.int64).reshape(n, n)
-    rank, order = _kernels.echelon_mod(lu, p)
-    if rank < n:
-        return None
-    # lu now holds the unit lower factor below the diagonal and U from it up
-    m = lu.tolist()
-    perm = order.tolist()
+    # column by column, the pivot is the first nonzero row at or below the
+    # diagonal, swapped up whole; each row below keeps its multiplier in the
+    # pivot column, so m ends with the unit lower factor L below the
+    # diagonal and U from it up: L U is the input's rows in ``perm`` order
+    m = [list(row) for row in target]
+    perm = list(range(n))
+    inverses = []
+    for j in range(n):
+        pivot = next((r for r in range(j, n) if m[r][j]), None)
+        if pivot is None:
+            return None
+        if pivot != j:
+            m[j], m[pivot] = m[pivot], m[j]
+            perm[j], perm[pivot] = perm[pivot], perm[j]
+        inv = pow(m[j][j], p - 2, p)
+        inverses.append(inv)
+        upper = m[j][j + 1:]
+        for row in m[j + 1:]:
+            if row[j]:
+                factor = row[j] * inv % p
+                row[j] = factor
+                row[j + 1:] = [(a - factor * b) % p
+                               for a, b in zip(row[j + 1:], upper)]
     ops = []
     # P^T sends row i to basis vector at perm^{-1}(i)
     if perm != list(range(n)):
@@ -691,29 +728,15 @@ def _substitution_ops(matrix, p):
     for i in range(n):
         if m[i][i] != 1:
             ops.append(("scale", i, m[i][i]))
-    inverses = tuple(pow(m[i][i], p - 2, p) for i in range(n))
     # unit upper part factors column by column, right to left
     for j in range(n - 1, -1, -1):
         for i in range(j):
             c = (m[i][j] * inverses[i]) % p
             if c:
                 ops.append(("trans", i, j, c))
+    ops = tuple(ops)
     if _ops_product(ops, n, p) != target:
         raise GincomplexError("internal: substitution factorization mismatch")
-    return tuple(ops), inverses
-
-
-def factor_change(matrix, p):
-    """Factor a square matrix mod p for substitution in both directions.
-
-    Returns (steps, inverse steps, inverse matrix), or None when the matrix
-    is singular.  The inverse's steps are the forward steps reversed, each
-    one inverted; their product is the inverse matrix.
-    """
-    factored = _substitution_ops(matrix, p)
-    if factored is None:
-        return None
-    ops, inverses = factored
     inverse_ops = []
     for op in reversed(ops):
         if op[0] == "perm":
@@ -724,7 +747,7 @@ def factor_change(matrix, p):
         else:
             inverse_ops.append(("scale", op[1], inverses[op[1]]))
     inverse_ops = tuple(inverse_ops)
-    return ops, inverse_ops, _ops_product(inverse_ops, len(matrix), p)
+    return ops, inverse_ops, _ops_product(inverse_ops, n, p)
 
 
 def _ops_product(ops, n, p):
@@ -848,12 +871,12 @@ def _change_ops(f, change):
     """The substitution steps of ``change``, checked against f's ring."""
     matrix = getattr(change, "matrix", change)
     n = f.nvars
-    if len(matrix) != n or any(len(row) != n for row in matrix):
+    if not _is_square(matrix, n):
         raise RingMismatchError(
             f"change of coordinates must be {n}x{n} for {n} variables")
     ops = getattr(change, "ops", None)
     if ops is None:
-        factored = _substitution_ops(matrix, f.p)
+        factored = factor_change(matrix, f.p)
         if factored is None:
             raise GincomplexError("singular coordinate change")
         return factored[0]
@@ -904,7 +927,8 @@ def apply_linear_change(f, change):
     ``change`` is either a factored change -- an object with ``matrix``,
     ``ops`` and ``p`` attributes, such as ``gin.CoordinateChange`` -- whose
     stored steps are applied without any elimination, or a raw matrix (rows
-    of ints), which is factored on this call.  All homogeneous pieces of one
+    of Python or numpy integers), which ``factor_change`` factors on this
+    call.  All homogeneous pieces of one
     degree and order -- an ideal's generators, a polynomial's components --
     move together on their dense degree table.  Degree and homogeneity are
     preserved; a singular raw matrix is rejected, also for the zero

@@ -34,6 +34,34 @@ extended_only = pytest.mark.skipif(
     not EXTENDED, reason="set GINCOMPLEX_EXTENDED=1 to run the heavy target")
 
 
+def rank_mod_loop(mat, p):
+    """Rank of a matrix mod p by forward elimination in Python integers.
+
+    The scalar reference for ``_kernels.rank_mod`` and for the singularity
+    verdict of ``poly.factor_change``, and the rank of the unpruned Macaulay
+    matrix; ``mat`` is any sequence of rows and is left as it is.
+    """
+    rows = [[int(x) % p for x in row] for row in mat]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        upper = rows[rank]
+        inv = pow(upper[col], p - 2, p)
+        for row in rows[rank + 1:]:
+            if row[col]:
+                f = row[col] * inv % p
+                row[col:] = [(a - f * b) % p
+                             for a, b in zip(row[col:], upper[col:])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
     _kernels.warmup()

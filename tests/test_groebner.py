@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import rank_mod_loop
 from gincomplex import _kernels
 from gincomplex import poly as poly_module
 from gincomplex.corpus import (
@@ -1186,7 +1187,8 @@ def test_hilbert_function_macaulay():
 def _macaulay_unpruned(ideal, m):
     """dim (R/I)_m off the full Macaulay matrix, a row for every generator
     of degree at most m and every multiplier: the construction the
-    Koszul-pruned one replaced, ranked by ``echelon_mod``."""
+    Koszul-pruned one replaced, ranked by the scalar ``rank_mod_loop`` so
+    that it shares no code with ``_kernels.rank_mod``."""
     tab = table_for(ideal.nvars, m, GLEX)
     rows = []
     for g in ideal.generators:
@@ -1196,9 +1198,7 @@ def _macaulay_unpruned(ideal, m):
             row = np.zeros(len(tab), dtype=np.int64)
             row[tab.rows(g.exps + mu)] = g.coeffs
             rows.append(row)
-    if not rows:
-        return len(tab)
-    return len(tab) - _kernels.echelon_mod(np.array(rows), ideal.p)[0]
+    return len(tab) - rank_mod_loop(rows, ideal.p)
 
 
 @st.composite

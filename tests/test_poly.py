@@ -28,6 +28,7 @@ from gincomplex.poly import (
     apply_linear_change,
     apply_linear_changes,
     compare,
+    factor_change,
     monomial_divides,
     monomial_lcm,
     table_for,
@@ -526,6 +527,23 @@ def test_singular_change_rejected():
     for f in (poly([((1, 0, 0, 0, 0), 1)]), Polynomial.zero(5, P)):
         with pytest.raises(GincomplexError, match="singular"):
             apply_linear_change(f, mat)
+
+
+def test_raw_change_must_be_a_square_integer_matrix():
+    # a float or string entry is refused, never truncated or parsed
+    f = poly([((1, 0), 1)], nvars=2)
+    for bad in ([[1.5, 0], [0, 1]], [["1", 0], [0, 1]], np.eye(2)):
+        with pytest.raises(GincomplexError, match="integers"):
+            apply_linear_change(f, bad)
+        with pytest.raises(GincomplexError, match="integers"):
+            factor_change(bad, 7)
+    assert apply_linear_change(f, [[np.int64(2), 0], [0, 1]]) == \
+        poly([((1, 0), 2)], nvars=2)
+    for ragged in ([[1, 0], [0]], [[1, 0, 0], [0, 1, 0]], [[1, 0]], [1, 0]):
+        with pytest.raises(RingMismatchError, match="square"):
+            factor_change(ragged, 7)
+        with pytest.raises(RingMismatchError):
+            apply_linear_change(f, ragged)
 
 
 def test_change_roundtrip_and_reference_agreement():
