@@ -1,4 +1,4 @@
-"""Hot numeric kernels: dense reduction, linear substitution, rank mod p.
+"""Hot numeric kernels: dense reduction, substitution, rank and product mod p.
 
 One numpy implementation of each kernel.  The tests keep a scalar loop for
 each as the reference the kernels must match exactly.
@@ -45,17 +45,26 @@ nor on the number of slices.  Its block has a trials axis in front: changes
 that share their steps and differ only in the coefficient c (the trials of
 a gin) move together, with one binomial row per trial.
 
-``rank_mod`` serves the Macaulay-matrix Hilbert function, which needs the
-rank alone: it keeps no multipliers and no row order, updates only the rows
-a pivot reaches, defers the reduction mod p of what it updates for as long
-as int64 allows, and stops at full row rank.  It takes one pivot at a time;
-on matrices this small, the number of numpy calls per pivot is what costs.
-The package's other elimination, which factors a dense coordinate change,
-is n x n for n variables and runs in Python integers in
+``rank_mod`` and ``matmul_mod`` serve the Macaulay-matrix Hilbert function,
+which needs the rank alone.  The rows of the matrix's first generator are
+pivots before any elimination (``groebner.hilbert_function_macaulay``), so
+the caller eliminates them by block products, ``matmul_mod``, a few per
+matrix and none per pivot, and hands ``rank_mod`` only the remainder, the
+rows whose pivots must be searched for.  ``rank_mod`` keeps no multipliers
+and no row order, updates only the rows a pivot reaches, defers the
+reduction mod p of what it updates for as long as int64 allows, and stops
+at full row rank.  It takes one pivot at a time; on matrices this small,
+the number of numpy calls per pivot is what costs.  ``matmul_mod`` runs
+float64 GEMMs on 16-bit limbs of the residues, exact while every sum stays
+below 2^53.  The package's other elimination, which factors a dense
+coordinate change, is n x n for n variables and runs in Python integers in
 ``poly.factor_change``.
 """
 
 import numpy as np
+
+from .errors import ConfigurationError
+from .field import check_int64_prime
 
 # read by the benchmark harness, which records which path ran
 USING_NUMBA = False
@@ -255,6 +264,45 @@ def rank_mod(mat, p):
             pending += 1
         rank += 1
     return rank
+
+
+# an inner dimension below this keeps every float64 sum of limb products,
+# each below 2^32, under 2^53, where float64 holds integers exactly
+_MATMUL_INNER_LIMIT = 2**21
+
+def matmul_mod(a, b, p):
+    """a @ b mod p for int64 matrices of residues in [0, p), exactly.
+
+    The products run as float64 GEMMs on 16-bit limbs of the residues: one
+    limb for p <= 2^16, so one GEMM, and two limbs, high and low, up to
+    3037000493.  The four limb products of two limbs come out of one GEMM
+    of the stacked limbs of ``a`` against the side-by-side limbs of ``b``,
+    and are recombined in int64 by Horner's rule in 2^16.  Each limb
+    product is below 2^32, so a sum of fewer than 2^21 of them is below
+    2^53 and exact in float64.  A larger inner dimension, or a p whose
+    residue products overflow int64, raises ``ConfigurationError``.
+    """
+    inner = a.shape[1]
+    if inner >= _MATMUL_INNER_LIMIT:
+        raise ConfigurationError(
+            f"matmul_mod: inner dimension {inner} is not below "
+            f"{_MATMUL_INNER_LIMIT}, where float64 sums stay exact")
+    check_int64_prime(p)
+    if p <= 2**16:
+        prod = a.astype(np.float64) @ b.astype(np.float64)
+        return prod.astype(np.int64) % p
+    rows, cols = a.shape[0], b.shape[1]
+    limbs_a = np.concatenate((a >> 16, a & 0xFFFF)).astype(np.float64)
+    limbs_b = np.concatenate((b >> 16, b & 0xFFFF), axis=1).astype(np.float64)
+    prod = (limbs_a @ limbs_b).astype(np.int64)
+    high, low = prod[:rows], prod[rows:]
+    # (hi_a hi_b mod p) 2^16 + the two cross products stays below 2^55
+    out = (high[:, :cols] % p << 16) + high[:, cols:] + low[:, :cols]
+    out %= p
+    out <<= 16
+    out += low[:, cols:]
+    out %= p
+    return out
 
 
 def warmup():

@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     UnstableGinError,
 )
-from .field import DEFAULT_PRIME, check_int64_prime, is_prime
+from .field import DEFAULT_PRIME, check_int64_prime, check_prime, is_prime
 from .gin import (
     DEFAULT_MIN_AGREE,
     DEFAULT_SEED_BASE,
@@ -52,6 +52,7 @@ from .poly import (
     DEGREE_CAP,
     GLEX,
     GREVLEX,
+    NVARS_CAP,
     ORDERS,
     Ideal,
     Polynomial,
@@ -89,9 +90,11 @@ def _tokenize(text, lineno):
             i += 1
             continue
         col = i + 1
-        if ch.isdigit():
+        # decimal digits, which int() reads; a superscript digit is a
+        # digit but not a decimal one
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("INT", int(text[i:j]), lineno, col))
             i = j
@@ -103,7 +106,7 @@ def _tokenize(text, lineno):
             word = text[i:j]
             if word == "ring":
                 tokens.append(("RING", word, lineno, col))
-            elif word[0] == "x" and word[1:].isdigit():
+            elif word[0] == "x" and word[1:].isdecimal():
                 tokens.append(("VAR", int(word[1:]), lineno, col))
             else:
                 raise ParseError(f"unexpected word {word!r}", lineno, col)
@@ -126,10 +129,12 @@ class _LineParser:
     terms are integer work; only a parenthesized sum is multiplied out.
     """
 
-    def __init__(self, tokens, lineno, nvars, p):
+    def __init__(self, tokens, lineno, nvars, p, end):
         self.tokens = tokens
         self.pos = 0
         self.lineno = lineno
+        # the column an "unexpected end of line" points at
+        self.end = end
         self.nvars = nvars
         self.p = p
         self.depth = 0
@@ -140,7 +145,7 @@ class _LineParser:
     def _next(self):
         tok = self._peek()
         if tok is None:
-            raise ParseError("unexpected end of line", self.lineno)
+            raise ParseError("unexpected end of line", self.lineno, self.end)
         self.pos += 1
         return tok
 
@@ -280,8 +285,19 @@ class _LineParser:
         raise ParseError(f"unexpected token {tok[1]!r}", self.lineno, tok[3])
 
 
+def _end_column(raw):
+    """The column just past the last token of a line."""
+    return len(raw.split("#", 1)[0].rstrip()) + 1
+
+
 def scan_header(text):
-    """(nvars, file prime or None) from the first significant line."""
+    """(nvars, file prime or None, its line) from the first significant line.
+
+    Each header error is a ``ParseError`` at the token it is about: a
+    missing token's column is the end of the line.  The file prime is
+    checked here, against the int64 bound first and then for primality,
+    whether or not a caller overrides it.
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(raw, lineno)
         if not tokens:
@@ -289,18 +305,35 @@ def scan_header(text):
         if tokens[0][0] != "RING":
             raise ParseError("first line must be 'ring <nvars> [<prime>]'",
                              lineno, tokens[0][3])
-        if len(tokens) not in (2, 3) or tokens[1][0] != "INT":
-            raise ParseError("malformed ring header", lineno)
-        nvars = tokens[1][1]
+        if len(tokens) == 1:
+            raise ParseError("ring header needs the number of variables",
+                             lineno, _end_column(raw))
+        for tok in tokens[1:3]:
+            if tok[0] != "INT":
+                raise ParseError(f"malformed ring header: expected an "
+                                 f"integer, found {tok[1]!r}", lineno, tok[3])
+        if len(tokens) > 3:
+            raise ParseError(f"malformed ring header: trailing input "
+                             f"{tokens[3][1]!r}", lineno, tokens[3][3])
+        _, nvars, _, col = tokens[1]
         if nvars < 1:
-            raise ParseError("ring needs at least one variable", lineno)
-        file_prime = None
-        if len(tokens) == 3:
-            if tokens[2][0] != "INT":
-                raise ParseError("malformed ring header", lineno)
-            file_prime = tokens[2][1]
+            raise ParseError("ring needs at least one variable", lineno, col)
+        if nvars > NVARS_CAP:
+            raise ParseError(f"{nvars} variables exceed the variable cap "
+                             f"{NVARS_CAP}", lineno, col)
+        if len(tokens) == 2:
+            return nvars, None, lineno
+        _, file_prime, _, col = tokens[2]
+        try:
+            # the size check first: trial division of a huge p never returns
+            check_int64_prime(file_prime)
+        except ConfigurationError as exc:
+            raise ParseError(str(exc), lineno, col) from None
+        if not is_prime(file_prime):
+            raise ParseError(f"modulus {file_prime} is not prime", lineno,
+                             col)
         return nvars, file_prime, lineno
-    raise ParseError("empty ideal file", 1)
+    raise ParseError("empty ideal file", 1, 1)
 
 
 def parse_ideal_file(text, prime=None):
@@ -309,27 +342,29 @@ def parse_ideal_file(text, prime=None):
     ``prime`` overrides the header prime; with neither, the default applies.
     """
     nvars, file_prime, header_line = scan_header(text)
-    p = prime if prime is not None else (file_prime if file_prime is not None
-                                         else DEFAULT_PRIME)
-    # the size check first: trial division of a huge p never returns
-    check_int64_prime(p)
-    if not is_prime(p):
-        raise ParseError(f"modulus {p} is not prime", header_line)
+    if prime is not None:
+        check_prime(prime)
+        p = prime
+    else:
+        p = file_prime if file_prime is not None else DEFAULT_PRIME
     polys = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         if lineno <= header_line:
             continue
         tokens = _tokenize(raw, lineno)
         if not tokens:
             continue
-        poly = _LineParser(tokens, lineno, nvars, p).parse()
+        poly = _LineParser(tokens, lineno, nvars, p, _end_column(raw)).parse()
         if poly.is_zero:
-            raise ParseError("polynomial is zero", lineno)
+            raise ParseError("polynomial is zero", lineno, tokens[0][3])
         if not poly.is_homogeneous:
-            raise ParseError("polynomial is not homogeneous", lineno)
+            raise ParseError("polynomial is not homogeneous", lineno,
+                             tokens[0][3])
         polys.append(poly)
     if not polys:
-        raise ParseError("no polynomial lines", header_line)
+        # where the first polynomial line was due: past the end of the file
+        raise ParseError("no polynomial lines", len(lines) + 1, 1)
     return Ideal(polys, nvars, p)
 
 

@@ -80,7 +80,7 @@ import math
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, poly
 from .errors import (
     ConfigurationError,
     GincomplexError,
@@ -1012,10 +1012,34 @@ def hilbert_function_macaulay(ideal, m):
     every dropped row is in the span of the kept ones, so the row space,
     and with it the rank, is that of the full matrix.
 
+    The rows of the first generator that enters, g_1, are pivots before any
+    elimination, as in the pivot/non-pivot split of Faugere's F4 (JPAA 139,
+    1999): the rule above drops none of them, and their leads x^a lm(g_1)
+    are distinct.  Scale them monic, so that they form a block A = [T | A2]
+    of k rows, T on the k lead columns and A2 on the others; in multiplier
+    order, which is lead column order, T = I + N with N strictly upper
+    triangular, hence nilpotent.  The other rows form B = [B1 | B2] on the
+    same columns.  Subtracting Y A from B, with Y = B1 T^-1, clears B1 and
+    leaves the row space alone, and T is invertible, so
+
+        rank [A; B] = rank [T, A2; 0, S] = k + rank S,   S = B2 - Y A2,
+
+    and only S goes to ``_kernels.rank_mod``.  Y is the unique solution of
+    Y (I + N) = B1, the fixed point of Y -> B1 - Y N.  From Y = B1 the
+    t-th iterate is B1 (I - N + ... + (-N)^t); it equals the next one once
+    B1 N^(t+1) = 0, at the latest when N^(t+1) = 0, and is then that fixed
+    point.  So the loop takes at most as many products as the nilpotency
+    index of N, the last of which sees no change, and none per pivot.  Each
+    product is ``_kernels.matmul_mod`` of Y against [N | A2], A with its
+    unit diagonal cleared, so the last one's A2 part is the Y A2 of S.
+
+    A pruned matrix of more than ``poly._MACAULAY_CELL_CAP`` cells raises
+    ``ConfigurationError`` before anything of its size is allocated.
+
     Independent of the monomial/initial-ideal count on purpose: the two
     implementations serve as each other's oracle.  So it reads neither the
     Buchberger engine nor a gin, only the generators, the monomial tables
-    and ``_kernels.rank_mod``.
+    and ``_kernels``.
     """
     if m < 0:
         return 0
@@ -1026,7 +1050,8 @@ def hilbert_function_macaulay(ideal, m):
     leads = np.empty((len(ideal.generators), ideal.nvars), dtype=np.int64)
     total = 0
     for g in ideal.generators:
-        d = g.degree
+        # a generator is homogeneous, so its first term has its degree
+        d = int(g.exps[0].sum())
         if d > m:
             continue
         mu = table_for(ideal.nvars, m - d, GLEX).exps
@@ -1034,19 +1059,51 @@ def hilbert_function_macaulay(ideal, m):
             earlier = leads[None, :len(blocks)]
             mu = mu[~(mu[:, None] >= earlier).all(axis=2).any(axis=1)]
         # keys ascend as graded-lex monomials descend
-        leads[len(blocks)] = g.exps[(g.exps @ tab.weights).argmin()]
-        blocks.append((tab.rows(mu[:, None] + g.exps[None]), g.coeffs))
+        lead = (g.exps @ tab.weights).argmin()
+        leads[len(blocks)] = g.exps[lead]
+        blocks.append((tab.product_rows(mu, g.exps), g.coeffs, lead))
         total += len(mu)
     if total == 0:
         return ncols
-    mat = np.zeros((total, ncols), dtype=np.int64)
+    if total * ncols > poly._MACAULAY_CELL_CAP:
+        raise ConfigurationError(
+            f"the degree-{m} Macaulay matrix is {total} x {ncols}, "
+            f"{total * ncols * 8} bytes of int64, over the cap of "
+            f"{poly._MACAULAY_CELL_CAP} cells")
+    p = ideal.p
+    (pos, coeffs, lead), rest = blocks[0], blocks[1:]
+    k = pos.shape[0]
+    other = total - k
+    if other == 0 or k == ncols:
+        return ncols - k
+    # the lead columns first, in multiplier order; the rest after them
+    lead_cols = pos[:, lead]
+    free = np.ones(ncols, dtype=bool)
+    free[lead_cols] = False
+    place = np.empty(ncols, dtype=np.intp)
+    place[np.concatenate((lead_cols, free.nonzero()[0]))] = np.arange(ncols)
+    # A monic, with its unit diagonal cleared: [N | A2]
+    tails = np.zeros((k, ncols), dtype=np.int64)
+    monic = coeffs * pow(int(coeffs[lead]), p - 2, p) % p
+    monic[lead] = 0
+    tails[np.arange(k)[:, None], place[pos]] = monic
+    below = np.zeros((other, ncols), dtype=np.int64)
     row = 0
-    for pos, coeffs in blocks:
+    for pos, coeffs, _ in rest:
         nrows = pos.shape[0]
-        mat[np.arange(row, row + nrows)[:, None], pos] = coeffs[None, :]
+        below[np.arange(row, row + nrows)[:, None], place[pos]] = coeffs
         row += nrows
-    rank = int(_kernels.rank_mod(mat, ideal.p))
-    return ncols - rank
+    b1 = below[:, :k]
+    y = b1
+    while True:
+        product = _kernels.matmul_mod(y, tails, p)
+        step = b1 - product[:, :k]
+        step %= p
+        if np.array_equal(step, y):
+            break
+        y = step
+    rank = int(_kernels.rank_mod(below[:, k:] - product[:, k:], p))
+    return ncols - k - rank
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ rows, descending, each with a packed int64 key.  No table exponent exceeds
 int64, from enumeration on; arithmetic on them runs in int64 or intp, and
 a row becomes int64 when a ``Polynomial`` is built from it.  The keys are
 the table's own format.  Code outside the table
-finds rows by exponent, through ``MonomialTable.rows``; keys, linear in the
+finds rows by exponent, through ``MonomialTable.rows`` (or
+``product_rows``, for the products of two sets of rows); keys, linear in the
 exponents, are read only by the reduction kernel, beside reducer tails
 given as keys relative to their lead key, and by the lead cover, which
 adds a variable's weight to a key.
@@ -57,6 +58,9 @@ LT, EQ, GT = -1, 0, 1
 _KEY_BASE = 256
 DEGREE_CAP = _KEY_BASE - 1
 _KEY_MAX = int(np.iinfo(np.int64).max)
+# the most variables whose degree-1 keys, up to 256^(nvars - 1), fit in
+# int64 (see ``_check_key_range``); a higher degree may allow fewer
+NVARS_CAP = 8
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +276,17 @@ class MonomialTable:
         """
         return self.keys.searchsorted(exps @ self.weights)
 
+    def product_rows(self, left, right):
+        """Row indices of the products of each row of ``left`` with each row
+        of ``right``, exponent rows whose degrees sum to the table's.
+
+        The result has shape (len(left), len(right)).  Keys are linear in
+        the exponents, so a product's key is the sum of its factors' keys,
+        and the products' exponent rows are never formed.
+        """
+        return self.keys.searchsorted(
+            (left @ self.weights)[:, None] + right @ self.weights)
+
     def dense(self, f):
         """Coefficient vector of f, of this table's degree and order."""
         vec = np.zeros(len(self), dtype=np.int64)
@@ -338,6 +353,11 @@ class MonomialTable:
 _TABLE_CACHE = {}
 _table_rows = 0
 _TABLE_ROW_BUDGET = 4_000_000
+
+# int64 cells of the largest Macaulay matrix that
+# ``groebner.hilbert_function_macaulay`` builds: 256 MiB, which its block
+# elimination holds a few times over in products and limbs
+_MACAULAY_CELL_CAP = 2**25
 
 
 def table_for(nvars, degree, order):

@@ -4,8 +4,10 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gincomplex.cli as cli_module
+from gincomplex import poly as poly_module
 from gincomplex.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -476,7 +478,8 @@ def test_parse_power_or_product_above_degree_cap_gives_its_column():
                        match="line 3, column 27: polynomial degree 256"):
         parse_ideal_file("ring 5\nx0\nx0*(x1+x2)^100*(x1+x3)^100*x2^55\n")
     # a zero base has no degree to grow
-    with pytest.raises(ParseError, match="line 2: polynomial is zero"):
+    with pytest.raises(ParseError,
+                       match="line 2, column 1: polynomial is zero"):
         parse_ideal_file("ring 2\n(x0-x0)^255*x1\n")
 
 
@@ -531,8 +534,84 @@ def test_oversized_prime_is_rejected_before_the_primality_test(
                 m.setenv(key, value)
             assert main(argv) == EXIT_USAGE
         assert "3037000493" in capsys.readouterr().err
-    with pytest.raises(ConfigurationError, match="3037000493"):
+    # a file modulus is a parse error at its token
+    with pytest.raises(ParseError, match="line 1, column 8: .*3037000493"):
         parse_ideal_file(f"ring 5 {big}\n" + body)
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    ("", 1, 1, "empty ideal file"),
+    ("# only a comment\n", 1, 1, "empty ideal file"),
+    ("ring\nx0\n", 1, 5, "needs the number of variables"),
+    ("  ring   # no count\n", 1, 7, "needs the number of variables"),
+    ("ring x0\nx0\n", 1, 6, "expected an integer, found 0"),
+    ("ring 2 (\nx0\n", 1, 8, "expected an integer, found '\\('"),
+    ("ring 2 7 11\nx0\n", 1, 10, "trailing input 11"),
+    ("\nring 0\nx0\n", 2, 6, "at least one variable"),
+    ("ring 9\nx0\n", 1, 6, "9 variables exceed the variable cap 8"),
+    ("ring 99999999999\nx0\n", 1, 6, "exceed the variable cap"),
+    ("ring 3 6\nx0\n", 1, 8, "modulus 6 is not prime"),
+    ("ring 3  1\nx0\n", 1, 9, "modulus 1 is not prime"),
+    ("ring 3 3037000507\nx0\n", 1, 8, "too large.*3037000493"),
+    ("ring 2\n\n# none\n", 4, 1, "no polynomial lines"),
+    ("ring 2\nx0 +   # cut\n", 2, 5, "unexpected end of line"),
+    ("ring 2\nx0*(x1 \n", 2, 7, "unexpected end of line"),
+    ("ring 2\n  x0 - x0\n", 2, 3, "polynomial is zero"),
+    ("ring 2\nx0\n x0 + x1^2\n", 3, 2, "not homogeneous"),
+    ("ring 2\nx0^\u00b2\n", 2, 4, "unexpected character"),
+    ("ring 2\nx\u00b2\n", 2, 1, "unexpected word"),
+])
+def test_parse_errors_point_at_their_token(text, line, column, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_ideal_file(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value).startswith(f"line {line}, column {column}: ")
+
+
+def test_header_errors_exit_2_with_their_column(tmp_path, capsys):
+    path = tmp_path / "big.ideal"
+    path.write_text("ring 5 3037000507\n" + SCROLL_TEXT.split("\n", 1)[1])
+    assert main(["gin", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: line 1, column 8: ")
+    # the header is checked even when --prime overrides its modulus
+    path.write_text("ring 5 6\n" + SCROLL_TEXT.split("\n", 1)[1])
+    assert main(["gin", str(path), "--prime", "7"]) == EXIT_USAGE
+    assert "line 1, column 8: modulus 6" in capsys.readouterr().err
+    # an override that is not prime is a configuration value, not the file's
+    with pytest.raises(ConfigurationError, match="not prime"):
+        parse_ideal_file(SCROLL_TEXT, prime=9)
+
+
+# ring headers with counts and moduli good and bad, then random tokens: a
+# few lines of variables in and out of range, operators, comments, stray
+# words and characters, and a superscript digit, which is a digit to
+# str.isdigit but not to int()
+_HEADERS = st.sampled_from(["", "ring 3\n", "ring 2 7\n", "ring 1 32003\n",
+                            "ring 3 6\n", "ring 0\n", "ring 9\n",
+                            "ring 4 3037000507\n", "ring\n", "ring 2 7 7\n"])
+_TOKENS = st.sampled_from(
+    ["x0", "x1", "x2", "x3", "x12", "x", "y", "ring", "0", "1", "2", "3",
+     "7", "255", "256", "32003", "99999999999999999999", "+", "-", "*", "^",
+     "(", ")", "#", "@", "\u00b2", "\u0663", " ", " ", "\t", "\n", "\n"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(header=_HEADERS, tokens=st.lists(_TOKENS, max_size=30))
+def test_any_text_parses_or_fails_with_line_and_column(header, tokens):
+    text = header + "".join(tokens)
+    try:
+        parse_ideal_file(text)
+    except ParseError as err:
+        assert err.line is not None and err.column is not None
+        assert 1 <= err.line <= len(text.splitlines()) + 1
+        assert err.column >= 1
+
+
+def test_macaulay_cell_cap_exits_2(scroll_file, monkeypatch, capsys):
+    # the scroll's degree-3 matrix has 15 x 35 = 525 cells
+    monkeypatch.setattr(poly_module, "_MACAULAY_CELL_CAP", 300)
+    assert main(["complexity", scroll_file, "--mmax", "3"]) == EXIT_USAGE
+    assert "degree-3 Macaulay matrix is 15 x 35" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(capsys):

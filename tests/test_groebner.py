@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -121,17 +122,18 @@ def _normal_form_reference(f, reducers, order=None):
     return Polynomial.from_terms(out.items(), f.nvars, p, order)
 
 
-def _random_form(rng, nvars, degree, nterms, order, below=None):
-    """Random homogeneous form; with ``below``, every monomial is less."""
+def _random_form(rng, nvars, degree, nterms, order, below=None, p=P):
+    """Random homogeneous form mod p; with ``below``, every monomial is
+    less."""
     rows = [tuple(int(v) for v in e)
             for e in table_for(nvars, degree, GLEX).exps]
     if below is not None:
         rows = [e for e in rows if order.key(e) < order.key(below)]
     if not rows:
-        return Polynomial.zero(nvars, P, order)
+        return Polynomial.zero(nvars, p, order)
     return Polynomial.from_terms(
-        [(rows[rng.below(len(rows))], rng.field_nonzero(P))
-         for _ in range(nterms)], nvars, P, order)
+        [(rows[rng.below(len(rows))], rng.field_nonzero(p))
+         for _ in range(nterms)], nvars, p, order)
 
 
 def _random_division_case(rng):
@@ -1252,10 +1254,8 @@ def test_pruned_macaulay_rank_equals_the_full_matrix_property(p, data):
     assert hilbert_function_macaulay(ideal, m) == _macaulay_unpruned(ideal, m)
 
 
-def test_macaulay_matrix_drops_the_koszul_rows(store, monkeypatch):
-    # two quadrics at degree 6: 70 multipliers each, of which the 15 that
-    # the first quadric's lead divides are dropped from the second; what is
-    # left has full row rank
+def _spy_rank_mod(monkeypatch):
+    """The shapes of the matrices ``_kernels.rank_mod`` ranks from now on."""
     shapes = []
     rank_mod = _kernels.rank_mod
 
@@ -1264,10 +1264,125 @@ def test_macaulay_matrix_drops_the_koszul_rows(store, monkeypatch):
         return rank_mod(mat, p)
 
     monkeypatch.setattr(_kernels, "rank_mod", spying)
+    return shapes
+
+
+def test_macaulay_matrix_drops_the_koszul_rows(store, monkeypatch):
+    # two quadrics at degree 6: 70 multipliers each, of which the 15 that
+    # the first quadric's lead divides are dropped from the second; the
+    # first quadric's 70 rows are ready pivots, so rank_mod sees only the
+    # second's 55 rows on the 140 columns that are not their leads; the
+    # 125 rows have full row rank
+    shapes = _spy_rank_mod(monkeypatch)
     ideal = store.ideal("ci22")
     assert hilbert_function_macaulay(ideal, 6) == 210 - 125
-    assert shapes == [(125, 210)]
+    assert shapes == [(55, 140)]
     assert _macaulay_unpruned(ideal, 6) == 210 - 125
+
+
+def test_macaulay_one_generator_needs_no_rank(monkeypatch):
+    # the rows x^a * g are all pivots: dim I_m = C(m - d + n - 1, n - 1)
+    def no_rank(mat, p):
+        raise AssertionError("rank_mod called on one generator")
+
+    monkeypatch.setattr(_kernels, "rank_mod", no_rank)
+    rng = SplitMix64(41)
+    for nvars in (1, 2, 4):
+        for d in (1, 2, 3):
+            g = _random_form(rng, nvars, d, 6, GLEX)
+            ideal = Ideal([g], nvars, P)
+            for m in range(7):
+                expected = math.comb(m + nvars - 1, nvars - 1) - (
+                    math.comb(m - d + nvars - 1, nvars - 1) if m >= d else 0)
+                assert hilbert_function_macaulay(ideal, m) == expected
+                assert _macaulay_unpruned(ideal, m) == expected
+
+
+def test_macaulay_block_is_the_first_generator_that_enters(monkeypatch):
+    # a cubic listed before two quadrics: below degree 3 the first quadric
+    # holds the block of pivots, from degree 3 on the cubic does
+    rng = SplitMix64(43)
+    cubic = _random_form(rng, 4, 3, 8, GLEX)
+    quadrics = [_random_form(rng, 4, 2, 6, GLEX) for _ in range(2)]
+    ideal = Ideal([cubic] + quadrics, 4, P)
+    shapes = _spy_rank_mod(monkeypatch)
+    assert hilbert_function_macaulay(ideal, 2) == _macaulay_unpruned(ideal, 2)
+    # one row of the first quadric against the second's, on 10 - 1 columns
+    assert shapes == [(1, 9)]
+    shapes.clear()
+    assert hilbert_function_macaulay(ideal, 3) == _macaulay_unpruned(ideal, 3)
+    # the cubic's one row against 4 + 4 rows of the quadrics, whose
+    # multipliers no degree-2 or degree-3 lead divides, on 20 - 1 columns
+    assert shapes == [(8, 19)]
+    for m in range(4, 7):
+        assert hilbert_function_macaulay(ideal, m) == \
+            _macaulay_unpruned(ideal, m)
+
+
+def test_macaulay_constant_generator(monkeypatch):
+    # first, the constant's rows are every column, so nothing is left to
+    # rank; later, its rows that survive the pruning fill the rest
+    shapes = _spy_rank_mod(monkeypatch)
+    one = Polynomial.constant(5, 3, P)
+    q = poly([((2, 0, 0), 1), ((0, 1, 1), 3)], nvars=3)
+    for m in range(5):
+        assert hilbert_function_macaulay(Ideal([one, q]), m) == 0
+        assert _macaulay_unpruned(Ideal([one, q]), m) == 0
+    assert shapes == []
+    for m in range(5):
+        assert hilbert_function_macaulay(Ideal([q, one]), m) == 0
+        assert _macaulay_unpruned(Ideal([q, one]), m) == 0
+
+
+@pytest.mark.parametrize("p", [7, 65521, 65537, 3037000493])
+def test_macaulay_split_equals_the_full_matrix_at_primes(p, monkeypatch):
+    # one limb of matmul_mod up to 65521, two from 65537 on
+    rng = SplitMix64(p)
+    ideals = [
+        Ideal([_random_form(rng, 4, 2, 8, GLEX, p=p) for _ in range(2)],
+              4, p),
+        Ideal([_random_form(rng, 4, d, 10, GLEX, p=p) for d in (3, 2, 2)],
+              4, p),
+    ]
+    for ideal in ideals:
+        for m in range(6):
+            assert hilbert_function_macaulay(ideal, m) == \
+                _macaulay_unpruned(ideal, m), (ideal, m)
+    # x0 + x1 first: the leads are the monomials x0 divides, and N moves
+    # the lead x^b x0 to x^b x1.  A kept row x^a * quartic, x0 not dividing
+    # x^a, has x^a x0^4 on a lead column, which N moves through three more
+    # leads to x^a x1^4, which is none: B1 N^4 = 0 is the first power to
+    # vanish, and the solve runs four products
+    products = []
+    matmul_mod = _kernels.matmul_mod
+
+    def counting(a, b, q):
+        products.append(a.shape)
+        return matmul_mod(a, b, q)
+
+    monkeypatch.setattr(_kernels, "matmul_mod", counting)
+    line = Polynomial.from_terms([((1, 0, 0, 0), 1), ((0, 1, 0, 0), 1)],
+                                 4, p, GLEX)
+    quartic = Polynomial.from_terms(
+        [((4, 0, 0, 0), 3), ((1, 1, 1, 1), 2), ((0, 1, 2, 1), 5),
+         ((0, 0, 0, 4), 1)], 4, p, GLEX)
+    ideal = Ideal([line, quartic], 4, p)
+    for m in range(7):
+        products.clear()
+        assert hilbert_function_macaulay(ideal, m) == \
+            _macaulay_unpruned(ideal, m), m
+        assert len(products) == (4 if m >= 4 else 0)
+
+
+def test_macaulay_matrix_above_the_cell_cap_is_refused(monkeypatch):
+    # scroll at degree 3: three quadrics, five multipliers each, none
+    # pruned, on the 35 cubics: 525 cells, over a cap of 300
+    monkeypatch.setattr(poly_module, "_MACAULAY_CELL_CAP", 300)
+    assert hilbert_function_macaulay(scroll(), 2) == 12
+    with pytest.raises(ConfigurationError,
+                       match=r"degree-3 Macaulay matrix is 15 x 35, 4200 "
+                             r"bytes"):
+        hilbert_function_macaulay(scroll(), 3)
 
 
 def test_macaulay_equals_monomial_count_on_scroll():

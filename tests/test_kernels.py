@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 from conftest import rank_mod_loop
 from gincomplex import _kernels
 from gincomplex import poly as poly_module
-from gincomplex.errors import GincomplexError
+from gincomplex.errors import ConfigurationError, GincomplexError
 from gincomplex.gin import random_change
 from gincomplex.groebner import _ChainedCover, buchberger_trials
 from gincomplex.poly import (
@@ -663,6 +663,44 @@ def test_factor_change_is_pinned():
             digest.update(repr(factored).encode())
     assert singular >= 50 and swapped >= 50
     assert digest.hexdigest() == GOLDEN_FACTOR_CHANGE_SHA256
+
+
+def _matmul_loop(a, b, p):
+    """Reference for ``_kernels.matmul_mod``: Python-int dot products."""
+    cols = b.T.tolist()
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols]
+            for row in a.tolist()]
+
+
+# one 16-bit limb up to 65521, two from 65537 on
+@pytest.mark.parametrize("p", [7, 65521, 65537, 32003, 3037000493])
+def test_matmul_mod_matches_python_ints(p):
+    rng = np.random.default_rng(p)
+    for rows, inner, cols in ((1, 1, 1), (3, 5, 4), (0, 4, 2), (4, 0, 3),
+                              (6, 3000, 5)):
+        a = rng.integers(0, p, (rows, inner))
+        b = rng.integers(0, p, (inner, cols))
+        out = _kernels.matmul_mod(a, b, p)
+        assert out.dtype == np.int64 and out.shape == (rows, cols)
+        assert out.tolist() == _matmul_loop(a, b, p)
+    # every entry p - 1: the largest limb products and sums
+    a = np.full((3, 4000), p - 1, dtype=np.int64)
+    b = np.full((4000, 2), p - 1, dtype=np.int64)
+    assert _kernels.matmul_mod(a, b, p).tolist() == _matmul_loop(a, b, p)
+    # views, as the Macaulay oracle passes a column slice
+    wide = rng.integers(0, p, (5, 9))
+    assert _kernels.matmul_mod(wide[:, :4], wide[:4], p).tolist() == \
+        _matmul_loop(wide[:, :4], wide[:4], p)
+
+
+def test_matmul_mod_refuses_an_inner_dimension_of_2_21():
+    # zero-stride views: the shape is checked before any data is read
+    a = np.broadcast_to(np.int64(1), (1, 2**21))
+    b = np.broadcast_to(np.int64(1), (2**21, 1))
+    with pytest.raises(ConfigurationError, match="2097152"):
+        _kernels.matmul_mod(a, b, P)
+    with pytest.raises(ConfigurationError, match="3037000493"):
+        _kernels.matmul_mod(a[:, :2], b[:2], 3037000507)
 
 
 def test_rank_identity_and_singular():

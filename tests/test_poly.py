@@ -301,6 +301,13 @@ def test_tables_up_to_the_exponent_cap_property(shape):
     assert np.array_equal(tab.rows(tab.exps), np.arange(len(tab)))
     assert np.array_equal(tab.rows(tab.exps.astype(np.int64)),
                           np.arange(len(tab)))
+    # product_rows finds the rows of products by the sum of their keys
+    left = poly_module.MonomialTable(nvars, degree // 2, order).exps[:5]
+    right = poly_module.MonomialTable(nvars, degree - degree // 2,
+                                      order).exps[-5:]
+    found = tab.product_rows(left, right)
+    assert found.shape == (len(left), len(right))
+    assert np.array_equal(tab.exps[found], left[:, None] + right[None])
 
 
 @pytest.mark.parametrize("order", [GLEX, GREVLEX], ids=["glex", "grevlex"])
