@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import corpus, geometry
 from .corpus import format_monomial, format_polynomial, monomial_strings
@@ -374,6 +374,13 @@ def parse_ideal_file(text, prime=None):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The settings of one run, each checked on construction.
+
+    ``sources`` maps a field name to where its value came from (a flag, the
+    ideal file's header, a config file's key or the environment variable);
+    an error about that field starts with it.  It takes no part in equality.
+    """
+
     prime: int = DEFAULT_PRIME
     seed_base: int = DEFAULT_SEED_BASE
     min_agree: int = DEFAULT_MIN_AGREE
@@ -381,22 +388,35 @@ class RunConfig:
     order: str = "glex"
     output_format: str = "text"
     m_max: int = 6
+    sources: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        check_int64_prime(self.prime)
+        try:
+            check_int64_prime(self.prime)
+        except ConfigurationError as exc:
+            self._fail("prime", str(exc))
         if not is_prime(self.prime):
-            raise ConfigurationError(f"prime {self.prime} is not prime")
+            self._fail("prime", f"prime {self.prime} is not prime")
         if self.min_agree < 1:
-            raise ConfigurationError("agree must be at least 1")
+            self._fail("min_agree", "agree must be at least 1")
         if self.trial_budget < self.min_agree:
-            raise ConfigurationError("budget must be at least agree")
+            agreed = self.sources.get("min_agree")
+            self._fail("trial_budget",
+                       f"budget {self.trial_budget} must be at least agree "
+                       f"{self.min_agree}"
+                       + (f" ({agreed})" if agreed else ""))
         if self.order not in ORDERS:
-            raise ConfigurationError(f"unknown order {self.order!r}")
+            self._fail("order", f"unknown order {self.order!r}")
         if self.output_format not in ("text", "json"):
-            raise ConfigurationError(
-                f"unknown format {self.output_format!r}")
+            self._fail("output_format",
+                       f"unknown format {self.output_format!r}")
         if self.m_max < 0:
-            raise ConfigurationError("mmax must be nonnegative")
+            self._fail("m_max", "mmax must be nonnegative")
+
+    def _fail(self, name, message):
+        source = self.sources.get(name)
+        raise ConfigurationError(f"{source}: {message}" if source
+                                 else message)
 
 
 _CONFIG_KEYS = {"prime", "seed", "agree", "budget", "order", "format", "mmax"}
@@ -441,43 +461,54 @@ def _as_int(text, source):
             f"{source}: expected an integer, got {text!r}") from None
 
 
+def _as_text(text, source):
+    return text
+
+
 def resolve_config(args, file_prime=None):
-    """Precedence: CLI flag > ideal-file header > config file > env > default."""
+    """Precedence: CLI flag > ideal-file header > config file > env > default.
+
+    Each value's source goes into ``RunConfig.sources``, so an invalid one
+    is reported with the flag, header, config key or variable it came from.
+    """
     settings = {}
     if getattr(args, "config", None):
         settings = load_config_file(args.config)
-    env_prime = os.environ.get(PRIME_ENV_VAR)
+    sources = {}
 
-    def pick_int(flag, key, default):
-        if flag is not None:
-            return flag
+    def pick(name, flag, key, default, convert=_as_int):
+        value = getattr(args, flag, None) if flag else None
+        if value is not None:
+            sources[name] = f"--{flag}"
+            return value
         if key in settings:
-            return _as_int(settings[key], f"{args.config}: setting {key!r}")
+            sources[name] = f"{args.config}: setting {key!r}"
+            return convert(settings[key], sources[name])
         return default
 
-    prime = getattr(args, "prime", None)
+    prime = pick("prime", "prime", None, None)
     if prime is None and file_prime is not None:
+        sources["prime"] = f"{args.file}: ring header"
         prime = file_prime
     if prime is None:
-        prime = pick_int(None, "prime", None)
+        prime = pick("prime", None, "prime", None)
+    env_prime = os.environ.get(PRIME_ENV_VAR)
     if prime is None and env_prime:
+        sources["prime"] = PRIME_ENV_VAR
         prime = _as_int(env_prime, PRIME_ENV_VAR)
     if prime is None:
         prime = DEFAULT_PRIME
-
-    order = getattr(args, "order", None) or settings.get("order", "glex")
-    fmt = getattr(args, "format", None) or settings.get("format", "text")
     return RunConfig(
         prime=prime,
-        seed_base=pick_int(getattr(args, "seed", None), "seed",
-                           DEFAULT_SEED_BASE),
-        min_agree=pick_int(getattr(args, "agree", None), "agree",
-                           DEFAULT_MIN_AGREE),
-        trial_budget=pick_int(getattr(args, "budget", None), "budget",
-                              DEFAULT_TRIAL_BUDGET),
-        order=order,
-        output_format=fmt,
-        m_max=pick_int(getattr(args, "mmax", None), "mmax", 6),
+        seed_base=pick("seed_base", "seed", "seed", DEFAULT_SEED_BASE),
+        min_agree=pick("min_agree", "agree", "agree", DEFAULT_MIN_AGREE),
+        trial_budget=pick("trial_budget", "budget", "budget",
+                          DEFAULT_TRIAL_BUDGET),
+        order=pick("order", "order", "order", "glex", _as_text),
+        output_format=pick("output_format", "format", "format", "text",
+                           _as_text),
+        m_max=pick("m_max", "mmax", "mmax", 6),
+        sources=sources,
     )
 
 

@@ -44,8 +44,9 @@ zero.  The stabilized gin is then certified
 against it: the two Hilbert functions must agree up to one past the largest
 generator degree.  The certificate checks the pruning against H, not H
 itself -- an H one too large where a new leading monomial is due would drop
-a productive pair and certify the result -- so H is always read off a basis
-computed without pruning.
+a productive pair and certify the result -- so H is read off a basis
+computed without pruning, unless the caller supplies an exact H (the
+``hilbert`` input of ``gin``; see the stratum exception below).
 
 In generic coordinates every trial has the gin as its initial ideal, so
 the trials' runs make the same pairs and leads on different coefficients.
@@ -65,7 +66,11 @@ strict extraction J, which lies in K_i.  The leads of J never leave fewer
 standard monomials than H allows, and pruning fires only where they leave
 exactly H(d), which forces J_d = (K_i)_d.  Where J is smaller than K_i --
 coordinates not generic for the stratum -- a disagreeing strict extraction
-raises ``InvariantError`` instead of returning the basis of J.
+raises ``InvariantError`` instead of returning the basis of J.  The
+stratum's gin then gets the same exact H as its ``hilbert`` input: its
+trials are pruned with it, trial 1 makes no unpruned grevlex run, and the
+certificate checks the gin against it.  Nothing new is trusted, since the
+stratum's basis was already pruned and checked with that H.
 
 ``check_surface`` is the paper's test of one surface ideal: both gins, M and
 m, and with the surface's invariants the closed-form prediction and its
@@ -307,7 +312,8 @@ def hilbert_function_of(basis):
 
 
 def gin(ideal, order, seed_base=DEFAULT_SEED_BASE,
-        min_agree=DEFAULT_MIN_AGREE, trial_budget=DEFAULT_TRIAL_BUDGET):
+        min_agree=DEFAULT_MIN_AGREE, trial_budget=DEFAULT_TRIAL_BUDGET,
+        hilbert=None):
     """Stabilized initial ideal of a random coordinate change of ``ideal``.
 
     Trials run with seeds seed_base, seed_base+1, ..., each the
@@ -318,6 +324,15 @@ def gin(ideal, order, seed_base=DEFAULT_SEED_BASE,
     ``min_agree`` trials are moved as one block and their bases computed in
     lockstep (see the module docstring); results and errors are those of
     running them one by one.
+
+    ``hilbert``, when given, is the ideal's Hilbert function d ->
+    dim (R/I)_d, as for ``buchberger``.  It replaces the one read off trial
+    1's unpruned basis: every trial is pruned with it, no basis is computed
+    without pruning, and the certificate checks the gin against it.  It is
+    an input, not a tuning option -- the certificate checks the pruning
+    against H, not H itself, so a wrong H can certify a wrong gin.  The
+    stratum gins of ``pei`` pass the exact H of K_i (see the module
+    docstring).
 
     Those guards need a large prime: at p = 7, unitriangular and dense
     changes returned different gins for 60 of 600 random small ideals and
@@ -337,7 +352,9 @@ def gin(ideal, order, seed_base=DEFAULT_SEED_BASE,
             for k in range(first, first + count)])
 
     moved = move(0, min_agree)
-    if order is GREVLEX:
+    if hilbert is not None:
+        bases = buchberger_trials(moved, order, hilbert=hilbert)
+    elif order is GREVLEX:
         # unpruned, so trial 1's basis gives H
         bases = buchberger_trials(moved, order)
         hilbert = hilbert_function_of(bases[0])

@@ -1028,10 +1028,11 @@ def hilbert_function_macaulay(ideal, m):
     Y (I + N) = B1, the fixed point of Y -> B1 - Y N.  From Y = B1 the
     t-th iterate is B1 (I - N + ... + (-N)^t); it equals the next one once
     B1 N^(t+1) = 0, at the latest when N^(t+1) = 0, and is then that fixed
-    point.  So the loop takes at most as many products as the nilpotency
-    index of N, the last of which sees no change, and none per pivot.  Each
-    product is ``_kernels.matmul_mod`` of Y against [N | A2], A with its
-    unit diagonal cleared, so the last one's A2 part is the Y A2 of S.
+    point.  So the loop takes at most as many products Y N as the
+    nilpotency index of N, the last of which sees no change, and none per
+    pivot.  Only N changes the iterate, so the loop multiplies by the k x k
+    block N alone, and one more product, Y A2 with the fixed point, forms
+    S; each is ``_kernels.matmul_mod``.
 
     A pruned matrix of more than ``poly._MACAULAY_CELL_CAP`` cells raises
     ``ConfigurationError`` before anything of its size is allocated.
@@ -1094,15 +1095,16 @@ def hilbert_function_macaulay(ideal, m):
         below[np.arange(row, row + nrows)[:, None], place[pos]] = coeffs
         row += nrows
     b1 = below[:, :k]
+    nil = tails[:, :k]
     y = b1
     while True:
-        product = _kernels.matmul_mod(y, tails, p)
-        step = b1 - product[:, :k]
+        step = b1 - _kernels.matmul_mod(y, nil, p)
         step %= p
         if np.array_equal(step, y):
             break
         y = step
-    rank = int(_kernels.rank_mod(below[:, k:] - product[:, k:], p))
+    product = _kernels.matmul_mod(y, tails[:, k:], p)
+    rank = int(_kernels.rank_mod(below[:, k:] - product, p))
     return ncols - k - rank
 
 

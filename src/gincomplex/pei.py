@@ -24,7 +24,6 @@ from .gin import (
     DEFAULT_SEED_BASE,
     DEFAULT_TRIAL_BUDGET,
     gin,
-    is_saturated,
     reduced_grevlex,
 )
 from .groebner import MonomialIdeal, hilbert_function_macaulay
@@ -203,6 +202,20 @@ def recombine_m(ideal, seed_base=DEFAULT_SEED_BASE,
     ``k1_saturation_check`` share; a stratum that its strict extraction
     does not generate raises ``InvariantError`` (see ``_stratum_basis``).
     Must agree with the direct graded-lex degree complexity.
+
+    Each stratum gin gets K_i's Hilbert function from ``_stratum_hilbert``
+    as its ``hilbert`` input, so its trials are pruned and its certificate
+    checked with it and no basis is computed without pruning.  That H is
+    exact: it is read off the relaxed extraction of the certified basis,
+    a Groebner basis of K_i in any coordinates, and ``_stratum_basis``
+    has already pruned and checked the stratum's basis with it.
+
+    A principal stratum needs no gin run.  When the strict extraction is
+    one form g of degree d and K_i's initial ideal is one monomial of
+    degree d, then (g) lies in K_i with the same Hilbert function, so
+    J = (g) = K_i.  Its gin is (y_0^d) under every graded order: after a
+    generic change the coefficient of y_0^d is g at a generic point, which
+    is nonzero.  Its complexity is d.
     """
     result = gin_result
     if result is None:
@@ -214,16 +227,22 @@ def recombine_m(ideal, seed_base=DEFAULT_SEED_BASE,
     best = 0
     for i in range(b + 1):
         data = _stratum(result, i)
+        lead_ideal = _stratum_hilbert(result, i)
         if data.is_full_ring:
             sub_gin = MonomialIdeal([(0,) * nsub], nsub)
             complexity = 0
         elif data.ideal.is_zero:
             sub_gin = MonomialIdeal([], nsub)
             complexity = 0
+        elif _is_principal(data, lead_ideal):
+            complexity = data.ideal.generators[0].degree
+            sub_gin = MonomialIdeal([(complexity,) + (0,) * (nsub - 1)],
+                                    nsub)
         else:
             sub = gin(_stratum_basis(result, i), GLEX,
                       seed_base + _STRATUM_SEED_STEP * (i + 1),
-                      min_agree, trial_budget)
+                      min_agree, trial_budget,
+                      hilbert=lead_ideal.hilbert_function)
             try:
                 complexity = sub.complexity()
             except NonBorelGinError as exc:
@@ -232,6 +251,14 @@ def recombine_m(ideal, seed_base=DEFAULT_SEED_BASE,
         best = max(best, complexity + i)
         strata.append(Stratum(i, data, sub_gin, complexity))
     return RecombinationResult(best, b, tuple(strata), result.seeds)
+
+
+def _is_principal(data, lead_ideal):
+    """True when the strict extraction is one form and K_i's initial ideal
+    one monomial of its degree, so that form generates K_i."""
+    gens = data.ideal.generators
+    return (len(gens) == 1 and len(lead_ideal.gens) == 1
+            and sum(lead_ideal.gens[0]) == gens[0].degree)
 
 
 @dataclass(frozen=True)
@@ -285,18 +312,22 @@ def k1_saturation_check(ideal, seed_base=DEFAULT_SEED_BASE,
                         gin_result=None):
     """True when the first stratum is already saturated.
 
-    ``is_saturated`` on K_1's reduced grevlex basis: one seeded general
-    linear form l, and K_1 is saturated iff K_1 = K_1 : l^inf, read off one
-    grevlex initial ideal (Bayer-Stillman).  The grevlex basis is taken
-    first, in the gin's generic coordinates, so the coordinate change moves
-    a few low-degree generators instead of the extracted ones.  With the
-    gin result that ``recombine_m`` read, that basis comes from the result's
-    stratum memo and is not computed again.  The error is one-sided:
-    I : l^inf contains I^sat, which contains I, for every l, so True is a
-    proof.  Only a saturated K_1 can be misreported as unsaturated, with
-    probability about deg/p over the draw of l.
+    Read off the reduced grevlex basis of K_1 in the gin's coordinates, the
+    one ``_stratum_basis`` keeps and ``recombine_m`` reads: True iff no
+    leading monomial involves the last variable x_last.  Under grevlex,
+    in(J : x_last^inf) = in(J) : x_last^inf for every homogeneous J
+    (Eisenbud, *Commutative Algebra*, 15.12), so when no minimal generator
+    of in(J) involves x_last, J = J : x_last^inf, which contains J^sat,
+    which contains J.  That holds in any coordinates, so True is a proof.
+    The converse needs x_last general for K_1 (Bayer-Stillman, Invent.
+    Math. 87, 1987), and the gin's coordinates are generic, so a saturated
+    K_1 reads False only when the gin's draw is special: the same one-sided
+    error as ``gin.is_saturated`` with its seeded change.  No coordinate
+    change and no Groebner run beyond the shared stratum basis;
+    ``is_saturated`` and ``saturate_irrelevant`` stay each other's oracle.
     """
     result = gin_result
     if result is None:
         result = gin(ideal, GLEX, seed_base, min_agree, trial_budget)
-    return is_saturated(_stratum_basis(result, 1))
+    return all(g.leading_monomial()[-1] == 0
+               for g in _stratum_basis(result, 1).generators)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -208,6 +210,13 @@ def test_run_config_validation():
         RunConfig(min_agree=4, trial_budget=2)
     with pytest.raises(ConfigurationError):
         RunConfig(order="lex")
+    # a budget below agree names both sources
+    with pytest.raises(ConfigurationError,
+                       match=r"^--budget: budget 2 must be at least agree 4 "
+                             r"\(run.cfg: setting 'agree'\)$"):
+        RunConfig(min_agree=4, trial_budget=2,
+                  sources={"trial_budget": "--budget",
+                           "min_agree": "run.cfg: setting 'agree'"})
 
 
 def test_env_prime(tmp_path, monkeypatch, capsys):
@@ -252,6 +261,66 @@ def test_malformed_env_prime_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert main(["gin", str(path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and "GINCOMPLEX_PRIME" in err
+
+
+# invalid values of each setting; ``budget`` ones are below the default agree
+_BAD_SETTINGS = {
+    "prime": ["4", "1", "0", "-7", "32001", "3037000507"],
+    "agree": ["0", "-3"],
+    "budget": ["1", "0", "-1"],
+    "mmax": ["-1", "-20"],
+    "order": ["lex", "revlex"],
+    "format": ["xml"],
+}
+_SOURCES = {key: ["flag", "config"] for key in _BAD_SETTINGS}
+_SOURCES["prime"] += ["header", "env"]
+
+
+def _main_exit(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        # argparse rejects a flag value outside its choices itself
+        return exc.code
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(sorted(_BAD_SETTINGS)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(_BAD_SETTINGS[key]),
+                          st.sampled_from(_SOURCES[key]))))
+def test_a_bad_setting_names_its_source(case, tmp_path_factory):
+    key, value, source = case
+    folder = tmp_path_factory.mktemp("bad-setting")
+    ideal_file = folder / "scroll.ideal"
+    ideal_file.write_text(SCROLL_TEXT)
+    config = folder / "run.cfg"
+    argv = ["complexity" if key == "mmax" else "gin", str(ideal_file)]
+    env = {}
+    if source == "flag":
+        argv.append(f"--{key}={value}")
+        named = f"--{key}"
+    elif source == "config":
+        config.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(config)]
+        named = f"{config}: setting {key!r}"
+    elif source == "env":
+        env[cli_module.PRIME_ENV_VAR] = value
+        named = cli_module.PRIME_ENV_VAR
+    else:
+        ideal_file.write_text(SCROLL_TEXT.replace("ring 5", f"ring 5 {value}"))
+        named = "line 1, column 8"
+    stderr = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(cli_module.PRIME_ENV_VAR, raising=False)
+        for name, text in env.items():
+            patch.setenv(name, text)
+        with contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert _main_exit(argv) == EXIT_USAGE
+    err = stderr.getvalue()
+    assert named in err, (case, err)
+    if not (source == "flag" and key in ("order", "format")):
+        assert err.startswith(f"error: {named}"), (case, err)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -729,10 +798,12 @@ def test_degree_complexity_of_a_non_borel_gin_raises(never_borel):
 
 
 def test_recombination_names_a_non_borel_stratum(never_borel):
+    # the principal K_0 takes its gin in closed form, so K_1 is the first
+    # stratum with a gin run
     from gincomplex.gin import gin
     from gincomplex.pei import recombine_m
     ideal = scroll()
     with pytest.raises(NonBorelGinError,
-                       match="^stratum 0: graded-lex gin is not Borel-fixed; "
+                       match="^stratum 1: graded-lex gin is not Borel-fixed; "
                              "retry with another prime or seed$"):
         recombine_m(ideal, gin_result=gin(ideal, GLEX))

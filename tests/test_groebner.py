@@ -1352,12 +1352,13 @@ def test_macaulay_split_equals_the_full_matrix_at_primes(p, monkeypatch):
     # the lead x^b x0 to x^b x1.  A kept row x^a * quartic, x0 not dividing
     # x^a, has x^a x0^4 on a lead column, which N moves through three more
     # leads to x^a x1^4, which is none: B1 N^4 = 0 is the first power to
-    # vanish, and the solve runs four products
+    # vanish, and the solve runs four products with the k x k block N, then
+    # one with A2 on the other columns
     products = []
     matmul_mod = _kernels.matmul_mod
 
     def counting(a, b, q):
-        products.append(a.shape)
+        products.append(b.shape)
         return matmul_mod(a, b, q)
 
     monkeypatch.setattr(_kernels, "matmul_mod", counting)
@@ -1371,7 +1372,11 @@ def test_macaulay_split_equals_the_full_matrix_at_primes(p, monkeypatch):
         products.clear()
         assert hilbert_function_macaulay(ideal, m) == \
             _macaulay_unpruned(ideal, m), m
-        assert len(products) == (4 if m >= 4 else 0)
+        if m < 4:
+            assert products == []
+            continue
+        k = math.comb(m + 2, 3)
+        assert products == [(k, k)] * 4 + [(k, math.comb(m + 3, 3) - k)]
 
 
 def test_macaulay_matrix_above_the_cell_cap_is_refused(monkeypatch):
@@ -1579,3 +1584,27 @@ def test_is_saturated_agrees_with_saturate_irrelevant(store, build,
     ideal = build(store)
     assert is_saturated(ideal) is saturated
     assert ideals_equal(saturate_irrelevant(ideal), ideal) is saturated
+
+
+def test_grevlex_leads_free_of_the_last_variable_prove_saturation():
+    # the read-off of pei.k1_saturation_check: under grevlex
+    # in(J : x_last^inf) = in(J) : x_last^inf, so a reduced basis with no
+    # lead involving x_last shows J = J : x_last^inf, which contains J^sat,
+    # in any coordinates; sparse forms keep the coordinates special
+    rng = SplitMix64(35)
+    verdicts = []
+    for _ in range(120):
+        n = 3 + rng.below(3)
+        gens = [_random_form(rng, n, 1 + rng.below(3), 1 + rng.below(4),
+                             GREVLEX)
+                for _ in range(1 + rng.below(n))]
+        gens = [f for f in gens if not f.is_zero]
+        if not gens:
+            continue
+        ideal = Ideal(gens, n, P)
+        gb = buchberger(ideal, GREVLEX)
+        read = all(g.leading_monomial()[-1] == 0 for g in gb.elements)
+        if read:
+            assert ideals_equal(saturate_irrelevant(ideal), ideal), gens
+        verdicts.append(read)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20

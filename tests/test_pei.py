@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ import pytest
 import gincomplex.pei
 from gincomplex.corpus import default_names, entry, remark_counterexample
 from gincomplex.errors import ConfigurationError, InvariantError
-from gincomplex.gin import DEFAULT_SEED_BASE, GinResult, gin, reduced_grevlex
+from gincomplex.gin import (
+    DEFAULT_SEED_BASE,
+    GinResult,
+    gin,
+    is_saturated,
+    reduced_grevlex,
+)
 from gincomplex.groebner import (
     MonomialIdeal,
     buchberger,
@@ -28,6 +35,8 @@ from gincomplex.pei import (
 from gincomplex.poly import GLEX, GREVLEX, Ideal, Polynomial
 
 P = 32003
+# the module: the package re-exports the function ``gin`` under this name
+GIN_MODULE = importlib.import_module("gincomplex.gin")
 
 
 def _leads(data):
@@ -174,9 +183,9 @@ def test_stratum_gin_gets_low_degree_k1(store, monkeypatch):
     # the stratum gin receives, stops at degree 5
     calls = {}
 
-    def spy(ideal, order, seed_base, *args):
+    def spy(ideal, order, seed_base, *args, **kwargs):
         calls[seed_base] = ideal
-        return gin(ideal, order, seed_base, *args)
+        return gin(ideal, order, seed_base, *args, **kwargs)
 
     monkeypatch.setattr(gincomplex.pei, "gin", spy)
     rec = recombine_m(store.ideal("acm4"), gin_result=store.gin("acm4"))
@@ -282,15 +291,17 @@ def test_pipeline_builds_each_stratum_basis_once(store, monkeypatch):
     strata = [gincomplex.pei._stratum(fresh, i) for i in range(b + 1)]
     proper = [data.index for data in strata
               if not (data.is_full_ring or data.ideal.is_zero)]
-    # K_1 is proper, so the saturation check reuses recombine_m's basis
-    assert 1 in proper
+    # the principal K_0 takes its gin in closed form and builds no basis;
+    # K_1 is not principal, so the saturation check reuses recombine_m's
+    built = [i for i in proper if not _principal(fresh, i)]
+    assert proper == [0, 1] and built == [1]
     assert [a[1] for a, _ in calls["partial_elimination"]] \
         == list(range(b + 1))
-    assert len(calls["reduced_grevlex"]) == len(proper)
+    assert len(calls["reduced_grevlex"]) == len(built)
     # every stratum basis is pruned with its stratum's Hilbert function
     assert [kwargs["hilbert"] for _, kwargs in calls["reduced_grevlex"]] \
         == [gincomplex.pei._stratum_hilbert(fresh, i).hilbert_function
-            for i in proper]
+            for i in built]
     assert got == _pipeline(ideal, second)
 
 
@@ -412,3 +423,96 @@ def test_non_generic_stratum_caught_in_a_degree_the_run_skips():
     assert len(buchberger(strict, GREVLEX, hilbert=hilbert).elements) == 1
     with pytest.raises(InvariantError, match="stratum 1.*degree 3"):
         gincomplex.pei._stratum_basis(result, 1)
+
+
+def _principal(result, index):
+    return gincomplex.pei._is_principal(
+        gincomplex.pei._stratum(result, index),
+        gincomplex.pei._stratum_hilbert(result, index))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_k1_saturation_read_off_agrees_with_is_saturated(store, name):
+    result = dataclasses.replace(store.gin(name))
+    verdict = k1_saturation_check(store.ideal(name), gin_result=result)
+    assert verdict is True
+    assert is_saturated(gincomplex.pei._stratum_basis(result, 1)) is verdict
+
+
+def test_variable_times_maximal_ideal_reads_unsaturated_both_ways():
+    # x0*x1*(x1, ..., x5) in six variables: its K_1 is x0*(x0, ..., x4) in
+    # the ring without x0, whose grevlex lead x0*x4 involves the last
+    # variable; its saturation is (x0)
+    gens = [Polynomial.from_terms(
+        [(tuple(int(k in (0, 1)) + int(k == j) for k in range(6)), 1)], 6, P)
+        for j in range(1, 6)]
+    result = _wrapped(buchberger(Ideal(gens, 6, P), GLEX))
+    k1 = _stratum_ideal(result, 1)
+    want = [tuple(int(k == 0) + int(k == j) for k in range(5))
+            for j in range(5)]
+    assert sorted(g.leading_monomial() for g in k1.generators) == \
+        sorted(want)
+    assert k1_saturation_check(None, gin_result=result) is False
+    assert is_saturated(k1) is False
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_principal_k0_gin_is_the_closed_form(store, name):
+    # K_0, the projected hypersurface, is principal: its gin is (x1^d)
+    # with no basis built, and equals the gin of its grevlex basis
+    result = dataclasses.replace(store.gin(name))
+    rec = recombine_m(store.ideal(name), gin_result=result)
+    assert _principal(result, 0)
+    assert (0, "grevlex") not in result._strata
+    k0 = rec.strata[0]
+    d = k0.data.ideal.generators[0].degree
+    nsub = result.basis.nvars - 1
+    assert k0.gin == MonomialIdeal([(d,) + (0,) * (nsub - 1)], nsub)
+    assert k0.complexity == d
+    seed = DEFAULT_SEED_BASE + _STRATUM_SEED_STEP
+    assert k0.gin == gin(gincomplex.pei._stratum_basis(result, 0), GLEX,
+                         seed).gin
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_stratum_gin_with_its_hilbert_function_is_unchanged(store, name):
+    result = dataclasses.replace(store.gin(name))
+    rec = recombine_m(store.ideal(name), gin_result=result)
+    built = [i for i in _proper_indices(result) if not _principal(result, i)]
+    assert built == [1]
+    for i in built:
+        basis = gincomplex.pei._stratum_basis(result, i)
+        hilbert = gincomplex.pei._stratum_hilbert(result, i).hilbert_function
+        seed = DEFAULT_SEED_BASE + _STRATUM_SEED_STEP * (i + 1)
+        pruned = gin(basis, GLEX, seed, hilbert=hilbert)
+        plain = gin(basis, GLEX, seed)
+        assert (pruned.gin, pruned.seeds, pruned.trials_agreed) == \
+            (plain.gin, plain.seeds, plain.trials_agreed)
+        assert rec.strata[i].gin == pruned.gin
+
+
+def test_stratum_stage_draws_no_change_and_runs_nothing_unpruned(
+        store, monkeypatch):
+    calls = []
+    for name in ("random_change", "apply_linear_change"):
+        real = getattr(GIN_MODULE, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(GIN_MODULE, name, spy)
+    for name in ("buchberger", "buchberger_trials"):
+        real = getattr(GIN_MODULE, name)
+
+        def run(ideal, order, hilbert=None, _name=name, _real=real):
+            calls.append(_name if hilbert is not None
+                         else f"unpruned {_name}")
+            return _real(ideal, order, hilbert=hilbert)
+
+        monkeypatch.setattr(GIN_MODULE, name, run)
+    ideal, result = store.ideal("acm4"), dataclasses.replace(store.gin("acm4"))
+    recombine_m(ideal, gin_result=result)
+    assert k1_saturation_check(ideal, gin_result=result)
+    # K_1's basis, then its gin's lockstep trials
+    assert calls == ["buchberger", "buchberger_trials"]
